@@ -22,9 +22,17 @@ hitting K_j uses indices below j.  This forces
 with target the mu-mass at the point y with y**kappa = K_j (zero if there
 is no such support point) and S_j the already-known contribution of
 earlier candidates.  A negative rho_j refutes existence outright; zero
-means the candidate is absent.  A full verification pass then recomputes
-the entire pushforward from the positive candidates and compares it
-against mu exactly, so a CertifiedYes is self-checking rather than a
+means the candidate is absent.
+
+One pushforward kernel (measures._push_atom) carries the work.  Support
+points are written c_j/D over a common denominator, so every product key is
+an int.  The degree map P_d sends a product of d positive candidates to the
+sum of multinomial(counts) * prod(rho**count) over the multisets reaching
+it, and the maps are updated in place each time a candidate is accepted, so
+S_j is one lookup of K_j in P_kappa.  After peeling, verification walks the
+finished P_kappa (every product of the positive candidates) in ascending
+order, compares each key with mu exactly, then checks that every support
+point was reached, so a CertifiedYes is self-checking rather than a
 consequence of trusting the peeling argument.
 """
 
@@ -43,7 +51,14 @@ from .exact import (
     UsageError,
     perfect_nth_root,
 )
-from .measures import AtomicMeasure, MAX_MULTISETS
+from .measures import (
+    AtomicMeasure,
+    MAX_MULTISETS,
+    _check_kappa,
+    _degree_maps,
+    _numerators,
+    _push_atom,
+)
 
 __all__ = [
     "Verdict",
@@ -111,9 +126,6 @@ class NuRepresentation:
     def support_size(self) -> int:
         return sum(1 for e in self.entries if e.rho > 0)
 
-    def atom_radicals(self) -> tuple[Radical, ...]:
-        return tuple(Radical.root(e.power, self.kappa) for e in self.positive_entries())
-
     def to_atomic_measure(self) -> Optional[AtomicMeasure]:
         """Exact rational form of nu, when it has one."""
         w1 = perfect_nth_root(self.base_mass, self.kappa)
@@ -146,98 +158,34 @@ class RootDecision:
         return self.verdict is Verdict.CERTIFIED_YES
 
 
-def _key_contribution(positives, kappa: int, key: Fraction) -> Fraction:
-    """sum of multinomial(counts) * prod(rho**count) over size-kappa
-    multisets of the given (power, rho) candidates whose power-product
-    equals key.  Depth-first over counts with monotonicity pruning."""
-    n = len(positives)
-    fact = math.factorial
-    total = Fraction(0)
-    kappa_fact = fact(kappa)
-
-    def rec(i: int, slots: int, prod: Fraction, coeff: Fraction):
-        nonlocal total
-        if slots == 0:
-            if prod == key:
-                total += coeff
-            return
-        if i == n:
-            return
-        # remaining powers are >= positives[i][0] and <= positives[-1][0]
-        if prod * positives[i][0] ** slots > key:
-            return
-        if prod * positives[-1][0] ** slots < key:
-            return
-        x, rho = positives[i]
-        c = 0
-        p = prod
-        co = coeff
-        while c <= slots:
-            rec(i + 1, slots - c, p, co)
-            c += 1
-            p *= x
-            co = co * rho / c
-        return
-
-    rec(0, kappa, Fraction(1), Fraction(kappa_fact))
-    return total
-
-
-def _pushforward_map(positives, kappa: int) -> dict[Fraction, Fraction]:
-    """key -> sum multinomial * prod(rho) over all size-kappa multisets."""
-    n = len(positives)
-    fact = math.factorial
-    out: dict[Fraction, Fraction] = {}
-
-    def rec(i: int, slots: int, prod: Fraction, coeff: Fraction):
-        if slots == 0:
-            out[prod] = out.get(prod, Fraction(0)) + coeff
-            return
-        if i == n - 1:
-            x, rho = positives[i]
-            out_key = prod * x ** slots
-            out[out_key] = out.get(out_key, Fraction(0)) + coeff * rho ** slots / fact(slots)
-            return
-        x, rho = positives[i]
-        c = 0
-        p = prod
-        co = coeff
-        while c <= slots:
-            rec(i + 1, slots - c, p, co)
-            c += 1
-            p *= x
-            co = co * rho / c
-
-    rec(0, kappa, Fraction(1), Fraction(fact(kappa)))
-    return out
-
-
 def decide_root(mu: AtomicMeasure, kappa: int) -> RootDecision:
     """Decide whether the kappa-th root of mu's moment sequence is again a
     Stieltjes moment sequence, with an exact certificate either way.
     """
-    if kappa < 2 or kappa > 16:
-        raise UsageError(f"kappa must be in [2, 16], got {kappa}")
+    _check_kappa(kappa)
     m_count = len(mu.atoms)
     if math.comb(m_count + kappa - 1, kappa) > MAX_MULTISETS:
         raise GuardExceeded(
             f"decide_root guard: C({m_count}+{kappa}-1,{kappa}) exceeds {MAX_MULTISETS}"
         )
     xs = mu.support
-    masses = dict(mu.atoms)
-    base_mass = masses[xs[0]]
-    power_to_point = {x ** kappa: x for x in xs}
+    base_mass = mu.atoms[0][1]
+    den = math.lcm(*(x.denominator for x in xs))
+    nums = _numerators(xs, den)
+    # the kappa-th power of each support point, as a degree-kappa key
+    atom_at = {c ** kappa: atom for c, atom in zip(nums, mu.atoms)}
 
-    # ascending peeling; only positive candidates can contribute to later keys
+    # ascending peeling; only positive candidates enter the pushforward
     rhos: list[Fraction] = [Fraction(1)]
-    positives: list[tuple[Fraction, Fraction]] = [(xs[0], Fraction(1))]
-    x1_pow = xs[0] ** (kappa - 1)
+    maps = _degree_maps(kappa, [(nums[0], 1)])
+    produced = maps[kappa]
+    x1_pow = nums[0] ** (kappa - 1)
+    scale = kappa * base_mass
     for j in range(1, m_count):
-        key = x1_pow * xs[j]
-        earlier = _key_contribution(positives, kappa, key)
-        point = power_to_point.get(key)
-        target = masses[point] if point is not None else Fraction(0)
-        rho = (target / base_mass - earlier) / kappa
+        key = x1_pow * nums[j]
+        atom = atom_at.get(key)
+        target = atom[1] if atom is not None else 0
+        rho = (target - base_mass * produced.get(key, 0)) / scale
         if rho < 0:
             return RootDecision(
                 Verdict.CERTIFIED_NO,
@@ -246,28 +194,27 @@ def decide_root(mu: AtomicMeasure, kappa: int) -> RootDecision:
             )
         rhos.append(rho)
         if rho > 0:
-            positives.append((xs[j], rho))
+            _push_atom(maps, nums[j], rho)
 
-    # full verification: rebuild the pushforward from the positive candidates
-    produced = _pushforward_map(positives, kappa)
-    for key, value in sorted(produced.items()):
-        point = power_to_point.get(key)
-        if point is None:
-            if value != 0:
-                return RootDecision(
-                    Verdict.CERTIFIED_NO,
-                    kappa,
-                    certificate=Certificate(CertificateKind.COVERAGE_VIOLATION, key),
-                )
-            continue
-        if base_mass * value != masses[point]:
+    # full verification: every product of the positive candidates against mu
+    for key in sorted(produced):
+        atom = atom_at.get(key)
+        if atom is None:
             return RootDecision(
                 Verdict.CERTIFIED_NO,
                 kappa,
-                certificate=Certificate(CertificateKind.MASS_MISMATCH, point),
+                certificate=Certificate(
+                    CertificateKind.COVERAGE_VIOLATION, Fraction(key, den ** kappa)
+                ),
             )
-    for x in xs:
-        if x ** kappa not in produced and masses[x] != 0:
+        if base_mass * produced[key] != atom[1]:
+            return RootDecision(
+                Verdict.CERTIFIED_NO,
+                kappa,
+                certificate=Certificate(CertificateKind.MASS_MISMATCH, atom[0]),
+            )
+    for key, (x, _) in atom_at.items():
+        if key not in produced:
             return RootDecision(
                 Verdict.CERTIFIED_NO,
                 kappa,
@@ -283,14 +230,20 @@ def decide_root(mu: AtomicMeasure, kappa: int) -> RootDecision:
 
 
 def verify_representation(mu: AtomicMeasure, nu: NuRepresentation) -> bool:
-    """Independent check that nu's kappa-fold pushforward reproduces mu."""
-    positives = [(e.power, e.rho) for e in nu.positive_entries()]
+    """Check that nu's kappa-fold pushforward reproduces mu exactly.
+
+    It builds the pushforward with the same kernel as decide_root; the
+    test suite checks that kernel against an independent multiset
+    enumeration.
+    """
+    positives = nu.positive_entries()
     if not positives:
         return False
-    produced = _pushforward_map(positives, nu.kappa)
-    expected = {x ** nu.kappa: w for x, w in mu.atoms}
-    scaled = {k: nu.base_mass * v for k, v in produced.items() if v != 0}
-    return scaled == expected
+    powers = [e.power for e in positives]
+    den = math.lcm(*(p.denominator for p in powers + list(mu.support)))
+    maps = _degree_maps(nu.kappa, zip(_numerators(powers, den), (e.rho for e in positives)))
+    expected = {c ** nu.kappa: w for c, w in zip(_numerators(mu.support, den), mu.weights)}
+    return {k: nu.base_mass * v for k, v in maps[nu.kappa].items()} == expected
 
 
 def approx_root_moments(

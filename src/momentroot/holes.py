@@ -24,7 +24,7 @@ from .exact import (
     format_rational,
     radical_compare,
 )
-from .measures import AtomicMeasure, kappa_power_measure
+from .measures import AtomicMeasure, _check_kappa, kappa_power_measure
 from .decide import NuRepresentation, decide_root, verify_representation
 
 __all__ = [
@@ -185,8 +185,7 @@ def _validate_triple(theta1, theta2, theta3, strict: bool = False):
 def triple_params(theta1, theta2, theta3, kappa: int) -> TripleParams:
     theta1, theta2, theta3 = Fraction(theta1), Fraction(theta2), Fraction(theta3)
     _validate_triple(theta1, theta2, theta3)
-    if not 2 <= kappa <= 16:
-        raise UsageError(f"kappa must be in [2, 16], got {kappa}")
+    _check_kappa(kappa)
     alpha = Radical.zero(kappa) if theta1 == 0 else Radical(theta1 / theta3, theta3, kappa)
     beta_dag = Radical.zero(kappa) if theta1 == 0 else Radical.root(theta1, kappa)
     iota_s = None
@@ -286,8 +285,7 @@ def iota_dagger_relations(theta1, theta2, theta3, kappa: int) -> TheoremReport:
     """Exact relations tying the dagger endpoints to the iota parameters."""
     theta1, theta2, theta3 = Fraction(theta1), Fraction(theta2), Fraction(theta3)
     _validate_triple(theta1, theta2, theta3, strict=True)
-    if not 2 <= kappa <= 16:
-        raise UsageError(f"kappa must be in [2, 16], got {kappa}")
+    _check_kappa(kappa)
     i_s, i_star = _iotas(theta1, theta2, theta3)
     dag_equal = theta1 * theta3 ** (kappa - 1) == theta2 ** kappa
     claims = (
@@ -539,8 +537,7 @@ def check_hole_forward(
     theta1 in supp mu; (iii) beta in supp nu iff theta2 in supp mu.
     Precondition failures are reported (applicable=False), not raised.
     """
-    if not 2 <= kappa <= 16:
-        raise UsageError(f"kappa must be in [2, 16], got {kappa}")
+    _check_kappa(kappa)
     alpha = _as_radical(alpha, kappa)
     beta = _as_radical(beta, kappa)
     gamma = Radical.from_rational(nu.max_point, kappa)
@@ -744,8 +741,7 @@ def check_top_of_support(
     """Paired-hole and top-of-support transfer statements."""
     theta1, theta2, theta3 = Fraction(theta1), Fraction(theta2), Fraction(theta3)
     _validate_triple(theta1, theta2, theta3)
-    if not 2 <= kappa <= 16:
-        raise UsageError(f"kappa must be in [2, 16], got {kappa}")
+    _check_kappa(kappa)
     mu = kappa_power_measure(nu, kappa)
     alpha = (
         Radical.zero(kappa) if theta1 == 0 else Radical(theta1 / theta3, theta3, kappa)
@@ -813,8 +809,7 @@ def check_top_of_support(
 
 def check_lower_support(nu: AtomicMeasure, kappa: int) -> TheoremReport:
     """Bottom-of-support transfer: minima map to kappa-th powers and back."""
-    if not 2 <= kappa <= 16:
-        raise UsageError(f"kappa must be in [2, 16], got {kappa}")
+    _check_kappa(kappa)
     mu = kappa_power_measure(nu, kappa)
     beta = nu.min_point
     theta = mu.min_point

@@ -168,33 +168,70 @@ def _multiset_guard(n: int, kappa: int):
         )
 
 
+def _numerators(values, den: int) -> list[int]:
+    """The integers c with value = c/den, for a common denominator den."""
+    return [v.numerator * (den // v.denominator) for v in values]
+
+
+def _degree_maps(kappa: int, atoms=()) -> list[dict]:
+    """Pushforward state maps[0..kappa] of the (numerator, weight) atoms;
+    with none, maps[0] = {1: 1} and every other degree is empty."""
+    maps = [{1: 1}] + [{} for _ in range(kappa)]
+    for num, weight in atoms:
+        _push_atom(maps, num, weight)
+    return maps
+
+
+def _push_atom(maps: list[dict], num: int, weight) -> None:
+    """Fold one atom into the degree maps in place.
+
+    Points are written num/D over one common denominator D, so a product of
+    d points is an int key whose value is key/D**d.  maps[d] sends it to
+    the sum, over the size-d multisets of the atoms pushed so far with that
+    product, of multinomial(d; counts) * prod(weight**count).  Taking c
+    copies of the new atom multiplies a degree-(d-c) multinomial by
+    C(d, c); degrees are updated from kappa down, so each reads the lower
+    maps before this atom enters them.  Integer weights keep every value an
+    int.
+    """
+    kappa = len(maps) - 1
+    powers = [(1, 1)]
+    for _ in range(kappa):
+        step, w = powers[-1]
+        powers.append((step * num, w * weight))
+    for d in range(kappa, 0, -1):
+        top = maps[d]
+        for c in range(1, d + 1):
+            step, w = powers[c]
+            w *= math.comb(d, c)
+            for key, value in maps[d - c].items():
+                key *= step
+                top[key] = top.get(key, 0) + value * w
+
+
 def kappa_power_measure(nu: AtomicMeasure, kappa: int) -> AtomicMeasure:
     """Pushforward of the kappa-fold product of nu under multiplication.
 
     The result mu satisfies moments(mu, n) = moments(nu, n)**kappa for
     every n: the mass at a product point is the sum over size-kappa
     multisets of nu-atoms of multinomial(multiplicities) * product of
-    weights.
+    weights.  Points and weights are cleared of denominators first, so the
+    degree maps hold only ints.
     """
     _check_kappa(kappa)
     _multiset_guard(len(nu.atoms), kappa)
-    fact = math.factorial
-    acc: dict[Fraction, Fraction] = {}
-    for combo in combinations_with_replacement(range(len(nu.atoms)), kappa):
-        point = Fraction(1)
-        weight = Fraction(fact(kappa))
-        run = 1
-        for i, j in zip(combo, combo[1:] + (None,)):
-            p, w = nu.atoms[i]
-            point *= p
-            weight *= w
-            if j == i:
-                run += 1
-            else:
-                weight /= fact(run)
-                run = 1
-        acc[point] = acc.get(point, Fraction(0)) + weight
-    return AtomicMeasure.from_pairs(acc.items())
+    point_den = math.lcm(*(p.denominator for p in nu.support))
+    weight_den = math.lcm(*(w.denominator for w in nu.weights))
+    maps = _degree_maps(
+        kappa, zip(_numerators(nu.support, point_den), _numerators(nu.weights, weight_den))
+    )
+    point_scale, weight_scale = point_den ** kappa, weight_den ** kappa
+    return AtomicMeasure(
+        tuple(
+            (Fraction(key, point_scale), Fraction(value, weight_scale))
+            for key, value in sorted(maps[kappa].items())
+        )
+    )
 
 
 def product_support(points, kappa: int) -> tuple[Radical, ...]:

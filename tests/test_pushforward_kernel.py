@@ -1,0 +1,250 @@
+"""The integer-key pushforward kernel against a direct multiset enumeration.
+
+decide_root, verify_representation and kappa_power_measure all run on one
+incremental kernel (measures._push_atom).  The reference below is the
+enumeration the kernel replaced: a depth-first search over size-kappa
+multisets per peeled candidate, a second full search for verification, and
+combinations_with_replacement for the kappa-fold power, all in Fraction
+arithmetic.  Decisions must agree exactly: verdict, certificate kind and
+location, and every NuEntry including the zero-rho ones.
+"""
+
+import itertools
+import math
+from fractions import Fraction as F
+from itertools import combinations_with_replacement
+
+import pytest
+
+from momentroot import decide as decide_mod
+from momentroot.decide import (
+    Certificate,
+    CertificateKind,
+    NuEntry,
+    NuRepresentation,
+    RootDecision,
+    Verdict,
+    decide_root,
+    verify_representation,
+)
+from momentroot.exact import GuardExceeded
+from momentroot.generate import GenParams, pick_kappa, random_atomic_measure, stream
+from momentroot.measures import AtomicMeasure, _multiset_guard, kappa_power_measure
+
+
+def ref_key_contribution(positives, kappa, key):
+    n = len(positives)
+    fact = math.factorial
+    total = F(0)
+
+    def rec(i, slots, prod, coeff):
+        nonlocal total
+        if slots == 0:
+            if prod == key:
+                total += coeff
+            return
+        if i == n:
+            return
+        if prod * positives[i][0] ** slots > key:
+            return
+        if prod * positives[-1][0] ** slots < key:
+            return
+        x, rho = positives[i]
+        c, p, co = 0, prod, coeff
+        while c <= slots:
+            rec(i + 1, slots - c, p, co)
+            c += 1
+            p *= x
+            co = co * rho / c
+
+    rec(0, kappa, F(1), F(fact(kappa)))
+    return total
+
+
+def ref_pushforward_map(positives, kappa):
+    n = len(positives)
+    fact = math.factorial
+    out = {}
+
+    def rec(i, slots, prod, coeff):
+        if slots == 0:
+            out[prod] = out.get(prod, F(0)) + coeff
+            return
+        if i == n - 1:
+            x, rho = positives[i]
+            key = prod * x ** slots
+            out[key] = out.get(key, F(0)) + coeff * rho ** slots / fact(slots)
+            return
+        x, rho = positives[i]
+        c, p, co = 0, prod, coeff
+        while c <= slots:
+            rec(i + 1, slots - c, p, co)
+            c += 1
+            p *= x
+            co = co * rho / c
+
+    rec(0, kappa, F(1), F(fact(kappa)))
+    return out
+
+
+def ref_decide_root(mu, kappa):
+    m_count = len(mu.atoms)
+    if math.comb(m_count + kappa - 1, kappa) > decide_mod.MAX_MULTISETS:
+        raise GuardExceeded("reference guard")
+    xs = mu.support
+    masses = dict(mu.atoms)
+    base_mass = masses[xs[0]]
+    power_to_point = {x ** kappa: x for x in xs}
+
+    def no(kind, location):
+        return RootDecision(Verdict.CERTIFIED_NO, kappa, certificate=Certificate(kind, location))
+
+    rhos = [F(1)]
+    positives = [(xs[0], F(1))]
+    x1_pow = xs[0] ** (kappa - 1)
+    for j in range(1, m_count):
+        key = x1_pow * xs[j]
+        earlier = ref_key_contribution(positives, kappa, key)
+        point = power_to_point.get(key)
+        target = masses[point] if point is not None else F(0)
+        rho = (target / base_mass - earlier) / kappa
+        if rho < 0:
+            return no(CertificateKind.NEGATIVE_RHO, xs[j])
+        rhos.append(rho)
+        if rho > 0:
+            positives.append((xs[j], rho))
+
+    produced = ref_pushforward_map(positives, kappa)
+    for key, value in sorted(produced.items()):
+        point = power_to_point.get(key)
+        if point is None:
+            if value != 0:
+                return no(CertificateKind.COVERAGE_VIOLATION, key)
+            continue
+        if base_mass * value != masses[point]:
+            return no(CertificateKind.MASS_MISMATCH, point)
+    for x in xs:
+        if x ** kappa not in produced and masses[x] != 0:
+            return no(CertificateKind.MASS_MISMATCH, x)
+    nu = NuRepresentation(base_mass, tuple(NuEntry(x, r) for x, r in zip(xs, rhos)), kappa)
+    return RootDecision(Verdict.CERTIFIED_YES, kappa, nu=nu)
+
+
+def ref_verify_representation(mu, nu):
+    positives = [(e.power, e.rho) for e in nu.positive_entries()]
+    if not positives:
+        return False
+    produced = ref_pushforward_map(positives, nu.kappa)
+    expected = {x ** nu.kappa: w for x, w in mu.atoms}
+    return {k: nu.base_mass * v for k, v in produced.items() if v != 0} == expected
+
+
+def ref_kappa_power_measure(nu, kappa):
+    _multiset_guard(len(nu.atoms), kappa)
+    fact = math.factorial
+    acc = {}
+    for combo in combinations_with_replacement(range(len(nu.atoms)), kappa):
+        point, weight, run = F(1), F(fact(kappa)), 1
+        for i, j in zip(combo, combo[1:] + (None,)):
+            p, w = nu.atoms[i]
+            point *= p
+            weight *= w
+            if j == i:
+                run += 1
+            else:
+                weight /= fact(run)
+                run = 1
+        acc[point] = acc.get(point, F(0)) + weight
+    return AtomicMeasure.from_pairs(acc.items())
+
+
+def outcome(fn, *args):
+    """The result, or the exception type for a refusal."""
+    try:
+        return fn(*args)
+    except GuardExceeded:
+        return GuardExceeded
+
+
+def assert_same_decision(mu, kappa):
+    got = outcome(decide_root, mu, kappa)
+    assert got == outcome(ref_decide_root, mu, kappa), (mu, kappa)
+    return got
+
+
+def perturbations(mu, nu, kappa):
+    """mu itself plus scaled, dropped and injected copies of it."""
+    masses = dict(mu.atoms)
+    yield mu
+    scaled = dict(masses)
+    scaled[mu.max_point] *= 2
+    yield AtomicMeasure.from_pairs(scaled.items())
+    if len(masses) > 2:
+        dropped = dict(masses)
+        del dropped[mu.atoms[len(masses) // 2][0]]
+        yield AtomicMeasure.from_pairs(dropped.items())
+    injected = dict(masses)
+    if len(nu.atoms) >= 3:
+        t1, t2, t3 = nu.support[:3]
+        fake = t1 * t3 / t2
+        injected[fake ** kappa] = injected.get(fake ** kappa, 0) + mu.atoms[0][1]
+        heavy = t1 ** (kappa - 1) * fake
+        injected[heavy] = injected.get(heavy, 0) + 64 * sum(masses.values())
+    else:
+        pts = mu.support
+        injected[(pts[0] + pts[1]) / 2 if len(pts) > 1 else 2 * pts[0]] = mu.atoms[0][1]
+    yield AtomicMeasure.from_pairs(injected.items())
+
+
+def test_three_atom_grid_matches_reference():
+    thetas = [F(2) ** i for i in range(7)]
+    yes = 0
+    for t1, t2, t3 in itertools.combinations(thetas, 3):
+        for a1, a2, a3 in itertools.product(range(1, 9), repeat=3):
+            mu = AtomicMeasure(((t1, F(a1)), (t2, F(a2)), (t3, F(a3))))
+            yes += assert_same_decision(mu, 2).is_yes
+    assert yes > 0
+
+
+@pytest.mark.parametrize("kappa", range(2, 9))
+def test_generator_draws_and_perturbations_match_reference(kappa):
+    params = GenParams(seed=kappa, max_atoms=4, kappa_set=tuple(range(2, 9)))
+    decided = 0
+    for index in range(24):
+        nu = random_atomic_measure(params, index)
+        if kappa > 4 and len(nu.atoms) > 2:
+            continue  # kappa-th powers of larger nu lie beyond the multiset guard
+        mu = kappa_power_measure(nu, kappa)
+        assert mu == ref_kappa_power_measure(nu, kappa)
+        root = None
+        for variant in perturbations(mu, nu, kappa):
+            got = assert_same_decision(variant, kappa)
+            if got is GuardExceeded:
+                continue
+            decided += 1
+            if root is None:
+                assert got.is_yes
+                root = got.nu
+            assert verify_representation(variant, root) == ref_verify_representation(variant, root)
+            if got.is_yes:
+                assert verify_representation(variant, got.nu)
+    assert decided > 0
+
+
+def test_kappa_power_measure_matches_reference_on_drawn_kappas():
+    params = GenParams(seed=11, max_atoms=6, kappa_set=tuple(range(2, 9)))
+    for index in range(30):
+        nu = random_atomic_measure(params, index)
+        kappa = pick_kappa(params, stream(params, index))
+        assert outcome(kappa_power_measure, nu, kappa) == outcome(ref_kappa_power_measure, nu, kappa)
+
+
+def test_negative_rho_precedes_an_earlier_stray_product():
+    # Peeling accepts the atoms at 4 and 9 (their keys are the squares of
+    # the support points 2 and 3), so 4 * 9 = 36 is a product of positive
+    # candidates that is not the square of a support point.  The later
+    # candidate 36 has target 0 and earlier contribution 2, so its rho is
+    # -1: the certificate is NEGATIVE_RHO, not COVERAGE_VIOLATION.
+    mu = AtomicMeasure.from_pairs([(1, 1), (2, 2), (3, 2), (4, 1), (9, 1), (36, 1)])
+    got = assert_same_decision(mu, 2)
+    assert got.certificate == Certificate(CertificateKind.NEGATIVE_RHO, F(36))
