@@ -19,12 +19,10 @@ from .exact import (
     format_rational,
     parse_rational,
     radical_compare,
-    radical_product,
 )
 from .measures import (
     AtomicMeasure,
     Hole,
-    MomentPrefix,
     find_holes,
     hankel_consistency,
     kappa_power_measure,
@@ -43,6 +41,7 @@ from .decide import (
     verify_representation,
 )
 from .holes import (
+    RootPair,
     TheoremReport,
     TripleParams,
     check_root_order_membership,
@@ -83,10 +82,10 @@ __all__ = [
     "GuardExceeded",
     "Hole",
     "InfeasiblePair",
-    "MomentPrefix",
     "NuRepresentation",
     "Radical",
     "RootDecision",
+    "RootPair",
     "TheoremReport",
     "TripleParams",
     "UsageError",
@@ -116,7 +115,6 @@ __all__ = [
     "product_count",
     "product_support",
     "radical_compare",
-    "radical_product",
     "random_atomic_measure",
     "run_suite",
     "iota_dagger_relations",

@@ -19,7 +19,7 @@ from .feasibility import feasible, n_minus, n_plus, witness
 from .fixtures import run_all
 from .fuzz import SUITES, run_suite
 from .generate import GenParams
-from .holes import check_root_order_membership, check_hole_backward, check_iota_hole_criteria, triple_params
+from .holes import RootPair, check_root_order_membership, check_hole_backward, check_iota_hole_criteria, triple_params
 from .measures import AtomicMeasure, dump_measure, find_holes, load_measure
 
 __all__ = ["main"]
@@ -79,13 +79,10 @@ def _cmd_analyze(args) -> int:
     if args.theorems:
         reports = []
         if decision.is_yes:
+            pair = RootPair(mu, decision.nu, args.kappa)
             for h in holes:
-                reports.append(
-                    check_hole_backward(mu, h.lower, h.upper, args.kappa, decision.nu)
-                )
-                reports.append(
-                    check_iota_hole_criteria(mu, h.lower, h.upper, args.kappa, decision.nu)
-                )
+                reports.append(check_hole_backward(pair, h.lower, h.upper))
+                reports.append(check_iota_hole_criteria(pair, h.lower, h.upper))
                 if 0 < h.lower and h.upper < mu.max_point:
                     try:
                         reports.append(

@@ -22,7 +22,6 @@ __all__ = [
     "perfect_nth_root",
     "Radical",
     "radical_compare",
-    "radical_product",
     "compare_fraction_radical",
     "floor_log_ratio",
     "BigFloat",
@@ -241,18 +240,6 @@ def compare_fraction_radical(x, r: Radical) -> int:
         raise UsageError("comparison defined for nonnegative rationals only")
     a, b = x ** r.index, r.power
     return (a > b) - (a < b)
-
-
-def radical_product(factors) -> Radical:
-    """Product of same-index radicals.  The product of index-many factors
-    has a rational index-th power, recoverable via to_rational()."""
-    factors = list(factors)
-    if not factors:
-        raise UsageError("radical_product needs at least one factor")
-    out = factors[0]
-    for f in factors[1:]:
-        out = out * f
-    return out
 
 
 def _log2_int(n: int) -> float:

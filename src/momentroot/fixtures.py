@@ -12,7 +12,7 @@ from fractions import Fraction
 from .decide import approx_root_moments, decide_root, verify_representation
 from .exact import radical_compare
 from .feasibility import class_membership, n_minus, n_plus, product_count, witness
-from .holes import check_root_order_membership, check_hole_forward, check_hole_backward, check_iota_hole_criteria, triple_params
+from .holes import RootPair, check_root_order_membership, check_hole_forward, check_hole_backward, check_iota_hole_criteria, triple_params
 from .measures import AtomicMeasure, find_holes, kappa_power_measure
 
 __all__ = ["FIXTURES", "run_all"]
@@ -39,7 +39,7 @@ def fixture_three_point_hole():
     assert radical_compare(p.alpha_dag, p.beta_dag) == 0
     assert p.alpha_dag.to_rational() == 1
     # beta = sqrt(2) is not a nu-atom, so every sufficient condition fails
-    report = check_iota_hole_criteria(mu, 1, 2, 2, d2.nu)
+    report = check_iota_hole_criteria(RootPair(mu, d2.nu, 2), 1, 2)
     assert not any(c.hypotheses_hold for c in report.claims)
     assert report.data["conclusion"] is False
     assert report.ok
@@ -62,12 +62,13 @@ def fixture_four_point_hole():
     assert p.gamma.to_rational() == 3
     assert radical_compare(p.alpha_dag, p.beta_dag) < 0  # 1/3 < sqrt(1/2)
 
-    report = check_iota_hole_criteria(mu, F(1, 2), 1, 2, nu)
+    pair = RootPair(mu, nu, 2)
+    report = check_iota_hole_criteria(pair, F(1, 2), 1)
     assert not any(c.hypotheses_hold for c in report.claims)
     assert report.data["conclusion"] is False  # 1/3 sits inside (1/6, 1)
     assert report.ok
 
-    plus = check_hole_backward(mu, F(1, 2), 1, 2, nu)
+    plus = check_hole_backward(pair, F(1, 2), 1)
     by_name = {c.name: c for c in plus.claims}
     assert by_name["(i)"].holds and by_name["(ii)"].holds
     assert not by_name["(iii-a)"].hypotheses_hold
@@ -101,7 +102,7 @@ def fixture_three_point_wide_hole():
     assert nu.mass_open(F(1, 16), 2) == 0
     assert F(1, 16) in nu.support and F(2) in nu.support
 
-    plus = check_hole_backward(mu, 1, 4, 2, nu)
+    plus = check_hole_backward(RootPair(mu, nu, 2), 1, 4)
     by_name = {c.name: c for c in plus.claims}
     assert not by_name["(iii-a)"].hypotheses_hold
     assert not by_name["(iii-b)"].hypotheses_hold
@@ -128,7 +129,7 @@ def fixture_mixed_root_orders():
     assert d4.nu.to_atomic_measure() == nu4
     assert not decide_root(mu, 3).is_yes
 
-    forward = check_hole_forward(nu4, F(1, 2 ** 33), 1, 4)
+    forward = check_hole_forward(RootPair(mu, nu4, 4), F(1, 2 ** 33), 1)
     assert forward.applicable and forward.ok
     assert all(c.holds for c in forward.claims)
     assert forward.data["theta1"].to_rational() == F(1, 2 ** 24)

@@ -20,6 +20,7 @@ from .feasibility import n_minus, n_plus, product_count, witness
 from .generate import GenParams, pick_kappa, random_atomic_measure, random_triple, stream
 from .holes import (
     Claim,
+    RootPair,
     TheoremReport,
     check_root_order_membership,
     check_top_of_support,
@@ -42,10 +43,14 @@ MAX_TRIALS = 10 ** 6
 
 @dataclass
 class FuzzSummary:
+    """trials is the number requested; skipped holds (index, reason) for each
+    trial a guard refused, in index order, so trials - len(skipped) ran."""
+
     suite: str
     trials: int
     violations: list[TheoremReport] = field(default_factory=list)
     elapsed: float = 0.0
+    skipped: list[tuple[int, str]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -56,6 +61,7 @@ class FuzzSummary:
             "suite": self.suite,
             "trials": self.trials,
             "violations": [v.to_dict() for v in self.violations],
+            "skipped": [{"index": i, "reason": reason} for i, reason in self.skipped],
             "ok": self.ok,
             "elapsed_seconds": round(self.elapsed, 3),
         }
@@ -124,15 +130,16 @@ def _trial_theorems(params: GenParams, index: int) -> list[TheoremReport]:
     nu = random_atomic_measure(params, index)
     kappa = pick_kappa(params, rng)
     mu = kappa_power_measure(nu, kappa)
+    pair = RootPair(mu, nu, kappa)
     reports: list[TheoremReport] = []
 
-    reports.append(check_lower_support(nu, kappa))
+    reports.append(check_lower_support(pair))
     mu_holes = find_holes(mu)
     order_scan_max = min(max(params.kappa_set), 16)
     decisions = None
     for hole in mu_holes:
-        reports.append(check_hole_backward(mu, hole.lower, hole.upper, kappa, nu))
-        reports.append(check_iota_hole_criteria(mu, hole.lower, hole.upper, kappa, nu))
+        reports.append(check_hole_backward(pair, hole.lower, hole.upper))
+        reports.append(check_iota_hole_criteria(pair, hole.lower, hole.upper))
         if 0 < hole.lower and hole.upper < mu.max_point:
             if decisions is None:
                 decisions = {k: decide_root(mu, k) for k in range(2, order_scan_max + 1)}
@@ -143,15 +150,15 @@ def _trial_theorems(params: GenParams, index: int) -> list[TheoremReport]:
     interior = [h for h in mu_holes if not h.leading]
     for first, second in zip(interior, interior[1:]):
         if first.upper == second.lower:
-            reports.append(check_top_of_support(nu, kappa, first.lower, first.upper, second.upper))
+            reports.append(check_top_of_support(pair, first.lower, first.upper, second.upper))
     # top hole with theta2 == theta3 == sup supp mu
     if len(mu.atoms) >= 2:
         top = interior[-1]
-        reports.append(check_top_of_support(nu, kappa, top.lower, top.upper, top.upper))
+        reports.append(check_top_of_support(pair, top.lower, top.upper, top.upper))
     # holes of nu through the nu->mu transfer, plain and canonicalized
     for hole in find_holes(nu):
-        reports.append(check_hole_forward(nu, hole.lower, hole.upper, kappa))
-        reports.append(check_hole_forward(nu, hole.lower, hole.upper, kappa, canonicalize=True))
+        reports.append(check_hole_forward(pair, hole.lower, hole.upper))
+        reports.append(check_hole_forward(pair, hole.lower, hole.upper, canonicalize=True))
     return [r for r in reports if not r.ok]
 
 
@@ -210,15 +217,18 @@ _TRIALS = {
 }
 
 
-def _run_chunk(suite: str, params: GenParams, lo: int, hi: int) -> list[TheoremReport]:
+def _run_chunk(suite: str, params: GenParams, lo: int, hi: int):
+    """(violations, skipped) of trials lo..hi-1; an oversized instance is
+    skipped with the guard's message, not counted as a violation."""
     trial = _TRIALS[suite]
-    out: list[TheoremReport] = []
+    violations: list[TheoremReport] = []
+    skipped: list[tuple[int, str]] = []
     for index in range(lo, hi):
         try:
-            out.extend(trial(params, index))
-        except GuardExceeded:
-            continue  # oversized instance: skipped, not a violation
-    return out
+            violations.extend(trial(params, index))
+        except GuardExceeded as exc:
+            skipped.append((index, str(exc)))
+    return violations, skipped
 
 
 def run_suite(
@@ -229,9 +239,8 @@ def run_suite(
     if not 1 <= trials <= MAX_TRIALS:
         raise UsageError(f"trials must be in [1, {MAX_TRIALS}]")
     start = time.monotonic()
-    violations: list[TheoremReport] = []
     if jobs <= 1:
-        violations = _run_chunk(suite, params, 0, trials)
+        chunks = [_run_chunk(suite, params, 0, trials)]
     else:
         step = -(-trials // jobs)
         ranges = [(i, min(i + step, trials)) for i in range(0, trials, step)]
@@ -239,6 +248,7 @@ def run_suite(
             futures = [
                 pool.submit(_run_chunk, suite, params, lo, hi) for lo, hi in ranges
             ]
-            for fut in futures:
-                violations.extend(fut.result())
-    return FuzzSummary(suite, trials, violations, time.monotonic() - start)
+            chunks = [fut.result() for fut in futures]  # in index order
+    violations = [v for chunk, _ in chunks for v in chunk]
+    skipped = [s for _, chunk in chunks for s in chunk]
+    return FuzzSummary(suite, trials, violations, time.monotonic() - start, skipped)

@@ -2,6 +2,10 @@
 alpha_dag, beta_dag) endpoint transform, the integer parameters iota_s and
 iota_s_star, and instance checkers for the hole-transfer statements.
 
+The hole statements concern one fixed pair: mu and a kappa-th root nu of
+it.  RootPair holds that pair and checks it once, when it is built; the
+checkers that relate nu to mu take a RootPair and never re-verify it.
+
 Every interval-emptiness test against a support is exact: "x in (a, b)" is
 decided by comparing kappa-th powers, so no tolerance parameter exists in
 this module.  Checkers return TheoremReports; a report whose hypotheses
@@ -13,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .exact import (
     DEFAULT_PRECISION,
@@ -28,6 +32,7 @@ from .measures import AtomicMeasure, _check_kappa, kappa_power_measure
 from .decide import NuRepresentation, decide_root, verify_representation
 
 __all__ = [
+    "RootPair",
     "TripleParams",
     "Claim",
     "TheoremReport",
@@ -182,30 +187,29 @@ def _validate_triple(theta1, theta2, theta3, strict: bool = False):
         raise UsageError("need 0 <= theta1 < theta2 <= theta3")
 
 
+def _endpoints(theta1: Fraction, theta2: Fraction, theta3: Fraction, kappa: int):
+    """(alpha, beta, gamma, alpha_dag, beta_dag) for theta3 > 0.  Nothing is
+    validated, so theta2 > theta3 (a hole above sup supp mu) is allowed."""
+    if theta1 == 0:
+        alpha = beta_dag = Radical.zero(kappa)
+    else:
+        alpha = Radical(theta1 / theta3, theta3, kappa)
+        beta_dag = Radical.root(theta1, kappa)
+    beta = Radical.root(theta2, kappa)
+    gamma = Radical.root(theta3, kappa)
+    alpha_dag = Radical(theta2 / theta3, theta3, kappa)
+    return alpha, beta, gamma, alpha_dag, beta_dag
+
+
 def triple_params(theta1, theta2, theta3, kappa: int) -> TripleParams:
     theta1, theta2, theta3 = Fraction(theta1), Fraction(theta2), Fraction(theta3)
     _validate_triple(theta1, theta2, theta3)
     _check_kappa(kappa)
-    alpha = Radical.zero(kappa) if theta1 == 0 else Radical(theta1 / theta3, theta3, kappa)
-    beta_dag = Radical.zero(kappa) if theta1 == 0 else Radical.root(theta1, kappa)
-    iota_s = None
-    iota_s_star = None
+    iota_s = iota_s_star = None
     if 0 < theta1 and theta2 < theta3:
-        iota_s = 1 + floor_log_ratio(theta3 / theta2, theta3 / theta1)
-        iota_s_star = 1 + floor_log_ratio(theta2 / theta1, theta3 / theta2)
-    return TripleParams(
-        theta1=theta1,
-        theta2=theta2,
-        theta3=theta3,
-        kappa=kappa,
-        alpha=alpha,
-        beta=Radical.root(theta2, kappa),
-        gamma=Radical.root(theta3, kappa),
-        alpha_dag=Radical(theta2 / theta3, theta3, kappa),
-        beta_dag=beta_dag,
-        iota_s=iota_s,
-        iota_s_star=iota_s_star,
-    )
+        iota_s, iota_s_star = _iotas(theta1, theta2, theta3)
+    endpoints = _endpoints(theta1, theta2, theta3, kappa)
+    return TripleParams(theta1, theta2, theta3, kappa, *endpoints, iota_s, iota_s_star)
 
 
 def ordering_report(p: TripleParams) -> TheoremReport:
@@ -463,8 +467,46 @@ def kappa_dependence_scan(
 
 
 # ---------------------------------------------------------------------------
-# support utilities shared by the hole checkers
+# the certified root pair and the support utilities shared by the checkers
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, init=False)
+class RootPair:
+    """mu together with a certified kappa-th root nu.
+
+    RootPair(mu, nu, kappa) is the only way to build one, and it checks the
+    pair once: an AtomicMeasure nu must have kappa-fold pushforward mu, and
+    a NuRepresentation (as decide_root returns it) must have index kappa
+    and pass verify_representation.  atoms holds nu's atoms as index-kappa
+    radicals in ascending order; nu's weights are dropped, because no hole
+    statement reads them.
+    """
+
+    mu: AtomicMeasure
+    kappa: int
+    atoms: tuple[Radical, ...]
+
+    def __init__(self, mu: AtomicMeasure, nu: AtomicMeasure | NuRepresentation, kappa: int):
+        _check_kappa(kappa)
+        if isinstance(nu, AtomicMeasure):
+            if kappa_power_measure(nu, kappa) != mu:
+                raise UsageError("nu is not a certified kappa-th root of mu")
+            atoms = tuple(Radical.from_rational(x, kappa) for x in nu.support)
+        elif isinstance(nu, NuRepresentation):
+            if nu.kappa != kappa or not verify_representation(mu, nu):
+                raise UsageError("nu is not a certified kappa-th root of mu")
+            atoms = tuple(Radical.root(p, kappa) for p in nu.positive_powers())
+        else:
+            raise UsageError("nu must be an AtomicMeasure or a NuRepresentation")
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "atoms", atoms)
+
+    @property
+    def powers(self) -> tuple[Fraction, ...]:
+        """kappa-th powers of nu's atoms, ascending."""
+        return tuple(x.power for x in self.atoms)
 
 
 def _as_radical(value, kappa: int) -> Radical:
@@ -501,33 +543,13 @@ def _powers_between(powers, lo: Radical, hi: Radical) -> bool:
     return any(lp < p < hp for p in powers)
 
 
-def _root_support_powers(
-    mu: AtomicMeasure, kappa: int, nu: Union[AtomicMeasure, NuRepresentation]
-) -> tuple[Fraction, ...]:
-    """kappa-th powers of the root measure's atoms, after verifying that nu
-    really is a root of mu."""
-    if isinstance(nu, AtomicMeasure):
-        if kappa_power_measure(nu, kappa) != mu:
-            raise UsageError("nu is not a certified kappa-th root of mu")
-        return tuple(x ** kappa for x in nu.support)
-    if isinstance(nu, NuRepresentation):
-        if nu.kappa != kappa or not verify_representation(mu, nu):
-            raise UsageError("nu is not a certified kappa-th root of mu")
-        return nu.positive_powers()
-    raise UsageError("nu must be an AtomicMeasure or a NuRepresentation")
-
-
 # ---------------------------------------------------------------------------
 # theorem checkers
 # ---------------------------------------------------------------------------
 
 
 def check_hole_forward(
-    nu: AtomicMeasure,
-    alpha,
-    beta,
-    kappa: int,
-    canonicalize: bool = False,
+    pair: RootPair, alpha, beta, canonicalize: bool = False
 ) -> TheoremReport:
     """Transfer of a hole of supp nu to a hole of supp mu.
 
@@ -537,15 +559,15 @@ def check_hole_forward(
     theta1 in supp mu; (iii) beta in supp nu iff theta2 in supp mu.
     Precondition failures are reported (applicable=False), not raised.
     """
-    _check_kappa(kappa)
+    mu, kappa, powers = pair.mu, pair.kappa, pair.powers
     alpha = _as_radical(alpha, kappa)
     beta = _as_radical(beta, kappa)
-    gamma = Radical.from_rational(nu.max_point, kappa)
+    gamma = pair.atoms[-1]
     data: dict = {}
 
     def preconditions(a: Radical, b: Radical):
         return (
-            ("nu((alpha, beta)) == 0", _mass_open(nu, a, b) == 0),
+            ("nu((alpha, beta)) == 0", not _powers_between(powers, a, b)),
             ("0 <= alpha < beta <= sup supp nu", a < b and b <= gamma),
             (
                 "alpha*gamma^(kappa-1) < beta^kappa",
@@ -556,14 +578,11 @@ def check_hole_forward(
     extra_claims: list[Claim] = []
     if canonicalize:
         original_ok = all(ok for _, ok in preconditions(alpha, beta))
-        below = [x for x in nu.support if compare_fraction_radical(x, alpha) <= 0]
-        above = [x for x in nu.support if compare_fraction_radical(x, beta) >= 0]
-        new_alpha = (
-            Radical.from_rational(max(below), kappa) if below else Radical.zero(kappa)
-        )
-        new_beta = Radical.from_rational(min(above), kappa) if above else beta
+        below = [x for x in pair.atoms if x <= alpha]
+        above = [x for x in pair.atoms if x >= beta]
         data["canonicalized_from"] = {"alpha": alpha, "beta": beta}
-        alpha, beta = new_alpha, new_beta
+        alpha = below[-1] if below else Radical.zero(kappa)
+        beta = above[0] if above else beta
         extra_claims.append(
             Claim(
                 "canonicalization",
@@ -582,12 +601,11 @@ def check_hole_forward(
     data["theta1"], data["theta2"], data["theta3"] = t1, t2, t3
 
     if applicable:
-        mu = kappa_power_measure(nu, kappa)
         hole_ok = _mass_open(mu, t1, t2) == 0
         sup_ok = compare_fraction_radical(mu.max_point, t3) == 0
         c1 = hole_ok and sup_ok
-        c2 = _in_support(nu, alpha) == _in_support(mu, t1)
-        c3 = _in_support(nu, beta) == _in_support(mu, t2)
+        c2 = (alpha.power in powers) == _in_support(mu, t1)
+        c3 = (beta.power in powers) == _in_support(mu, t2)
     else:
         c1 = c2 = c3 = None
     claims = (
@@ -604,29 +622,22 @@ def check_hole_forward(
     return TheoremReport("hole transfer nu->mu", claims, applicable=applicable, data=data)
 
 
-def check_hole_backward(
-    mu: AtomicMeasure,
-    theta1,
-    theta2,
-    kappa: int,
-    nu: Union[AtomicMeasure, NuRepresentation],
-) -> TheoremReport:
-    """Candidate holes of supp nu induced by a hole (theta1, theta2) of supp mu."""
+def _mu_hole(mu: AtomicMeasure, theta1, theta2) -> tuple[Fraction, Fraction]:
+    """(theta1, theta2) as Fractions, after checking it is a hole of supp mu."""
     theta1, theta2 = Fraction(theta1), Fraction(theta2)
     if not 0 <= theta1 < theta2:
         raise UsageError("need 0 <= theta1 < theta2")
     if mu.mass_open(theta1, theta2) != 0:
         raise UsageError("(theta1, theta2) is not a hole of supp mu")
-    powers = _root_support_powers(mu, kappa, nu)
-    theta3 = mu.max_point
+    return theta1, theta2
 
-    alpha = (
-        Radical.zero(kappa) if theta1 == 0 else Radical(theta1 / theta3, theta3, kappa)
-    )
-    alpha_dag = Radical(theta2 / theta3, theta3, kappa)
-    beta = Radical.root(theta2, kappa)
-    beta_dag = Radical.zero(kappa) if theta1 == 0 else Radical.root(theta1, kappa)
-    gamma = Radical.root(theta3, kappa)
+
+def check_hole_backward(pair: RootPair, theta1, theta2) -> TheoremReport:
+    """Candidate holes of supp nu induced by a hole (theta1, theta2) of supp mu."""
+    theta1, theta2 = _mu_hole(pair.mu, theta1, theta2)
+    kappa, powers = pair.kappa, pair.powers
+    theta3 = pair.mu.max_point
+    alpha, beta, gamma, alpha_dag, beta_dag = _endpoints(theta1, theta2, theta3, kappa)
 
     upper_ok = theta2 <= theta3
     bd_vs_ad = radical_compare(beta_dag, alpha_dag)
@@ -687,21 +698,11 @@ def check_hole_backward(
     )
 
 
-def check_iota_hole_criteria(
-    mu: AtomicMeasure,
-    theta1,
-    theta2,
-    kappa: int,
-    nu: Union[AtomicMeasure, NuRepresentation],
-) -> TheoremReport:
+def check_iota_hole_criteria(pair: RootPair, theta1, theta2) -> TheoremReport:
     """iota-based sufficient conditions for (alpha, beta) being a nu-hole."""
-    theta1, theta2 = Fraction(theta1), Fraction(theta2)
-    if not 0 <= theta1 < theta2:
-        raise UsageError("need 0 <= theta1 < theta2")
-    if mu.mass_open(theta1, theta2) != 0:
-        raise UsageError("(theta1, theta2) is not a hole of supp mu")
-    powers = _root_support_powers(mu, kappa, nu)
-    theta3 = mu.max_point
+    theta1, theta2 = _mu_hole(pair.mu, theta1, theta2)
+    kappa, powers = pair.kappa, pair.powers
+    theta3 = pair.mu.max_point
     if not (0 < theta1 and theta2 < theta3):
         return TheoremReport(
             "iota hole criteria",
@@ -735,20 +736,12 @@ def check_iota_hole_criteria(
     )
 
 
-def check_top_of_support(
-    nu: AtomicMeasure, kappa: int, theta1, theta2, theta3
-) -> TheoremReport:
+def check_top_of_support(pair: RootPair, theta1, theta2, theta3) -> TheoremReport:
     """Paired-hole and top-of-support transfer statements."""
     theta1, theta2, theta3 = Fraction(theta1), Fraction(theta2), Fraction(theta3)
     _validate_triple(theta1, theta2, theta3)
-    _check_kappa(kappa)
-    mu = kappa_power_measure(nu, kappa)
-    alpha = (
-        Radical.zero(kappa) if theta1 == 0 else Radical(theta1 / theta3, theta3, kappa)
-    )
-    beta = Radical.root(theta2, kappa)
-    gamma = Radical.root(theta3, kappa)
-    beta_dag = Radical.zero(kappa) if theta1 == 0 else Radical.root(theta1, kappa)
+    mu, powers = pair.mu, pair.powers
+    alpha, beta, gamma, _, beta_dag = _endpoints(theta1, theta2, theta3, pair.kappa)
 
     hole_12 = mu.mass_open(theta1, theta2) == 0
     hole_23 = mu.mass_open(theta2, theta3) == 0
@@ -756,9 +749,10 @@ def check_top_of_support(
     t1_in_mu = theta1 in mu.support
 
     cond_a = t1_in_mu and top and hole_12
-    alpha_in_nu = _in_support(nu, alpha)
-    beta_is_sup = compare_fraction_radical(nu.max_point, beta) == 0
-    nu_hole = _mass_open(nu, alpha, beta) == 0
+    alpha_in_nu = alpha.power in powers
+    beta_in_nu = beta.power in powers
+    beta_is_sup = powers[-1] == beta.power
+    nu_hole = not _powers_between(powers, alpha, beta)
     cond_b = alpha_in_nu and beta_is_sup and nu_hole
 
     claims = (
@@ -770,7 +764,8 @@ def check_top_of_support(
                 ("mu((theta2, theta3)) == 0", hole_23),
             ),
             "nu((beta_dag, beta)) == 0 and nu((beta, gamma)) == 0",
-            _mass_open(nu, beta_dag, beta) == 0 and _mass_open(nu, beta, gamma) == 0,
+            not _powers_between(powers, beta_dag, beta)
+            and not _powers_between(powers, beta, gamma),
         ),
         Claim(
             "(ii)",
@@ -780,7 +775,7 @@ def check_top_of_support(
                 ("mu((theta1, theta2)) == 0", hole_12),
             ),
             "nu((alpha, beta)) == 0 and beta in supp nu",
-            nu_hole and _in_support(nu, beta),
+            nu_hole and beta_in_nu,
         ),
         Claim(
             "(iii)",
@@ -791,7 +786,7 @@ def check_top_of_support(
                 ("mu((theta1, theta2)) == 0", hole_12),
             ),
             "nu((alpha, beta)) == 0 and {alpha, beta} subset of supp nu",
-            nu_hole and alpha_in_nu and _in_support(nu, beta),
+            nu_hole and alpha_in_nu and beta_in_nu,
         ),
         Claim(
             "(iv)",
@@ -807,20 +802,19 @@ def check_top_of_support(
     )
 
 
-def check_lower_support(nu: AtomicMeasure, kappa: int) -> TheoremReport:
+def check_lower_support(pair: RootPair) -> TheoremReport:
     """Bottom-of-support transfer: minima map to kappa-th powers and back."""
-    _check_kappa(kappa)
-    mu = kappa_power_measure(nu, kappa)
-    beta = nu.min_point
+    mu, powers = pair.mu, pair.powers
+    beta = pair.atoms[0]
     theta = mu.min_point
-    root = Radical.root(theta, kappa)
-    below_root = [x for x in nu.support if compare_fraction_radical(x, root) < 0]
+    below_root = any(p < theta for p in powers)
+    min_nu = beta.to_rational()
     claims = (
         Claim(
             "(i)",
             (("nu([0, beta)) == 0 for beta = min supp nu", True),),
             "mu([0, beta^kappa)) == 0",
-            all(x >= beta ** kappa for x in mu.support),
+            all(x >= powers[0] for x in mu.support),
         ),
         Claim(
             "(ii)",
@@ -835,13 +829,13 @@ def check_lower_support(nu: AtomicMeasure, kappa: int) -> TheoremReport:
                 ("theta in supp mu", True),
             ),
             "nu([0, theta^(1/kappa))) == 0 and theta^(1/kappa) in supp nu",
-            not below_root and _in_support(nu, root),
+            not below_root and theta in powers,
         ),
     )
     return TheoremReport(
         "bottom of support",
         claims,
-        data={"min_mu": theta, "min_nu": beta},
+        data={"min_mu": theta, "min_nu": beta if min_nu is None else min_nu},
     )
 
 
@@ -858,11 +852,7 @@ def check_root_order_membership(
     CertifiedYes.  Requires iota_s_star = 1; reported as not applicable
     otherwise (and when J is empty).
     """
-    theta1, theta2 = Fraction(theta1), Fraction(theta2)
-    if not 0 <= theta1 < theta2:
-        raise UsageError("need 0 <= theta1 < theta2")
-    if mu.mass_open(theta1, theta2) != 0:
-        raise UsageError("(theta1, theta2) is not a hole of supp mu")
+    theta1, theta2 = _mu_hole(mu, theta1, theta2)
     if not 2 <= kappa_max <= 16:
         raise UsageError("kappa_max must be in [2, 16]")
     theta3 = mu.max_point
@@ -872,7 +862,7 @@ def check_root_order_membership(
             applicable=False,
             note="requires 0 < theta1 < theta2 < sup supp mu",
         )
-    iota_s_star = 1 + floor_log_ratio(theta2 / theta1, theta3 / theta2)
+    _, iota_s_star = _iotas(theta1, theta2, theta3)
     if iota_s_star != 1:
         return TheoremReport(
             "membership across root orders",

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Optional
@@ -21,7 +21,6 @@ from .exact import (
 
 __all__ = [
     "AtomicMeasure",
-    "MomentPrefix",
     "Hole",
     "moments",
     "kappa_power_measure",
@@ -68,10 +67,6 @@ class AtomicMeasure:
                 raise UsageError(f"duplicate atom position {a}")
         return cls(tuple(pairs))
 
-    @classmethod
-    def dirac(cls, point, weight=1) -> "AtomicMeasure":
-        return cls(((Fraction(point), Fraction(weight)),))
-
     @property
     def support(self) -> tuple[Fraction, ...]:
         return tuple(p for p, _ in self.atoms)
@@ -92,13 +87,6 @@ class AtomicMeasure:
     def max_point(self) -> Fraction:
         return self.atoms[-1][0]
 
-    def mass_at(self, point) -> Fraction:
-        point = Fraction(point)
-        for p, w in self.atoms:
-            if p == point:
-                return w
-        return Fraction(0)
-
     def mass_open(self, lo, hi) -> Fraction:
         """Mass of the open interval (lo, hi) with rational endpoints."""
         lo, hi = Fraction(lo), Fraction(hi)
@@ -118,17 +106,6 @@ class AtomicMeasure:
 
 
 @dataclass(frozen=True)
-class MomentPrefix:
-    """A finite run a_0..a_L of power moments."""
-
-    values: tuple[Fraction, ...]
-    origin: Optional[AtomicMeasure] = field(default=None, compare=False)
-
-    def __len__(self):
-        return len(self.values)
-
-
-@dataclass(frozen=True)
 class Hole:
     """A maximal open interval of zero mass inside [0, max support]."""
 
@@ -141,7 +118,7 @@ class Hole:
             raise UsageError("hole endpoints must satisfy 0 <= lower < upper")
 
 
-def moments(m: AtomicMeasure, horizon: int) -> MomentPrefix:
+def moments(m: AtomicMeasure, horizon: int) -> tuple[Fraction, ...]:
     """Exact moments a_n = sum_i w_i * p_i**n for n = 0..horizon."""
     if horizon < 0:
         raise UsageError("horizon must be >= 0")
@@ -152,7 +129,7 @@ def moments(m: AtomicMeasure, horizon: int) -> MomentPrefix:
     for _ in range(horizon + 1):
         values.append(sum((w * pw for (_, w), pw in zip(m.atoms, powers)), Fraction(0)))
         powers = [pw * p for (p, _), pw in zip(m.atoms, powers)]
-    return MomentPrefix(tuple(values), origin=m)
+    return tuple(values)
 
 
 def _check_kappa(kappa: int):
@@ -349,7 +326,7 @@ def hankel_consistency(prefix) -> HankelVerdict:
     the standard necessary condition for a Stieltjes prefix and serves as
     an independent consistency oracle.
     """
-    values = list(prefix.values if isinstance(prefix, MomentPrefix) else prefix)
+    values = list(prefix)
     if not values:
         raise UsageError("hankel_consistency needs a nonempty prefix")
     top = len(values) - 1

@@ -17,7 +17,7 @@ from momentroot.decide import decide_root, verify_representation
 from momentroot.feasibility import feasible, n_minus, n_plus, product_count, witness
 from momentroot.fixtures import run_all
 from momentroot.exact import radical_compare
-from momentroot.holes import check_iota_hole_criteria, kappa_dependence_scan, iota_star_witness, triple_params
+from momentroot.holes import RootPair, check_iota_hole_criteria, kappa_dependence_scan, iota_star_witness, triple_params
 from momentroot.measures import AtomicMeasure, find_holes, kappa_power_measure
 
 
@@ -100,7 +100,7 @@ def test_criterion_5_nine_point_instance(capsys):
     assert (p.iota_s, p.iota_s_star) == (2, 4)
     assert p.alpha.to_rational() == F(1, 6)
     assert p.alpha_dag.to_rational() == F(1, 3)
-    rep = check_iota_hole_criteria(mu, F(1, 2), 1, 2, nu)
+    rep = check_iota_hole_criteria(RootPair(mu, nu, 2), F(1, 2), 1)
     assert not any(c.hypotheses_hold for c in rep.claims)
     assert rep.data["conclusion"] is False
     assert nu.mass_open(F(1, 6), 1) > 0

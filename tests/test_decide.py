@@ -279,7 +279,7 @@ def test_refutation_corroborated_by_hankel_oracle():
 
     mu = measure((1, 1), (2, 1))
     assert not decide_root(mu, 2).is_yes
-    roots = [bigfloat_root(v, 2, 256).to_fraction() for v in moments(mu, 4).values]
+    roots = [bigfloat_root(v, 2, 256).to_fraction() for v in moments(mu, 4)]
     verdict = hankel_consistency(roots)
     assert not verdict.consistent
     assert verdict.witness.determinant < -F(1, 1000)

@@ -15,7 +15,6 @@ from momentroot.exact import (
     parse_rational,
     perfect_nth_root,
     radical_compare,
-    radical_product,
 )
 
 positive_fractions = st.fractions(min_value=F(1, 1000), max_value=1000)
@@ -105,13 +104,8 @@ def test_radical_root_order_matches_rational_order(p, q, kappa):
 
 def test_radical_kappa_fold_product_is_rational():
     factors = [Radical.root(F(2), 3), Radical.root(F(4), 3), Radical.root(F(27), 3)]
-    prod = radical_product(factors)
+    prod = factors[0] * factors[1] * factors[2]
     assert prod.to_rational() == 6  # (2*4*27)^(1/3)
-
-
-def test_radical_product_irrational_stays_radical():
-    prod = radical_product([Radical.root(2, 2)])
-    assert prod.to_rational() is None
 
 
 def test_radical_arithmetic():

@@ -9,6 +9,7 @@ import pytest
 from momentroot.decide import decide_root
 from momentroot.exact import radical_compare
 from momentroot.holes import (
+    RootPair,
     check_hole_backward,
     check_hole_forward,
     check_root_order_membership,
@@ -53,7 +54,7 @@ def test_wide_hole_family(a):
     assert radical_compare(p.gamma * p.alpha / p.beta, p.alpha_dag) > 0
     assert (p.iota_s, p.iota_s_star) == (2, 4)
     assert nu.mass_open(1 / a ** 4, a) == 0
-    report = check_hole_backward(mu, 1, a ** 2, 2, nu)
+    report = check_hole_backward(RootPair(mu, nu, 2), 1, a ** 2)
     by_name = {c.name: c for c in report.claims}
     assert not by_name["(iii-a)"].hypotheses_hold
     assert not by_name["(iii-b)"].hypotheses_hold
@@ -72,7 +73,7 @@ def test_mixed_order_family(a):
     assert decide_root(mu, 4).is_yes
     assert not decide_root(mu, 3).is_yes
 
-    forward = check_hole_forward(nu4, a ** -33, 1, 4)
+    forward = check_hole_forward(RootPair(mu, nu4, 4), a ** -33, 1)
     assert forward.applicable and forward.ok
     assert forward.data["theta1"].to_rational() == a ** -24
 
@@ -106,7 +107,8 @@ def test_power_family_holes_all_consistent(kappa):
     """Every hole of a fixed three-atom power measure passes every checker."""
     nu = measure((F(1, 9), 2), (F(2, 3), 1), (4, 3))
     mu = kappa_power_measure(nu, kappa)
+    pair = RootPair(mu, nu, kappa)
     for hole in find_holes(mu):
-        assert check_hole_backward(mu, hole.lower, hole.upper, kappa, nu).ok
+        assert check_hole_backward(pair, hole.lower, hole.upper).ok
     for hole in find_holes(nu):
-        assert check_hole_forward(nu, hole.lower, hole.upper, kappa).ok
+        assert check_hole_forward(pair, hole.lower, hole.upper).ok

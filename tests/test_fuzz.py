@@ -41,3 +41,14 @@ def test_theorems_with_wide_rational_bounds():
     # numerators/denominators up to 2**10, per the zero-counterexample sweep
     summary = run_suite("theorems", GenParams(seed=8, bound=1024), 10)
     assert summary.ok, [v.to_dict() for v in summary.violations]
+
+
+def test_skipped_trials_are_reported():
+    params = GenParams(seed=0)
+    serial = run_suite("roundtrip", params, 13)
+    assert [i for i, _ in serial.skipped] == [5, 11, 12]
+    assert all(reason for _, reason in serial.skipped)
+    assert serial.trials == 13
+    assert [s["index"] for s in serial.to_dict()["skipped"]] == [5, 11, 12]
+    parallel = run_suite("roundtrip", params, 13, jobs=2)
+    assert parallel.skipped == serial.skipped

@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
 import pytest
@@ -5,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentroot.decide import decide_root
-from momentroot.exact import Radical, UsageError, radical_compare
+from momentroot.exact import GuardExceeded, Radical, UsageError, radical_compare
+from momentroot.generate import GenParams, pick_kappa, random_atomic_measure, stream
 from momentroot.holes import (
+    RootPair,
     check_root_order_membership,
     check_top_of_support,
     check_hole_forward,
@@ -25,6 +28,10 @@ from momentroot.measures import AtomicMeasure, find_holes, kappa_power_measure
 
 def measure(*pairs):
     return AtomicMeasure.from_pairs([(F(p), F(w)) for p, w in pairs])
+
+
+def root_pair(nu, kappa):
+    return RootPair(kappa_power_measure(nu, kappa), nu, kappa)
 
 
 small_fraction = st.fractions(min_value=F(1, 32), max_value=32, max_denominator=64)
@@ -249,12 +256,70 @@ def test_kappa_scan_exact_claims_never_violated(triple, kappa_max):
 
 
 # ---------------------------------------------------------------------------
+# the certified root pair
+# ---------------------------------------------------------------------------
+
+
+def test_root_pair_rejects_uncertified_root():
+    nu = measure((1, 1), (2, 1))
+    mu = kappa_power_measure(nu, 2)
+    with pytest.raises(UsageError):
+        RootPair(mu, measure((1, 1), (3, 1)), 2)
+    with pytest.raises(UsageError):
+        RootPair(mu, nu, 3)
+    with pytest.raises(UsageError):
+        RootPair(mu, [(1, 1), (2, 1)], 2)
+
+
+def test_root_pair_rejects_representation_of_another_kappa():
+    # mu has both a square and a fourth root; the square root's
+    # representation must not pass as the fourth root
+    nu4 = measure((F(1, 2 ** 33), 1), (1, 1), (8, 1))
+    mu = kappa_power_measure(nu4, 4)
+    square = decide_root(mu, 2).nu
+    with pytest.raises(UsageError):
+        RootPair(mu, square, 4)
+    fourth = RootPair(mu, decide_root(mu, 4).nu, 4)
+    assert fourth == RootPair(mu, nu4, 4)
+    assert fourth.powers == (F(1, 2 ** 132), 1, 8 ** 4)
+
+
+def test_root_pair_has_one_checked_constructor():
+    pair = root_pair(measure((1, 1), (2, 1)), 2)
+    with pytest.raises(TypeError):
+        RootPair(mu=pair.mu, kappa=2, atoms=pair.atoms)
+    with pytest.raises(FrozenInstanceError):
+        pair.atoms = ()
+
+
+def test_root_pair_from_decision_gives_same_reports():
+    params = GenParams(seed=0)
+    compared = 0
+    for index in range(40):
+        nu = random_atomic_measure(params, index)
+        kappa = pick_kappa(params, stream(params, index))
+        try:
+            mu = kappa_power_measure(nu, kappa)
+            decision = decide_root(mu, kappa)
+        except GuardExceeded:
+            continue
+        from_measure = RootPair(mu, nu, kappa)
+        from_decision = RootPair(mu, decision.nu, kappa)
+        for hole in find_holes(mu):
+            for check in (check_hole_backward, check_iota_hole_criteria):
+                a = check(from_measure, hole.lower, hole.upper).to_dict()
+                assert a == check(from_decision, hole.lower, hole.upper).to_dict()
+                compared += 1
+    assert compared > 100
+
+
+# ---------------------------------------------------------------------------
 # hole transfer nu -> mu
 # ---------------------------------------------------------------------------
 
 
 def test_hole_forward_two_diracs():
-    report = check_hole_forward(measure((1, 1), (2, 1)), 1, 2, 2)
+    report = check_hole_forward(root_pair(measure((1, 1), (2, 1)), 2), 1, 2)
     assert report.applicable and report.ok
     assert all(c.holds for c in report.claims)
     assert report.data["theta1"].to_rational() == 2
@@ -264,7 +329,7 @@ def test_hole_forward_two_diracs():
 
 def test_hole_forward_top_hole():
     nu = measure((F(1, 2), 1), (1, 1))
-    report = check_hole_forward(nu, F(1, 2), 1, 2)
+    report = check_hole_forward(root_pair(nu, 2), F(1, 2), 1)
     assert report.applicable and report.ok
     assert report.data["theta1"].to_rational() == F(1, 2)
     assert report.data["theta2"].to_rational() == 1
@@ -275,7 +340,7 @@ def test_hole_forward_top_hole():
 
 def test_hole_forward_inapplicable_interval_is_reported():
     # (alpha, beta) = (1/4, 2) over supp nu = {1/2, 1}: not a nu-hole
-    report = check_hole_forward(measure((F(1, 2), 1), (1, 1)), F(1, 4), F(3, 4), 2)
+    report = check_hole_forward(root_pair(measure((F(1, 2), 1), (1, 1)), 2), F(1, 4), F(3, 4))
     assert not report.applicable
     assert all(c.holds is None for c in report.claims)
 
@@ -283,7 +348,7 @@ def test_hole_forward_inapplicable_interval_is_reported():
 def test_hole_forward_radical_endpoints():
     # irrational hole endpoints strictly between the atoms of nu
     nu = measure((1, 1), (4, 1))
-    report = check_hole_forward(nu, Radical.root(2, 2), Radical.root(8, 2), 2)
+    report = check_hole_forward(root_pair(nu, 2), Radical.root(2, 2), Radical.root(8, 2))
     assert report.applicable
     assert report.ok
     assert report.data["theta1"].to_rational() is None  # theta1 = 4*sqrt(2)
@@ -292,7 +357,7 @@ def test_hole_forward_radical_endpoints():
 
 def test_hole_forward_canonicalize_preserves_preconditions():
     nu = measure((1, 1), (4, 1))
-    report = check_hole_forward(nu, Radical.root(2, 2), Radical.root(8, 2), 2, canonicalize=True)
+    report = check_hole_forward(root_pair(nu, 2), Radical.root(2, 2), Radical.root(8, 2), canonicalize=True)
     assert report.applicable and report.ok
     assert report.data["theta1"].to_rational() == 4  # endpoints snapped to 1, 4
 
@@ -300,10 +365,11 @@ def test_hole_forward_canonicalize_preserves_preconditions():
 @given(measures(), st.sampled_from([2, 3]))
 @settings(max_examples=40, deadline=None)
 def test_hole_forward_fuzz_all_holes(nu, kappa):
+    pair = root_pair(nu, kappa)
     for hole in find_holes(nu):
-        base = check_hole_forward(nu, hole.lower, hole.upper, kappa)
+        base = check_hole_forward(pair, hole.lower, hole.upper)
         assert base.ok, base.to_dict()
-        canonical = check_hole_forward(nu, hole.lower, hole.upper, kappa, canonicalize=True)
+        canonical = check_hole_forward(pair, hole.lower, hole.upper, canonicalize=True)
         assert canonical.ok, canonical.to_dict()
         if base.applicable:
             # canonicalized endpoints keep the preconditions
@@ -319,7 +385,7 @@ def test_hole_backward_square_of_two_diracs():
     nu = measure((F(1, 8), 1), (1, 1))
     mu = kappa_power_measure(nu, 2)
     assert mu == measure((F(1, 64), 1), (F(1, 8), 2), (1, 1))
-    report = check_hole_backward(mu, F(1, 8), 1, 2, nu)
+    report = check_hole_backward(RootPair(mu, nu, 2), F(1, 8), 1)
     claims = {c.name: c for c in report.claims}
     assert claims["(iii-a)"].hypotheses_hold  # beta_dag < alpha_dag
     assert claims["(iii-a)"].holds
@@ -330,28 +396,21 @@ def test_hole_backward_rejects_non_hole():
     nu = measure((1, 1), (2, 1))
     mu = kappa_power_measure(nu, 2)
     with pytest.raises(UsageError):
-        check_hole_backward(mu, F(3, 2), 3, 2, nu)
-
-
-def test_hole_backward_rejects_uncertified_root():
-    nu = measure((1, 1), (2, 1))
-    mu = kappa_power_measure(nu, 2)
-    with pytest.raises(UsageError):
-        check_hole_backward(mu, 1, 2, 2, measure((1, 1), (3, 1)))
+        check_hole_backward(RootPair(mu, nu, 2), F(3, 2), 3)
 
 
 def test_hole_backward_accepts_nu_representation():
     nu = measure((F(1, 8), 1), (1, 1))
     mu = kappa_power_measure(nu, 2)
     d = decide_root(mu, 2)
-    report = check_hole_backward(mu, F(1, 8), 1, 2, d.nu)
+    report = check_hole_backward(RootPair(mu, d.nu, 2), F(1, 8), 1)
     assert report.ok
 
 
 def test_hole_backward_hole_above_support_top():
     # theta2 beyond sup supp mu: only part (i) stays applicable
     mu = measure((1, 1))
-    report = check_hole_backward(mu, 2, 3, 2, measure((1, 1)))
+    report = check_hole_backward(RootPair(mu, measure((1, 1)), 2), 2, 3)
     claims = {c.name: c for c in report.claims}
     assert claims["(i)"].hypotheses_hold and claims["(i)"].holds
     assert not claims["(ii)"].hypotheses_hold
@@ -367,7 +426,7 @@ def test_hole_backward_hole_above_support_top():
 def test_iota_criteria_condition_iii_fires():
     nu = measure((F(1, 8), 1), (1, 1), (2, 1))
     mu = kappa_power_measure(nu, 2)
-    report = check_iota_hole_criteria(mu, F(1, 4), 1, 2, nu)
+    report = check_iota_hole_criteria(RootPair(mu, nu, 2), F(1, 4), 1)
     claims = {c.name: c for c in report.claims}
     assert report.data["iota_s"] == 3
     assert claims["(iii)"].hypotheses_hold
@@ -378,7 +437,7 @@ def test_iota_criteria_condition_iii_fires():
 def test_iota_criteria_condition_iv_fires():
     nu = measure((F(1, 32), 1), (1, 1), (2, 1))
     mu = kappa_power_measure(nu, 2)
-    report = check_iota_hole_criteria(mu, F(1, 16), 1, 2, nu)
+    report = check_iota_hole_criteria(RootPair(mu, nu, 2), F(1, 16), 1)
     claims = {c.name: c for c in report.claims}
     assert report.data["iota_s"] == 4
     assert claims["(iv)"].hypotheses_hold
@@ -389,7 +448,7 @@ def test_iota_criteria_condition_iv_fires():
 def test_iota_criteria_not_applicable_at_top():
     nu = measure((F(1, 8), 1), (1, 1))
     mu = kappa_power_measure(nu, 2)
-    report = check_iota_hole_criteria(mu, F(1, 8), 1, 2, nu)  # theta2 == sup supp mu
+    report = check_iota_hole_criteria(RootPair(mu, nu, 2), F(1, 8), 1)  # theta2 == sup supp mu
     assert not report.applicable
 
 
@@ -399,7 +458,7 @@ def test_iota_criteria_not_applicable_at_top():
 
 
 def test_top_of_support_biconditional():
-    report = check_top_of_support(measure((F(1, 2), 1), (1, 1)), 2, F(1, 2), 1, 1)
+    report = check_top_of_support(root_pair(measure((F(1, 2), 1), (1, 1)), 2), F(1, 2), 1, 1)
     claims = {c.name: c for c in report.claims}
     assert report.data["cond_a"] and report.data["cond_b"]
     assert claims["(iv)"].holds
@@ -407,14 +466,14 @@ def test_top_of_support_biconditional():
 
 
 def test_top_of_support_double_hole():
-    report = check_top_of_support(measure((1, 1), (2, 1)), 2, 1, 2, 4)
+    report = check_top_of_support(root_pair(measure((1, 1), (2, 1)), 2), 1, 2, 4)
     claims = {c.name: c for c in report.claims}
     assert claims["(i)"].hypotheses_hold and claims["(i)"].holds
     assert report.ok
 
 
 def test_top_of_support_single_atom_both_sides_false():
-    report = check_top_of_support(measure((1, 1)), 2, F(1, 2), 1, 1)
+    report = check_top_of_support(root_pair(measure((1, 1)), 2), F(1, 2), 1, 1)
     claims = {c.name: c for c in report.claims}
     assert not report.data["cond_a"] and not report.data["cond_b"]
     assert claims["(iv)"].holds
@@ -422,16 +481,16 @@ def test_top_of_support_single_atom_both_sides_false():
 
 
 def test_lower_support_examples():
-    report = check_lower_support(measure((2, 1), (3, 1)), 2)
+    report = check_lower_support(root_pair(measure((2, 1), (3, 1)), 2))
     assert report.ok and all(c.holds for c in report.claims)
     assert report.data["min_mu"] == 4
 
-    report = check_lower_support(measure((F(5, 7), F(2, 3))), 3)
+    report = check_lower_support(root_pair(measure((F(5, 7), F(2, 3))), 3))
     assert report.ok
     assert report.data["min_mu"] == F(125, 343)
 
     nu = measure((F(1, 6), 1), (F(1, 3), 1), (1, 1), (3, 1))
-    report = check_lower_support(nu, 2)
+    report = check_lower_support(root_pair(nu, 2))
     assert report.ok
     assert report.data["min_mu"] == F(1, 36)
 
@@ -468,11 +527,12 @@ def test_order_membership_mixed_orders():
 @settings(max_examples=25, deadline=None)
 def test_checkers_find_no_counterexamples(nu, kappa):
     mu = kappa_power_measure(nu, kappa)
-    assert check_lower_support(nu, kappa).ok
+    pair = RootPair(mu, nu, kappa)
+    assert check_lower_support(pair).ok
     for hole in find_holes(mu):
         if hole.leading:
             continue
-        assert check_hole_backward(mu, hole.lower, hole.upper, kappa, nu).ok
-        assert check_iota_hole_criteria(mu, hole.lower, hole.upper, kappa, nu).ok
+        assert check_hole_backward(pair, hole.lower, hole.upper).ok
+        assert check_iota_hole_criteria(pair, hole.lower, hole.upper).ok
         if 0 < hole.lower and hole.upper < mu.max_point:
             assert check_root_order_membership(mu, hole.lower, hole.upper, 4).ok
