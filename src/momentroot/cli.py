@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .decide import RootDecision, decide_root
 from .exact import GuardExceeded, UsageError, format_rational, parse_rational
@@ -19,8 +20,15 @@ from .feasibility import feasible, n_minus, n_plus, witness
 from .fixtures import run_all
 from .fuzz import SUITES, run_suite
 from .generate import GenParams
-from .holes import RootPair, check_root_order_membership, check_hole_backward, check_iota_hole_criteria, triple_params
-from .measures import AtomicMeasure, dump_measure, find_holes, load_measure
+from .holes import (
+    RootPair,
+    _HoleTable,
+    check_hole_backward,
+    check_iota_hole_criteria,
+    check_root_order_membership,
+    triple_params,
+)
+from .measures import dump_measure, find_holes, load_measure
 
 __all__ = ["main"]
 
@@ -44,18 +52,119 @@ def decision_to_dict(d: RootDecision) -> dict:
 
 
 def _emit(doc):
-    print(json.dumps(doc, indent=2))
+    print(_dumps(doc))
 
 
-def _holes_dict(mu: AtomicMeasure) -> list[dict]:
+def _dumps(doc) -> str:
+    """json.dumps(doc, indent=2), byte for byte.
+
+    An indent sends json.dumps to its pure-Python encoder; this walks the
+    types the CLI emits (str-keyed dicts, lists, str, int, bool, None) and
+    quotes strings with json's C encoder.  Any other value goes to
+    json.dumps, re-indented to its depth.
+    """
+    out: list[str] = []
+    _encode(doc, "\n", out)
+    return "".join(out)
+
+
+def _leaf(value):
+    """The JSON text of a str, int, bool or None; None for anything else."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    return None
+
+
+def _encode(value, newline: str, out: list[str]) -> None:
+    text = _leaf(value)
+    if text is not None:
+        out.append(text)
+        return
+    kind = type(value)
+    inner = newline + "  "
+    if kind is list and value:
+        sep = "[" + inner
+        for item in value:
+            text = _leaf(item)
+            if text is None:
+                out.append(sep)
+                _encode(item, inner, out)
+            else:
+                out.append(sep + text)
+            sep = "," + inner
+        out.append(newline + "]")
+        return
+    if kind is dict and value:
+        mark = len(out)
+        sep = "{" + inner
+        for key, item in value.items():
+            if type(key) is not str:
+                del out[mark:]
+                break
+            head = sep + encode_basestring_ascii(key) + ": "
+            text = _leaf(item)
+            if text is None:
+                out.append(head)
+                _encode(item, inner, out)
+            else:
+                out.append(head + text)
+            sep = "," + inner
+        else:
+            out.append(newline + "}")
+            return
+    out.append(json.dumps(value, indent=2).replace("\n", newline))
+
+
+def _holes_dict(holes) -> list[dict]:
     return [
         {
             "lower": format_rational(h.lower),
             "upper": format_rational(h.upper),
             "leading": h.leading,
         }
-        for h in find_holes(mu)
+        for h in holes
     ]
+
+
+def _hole_theorems(pair: RootPair, decision: RootDecision, holes):
+    """The hole reports of analyze --theorems, and one entry per hole whose
+    root-order scan a guard refused.
+
+    The scan decides mu at every order 2..max(kappa, 4) (reusing decision at
+    kappa) once, when the first hole with iota_s_star == 1 reaches it; a
+    refusal is kept, and every such hole is reported as skipped.
+    """
+    mu, kappa = pair.mu, pair.kappa
+    scan_max = max(kappa, 4)
+    decisions = refusal = None
+    reports, skipped = [], []
+    for h, p in zip(holes, pair.hole_table.params):
+        reports.append(check_hole_backward(pair, h.lower, h.upper))
+        reports.append(check_iota_hole_criteria(pair, h.lower, h.upper))
+        if p.iota_s_star is None:  # not an interior hole
+            continue
+        if p.iota_s_star == 1:
+            if decisions is None and refusal is None:
+                try:
+                    decisions = {
+                        k: decision if k == kappa else decide_root(mu, k)
+                        for k in range(2, scan_max + 1)
+                    }
+                except GuardExceeded as exc:
+                    refusal = str(exc)
+            if refusal is not None:
+                bounds = {"lower": format_rational(h.lower), "upper": format_rational(h.upper)}
+                skipped.append({**bounds, "reason": refusal})
+                continue
+        reports.append(check_root_order_membership(mu, h.lower, h.upper, scan_max, decisions))
+    return reports, skipped
 
 
 def _cmd_analyze(args) -> int:
@@ -68,33 +177,23 @@ def _cmd_analyze(args) -> int:
         "decision": decision_to_dict(decision),
     }
     holes = find_holes(mu)
+    pair = RootPair(mu, decision.nu, args.kappa) if args.theorems and decision.is_yes else None
     if args.holes or args.theorems:
-        doc["holes"] = _holes_dict(mu)
-        doc["triples"] = [
-            triple_params(h.lower, h.upper, mu.max_point, args.kappa).to_dict()
-            for h in holes
-            if h.upper <= mu.max_point
-        ]
+        doc["holes"] = _holes_dict(holes)
+        table = pair.hole_table if pair is not None else _HoleTable(mu, args.kappa)
+        doc["triples"] = table.triples()
     exit_code = 0
     if args.theorems:
-        reports = []
-        if decision.is_yes:
-            pair = RootPair(mu, decision.nu, args.kappa)
-            for h in holes:
-                reports.append(check_hole_backward(pair, h.lower, h.upper))
-                reports.append(check_iota_hole_criteria(pair, h.lower, h.upper))
-                if 0 < h.lower and h.upper < mu.max_point:
-                    try:
-                        reports.append(
-                            check_root_order_membership(mu, h.lower, h.upper, max(args.kappa, 4))
-                        )
-                    except GuardExceeded:
-                        pass  # J scan too large for this measure; skip quietly
+        reports, skipped = [], []
+        if pair is not None:
+            reports, skipped = _hole_theorems(pair, decision, holes)
             if any(not r.ok for r in reports):
                 exit_code = 2
         else:
             doc["theorems_note"] = "no certified root; hole checkers skipped"
-        doc["theorems"] = [r.to_dict() for r in reports] if decision.is_yes else []
+        doc["theorems"] = [r.to_dict() for r in reports]
+        if skipped:
+            doc["theorems_skipped"] = skipped
     if args.json:
         _emit(doc)
     else:
@@ -121,6 +220,8 @@ def _print_analysis(doc):
         status = "ok" if not rep["violations"] else "VIOLATED"
         extra = "" if rep["applicable"] else " [not applicable]"
         print(f"theorem check: {rep['theorem']}: {status}{extra}")
+    for s in doc.get("theorems_skipped", []):
+        print(f"theorem check skipped: hole ({s['lower']}, {s['upper']}): {s['reason']}")
     if "theorems_note" in doc:
         print(doc["theorems_note"])
 
@@ -245,9 +346,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None  # built by the first main() call, then reused
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.fn(args)
     except UsageError as exc:

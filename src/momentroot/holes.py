@@ -15,9 +15,12 @@ a failure by the fuzz harness.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from functools import cached_property
+from operator import itemgetter
+from typing import Callable, Optional
 
 from .exact import (
     DEFAULT_PRECISION,
@@ -163,17 +166,17 @@ class TripleParams:
     iota_s: Optional[int]
     iota_s_star: Optional[int]
 
-    def to_dict(self) -> dict:
+    def to_dict(self, render: Callable[[Radical], dict] = radical_to_dict) -> dict:
         return {
             "theta1": format_rational(self.theta1),
             "theta2": format_rational(self.theta2),
             "theta3": format_rational(self.theta3),
             "kappa": self.kappa,
-            "alpha": radical_to_dict(self.alpha),
-            "beta": radical_to_dict(self.beta),
-            "gamma": radical_to_dict(self.gamma),
-            "alpha_dag": radical_to_dict(self.alpha_dag),
-            "beta_dag": radical_to_dict(self.beta_dag),
+            "alpha": render(self.alpha),
+            "beta": render(self.beta),
+            "gamma": render(self.gamma),
+            "alpha_dag": render(self.alpha_dag),
+            "beta_dag": render(self.beta_dag),
             "iota_s": self.iota_s,
             "iota_s_star": self.iota_s_star,
         }
@@ -201,15 +204,21 @@ def _endpoints(theta1: Fraction, theta2: Fraction, theta3: Fraction, kappa: int)
     return alpha, beta, gamma, alpha_dag, beta_dag
 
 
+def _triple(
+    theta1: Fraction, theta2: Fraction, theta3: Fraction, kappa: int, endpoints=None
+) -> TripleParams:
+    """TripleParams without validation, like _endpoints; endpoints, when
+    given, are the (alpha, beta, gamma, alpha_dag, beta_dag) of the triple."""
+    iotas = _iotas(theta1, theta2, theta3) if 0 < theta1 and theta2 < theta3 else (None, None)
+    endpoints = endpoints or _endpoints(theta1, theta2, theta3, kappa)
+    return TripleParams(theta1, theta2, theta3, kappa, *endpoints, *iotas)
+
+
 def triple_params(theta1, theta2, theta3, kappa: int) -> TripleParams:
     theta1, theta2, theta3 = Fraction(theta1), Fraction(theta2), Fraction(theta3)
     _validate_triple(theta1, theta2, theta3)
     _check_kappa(kappa)
-    iota_s = iota_s_star = None
-    if 0 < theta1 and theta2 < theta3:
-        iota_s, iota_s_star = _iotas(theta1, theta2, theta3)
-    endpoints = _endpoints(theta1, theta2, theta3, kappa)
-    return TripleParams(theta1, theta2, theta3, kappa, *endpoints, iota_s, iota_s_star)
+    return _triple(theta1, theta2, theta3, kappa)
 
 
 def ordering_report(p: TripleParams) -> TheoremReport:
@@ -246,10 +255,13 @@ def ordering_report(p: TripleParams) -> TheoremReport:
     return TheoremReport("endpoint ordering", claims, data={"params": p.to_dict()})
 
 
+def _iota_s_star(theta1: Fraction, theta2: Fraction, theta3: Fraction) -> int:
+    return 1 + floor_log_ratio(theta2 / theta1, theta3 / theta2)
+
+
 def _iotas(theta1: Fraction, theta2: Fraction, theta3: Fraction) -> tuple[int, int]:
     iota_s = 1 + floor_log_ratio(theta3 / theta2, theta3 / theta1)
-    iota_s_star = 1 + floor_log_ratio(theta2 / theta1, theta3 / theta2)
-    return iota_s, iota_s_star
+    return iota_s, _iota_s_star(theta1, theta2, theta3)
 
 
 def iota_relations(theta1, theta2, theta3) -> TheoremReport:
@@ -503,10 +515,63 @@ class RootPair:
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "atoms", atoms)
 
-    @property
+    @cached_property
     def powers(self) -> tuple[Fraction, ...]:
         """kappa-th powers of nu's atoms, ascending."""
         return tuple(x.power for x in self.atoms)
+
+    @cached_property
+    def hole_table(self) -> "_HoleTable":
+        """The hole table of (mu, kappa), built on first use and kept with
+        the pair, so every checker call on the pair reads the same one."""
+        return _HoleTable(self.mu, self.kappa)
+
+
+class _HoleTable:
+    """The TripleParams of every hole of find_holes(mu), with theta3 = sup
+    supp mu, for one (mu, kappa).
+
+    Hole i is (x_{i-1}, x_i) over the support points x_0 < x_1 < ...
+    (x_{-1} = 0), so alpha_i = alpha_dag_{i-1} and beta_dag_i = beta_{i-1}:
+    each support point x gets one x**(1/kappa) radical and one
+    (x/theta3) * theta3**(1/kappa) radical, shared by the two holes it
+    bounds.  The iota values are computed once per interior hole.
+    """
+
+    def __init__(self, mu: AtomicMeasure, kappa: int):
+        points = mu.support
+        theta3 = points[-1]
+        roots = [Radical.root(x, kappa) for x in points]
+        scaled = [Radical(x / theta3, theta3, kappa) for x in points]
+        gamma, zero = roots[-1], Radical.zero(kappa)
+        lows = [(Fraction(0), zero, zero), *zip(points, scaled, roots)]
+        self.points = points
+        self.params = tuple(
+            _triple(theta1, theta2, theta3, kappa, (alpha, beta, gamma, alpha_dag, beta_dag))
+            for (theta1, alpha, beta_dag), theta2, beta, alpha_dag in zip(lows, points, roots, scaled)
+        )
+
+    def get(self, theta1: Fraction, theta2: Fraction) -> Optional[TripleParams]:
+        """The params of (theta1, theta2) when it is a hole of find_holes(mu)."""
+        i = bisect_right(self.points, theta1)
+        p = self.params[i] if i < len(self.params) else None
+        return p if p is not None and (p.theta1, p.theta2) == (theta1, theta2) else None
+
+    def triples(self) -> list[dict]:
+        """[p.to_dict() for p in params], rendering each distinct radical
+        once.  Radicals compare by value, so the memo is keyed by their
+        fields: equal values such as (1/2)*4**(1/2) and 1**(1/2) still
+        print their own coeff and radicand."""
+        rendered: dict = {}
+
+        def render(r: Radical) -> dict:
+            key = (r.coeff, r.radicand, r.index)
+            out = rendered.get(key)
+            if out is None:
+                out = rendered[key] = radical_to_dict(r)
+            return out
+
+        return [p.to_dict(render) for p in self.params]
 
 
 def _as_radical(value, kappa: int) -> Radical:
@@ -627,9 +692,18 @@ def _mu_hole(mu: AtomicMeasure, theta1, theta2) -> tuple[Fraction, Fraction]:
     theta1, theta2 = Fraction(theta1), Fraction(theta2)
     if not 0 <= theta1 < theta2:
         raise UsageError("need 0 <= theta1 < theta2")
-    if mu.mass_open(theta1, theta2) != 0:
+    # every weight is positive, so the hole test is: no support point in (theta1, theta2)
+    i = bisect_right(mu.atoms, theta1, key=itemgetter(0))
+    if i < len(mu.atoms) and mu.atoms[i][0] < theta2:
         raise UsageError("(theta1, theta2) is not a hole of supp mu")
     return theta1, theta2
+
+
+def _hole_params(pair: RootPair, theta1: Fraction, theta2: Fraction) -> TripleParams:
+    """The pair's table entry for a hole of find_holes(mu), built afresh for
+    any other hole (a part of one, or one above sup supp mu)."""
+    p = pair.hole_table.get(theta1, theta2)
+    return p if p is not None else _triple(theta1, theta2, pair.mu.max_point, pair.kappa)
 
 
 def check_hole_backward(pair: RootPair, theta1, theta2) -> TheoremReport:
@@ -637,7 +711,8 @@ def check_hole_backward(pair: RootPair, theta1, theta2) -> TheoremReport:
     theta1, theta2 = _mu_hole(pair.mu, theta1, theta2)
     kappa, powers = pair.kappa, pair.powers
     theta3 = pair.mu.max_point
-    alpha, beta, gamma, alpha_dag, beta_dag = _endpoints(theta1, theta2, theta3, kappa)
+    p = _hole_params(pair, theta1, theta2)
+    alpha, beta, gamma, alpha_dag, beta_dag = p.alpha, p.beta, p.gamma, p.alpha_dag, p.beta_dag
 
     upper_ok = theta2 <= theta3
     bd_vs_ad = radical_compare(beta_dag, alpha_dag)
@@ -709,7 +784,7 @@ def check_iota_hole_criteria(pair: RootPair, theta1, theta2) -> TheoremReport:
             applicable=False,
             note="requires 0 < theta1 < theta2 < sup supp mu",
         )
-    p = triple_params(theta1, theta2, theta3, kappa)
+    p = _hole_params(pair, theta1, theta2)
     beta_in_supp = theta2 in powers
     conclusion = not _powers_between(powers, p.alpha, p.beta)
     in_supp = ("beta in supp nu", beta_in_supp)
@@ -862,7 +937,7 @@ def check_root_order_membership(
             applicable=False,
             note="requires 0 < theta1 < theta2 < sup supp mu",
         )
-    _, iota_s_star = _iotas(theta1, theta2, theta3)
+    iota_s_star = _iota_s_star(theta1, theta2, theta3)
     if iota_s_star != 1:
         return TheoremReport(
             "membership across root orders",
