@@ -133,37 +133,20 @@ def _holes_dict(holes) -> list[dict]:
     ]
 
 
-def _hole_theorems(pair: RootPair, decision: RootDecision, holes):
+def _hole_theorems(pair: RootPair, holes):
     """The hole reports of analyze --theorems, and one entry per hole whose
-    root-order scan a guard refused.
-
-    The scan decides mu at every order 2..max(kappa, 4) (reusing decision at
-    kappa) once, when the first hole with iota_s_star == 1 reaches it; a
-    refusal is kept, and every such hole is reported as skipped.
-    """
-    mu, kappa = pair.mu, pair.kappa
-    scan_max = max(kappa, 4)
-    decisions = refusal = None
+    root-order scan a guard refused."""
+    mu = pair.mu
     reports, skipped = [], []
-    for h, p in zip(holes, pair.hole_table.params):
+    for h in holes:
         reports.append(check_hole_backward(pair, h.lower, h.upper))
         reports.append(check_iota_hole_criteria(pair, h.lower, h.upper))
-        if p.iota_s_star is None:  # not an interior hole
-            continue
-        if p.iota_s_star == 1:
-            if decisions is None and refusal is None:
-                try:
-                    decisions = {
-                        k: decision if k == kappa else decide_root(mu, k)
-                        for k in range(2, scan_max + 1)
-                    }
-                except GuardExceeded as exc:
-                    refusal = str(exc)
-            if refusal is not None:
+        if 0 < h.lower and h.upper < mu.max_point:
+            try:
+                reports.append(check_root_order_membership(mu, h.lower, h.upper, max(pair.kappa, 4)))
+            except GuardExceeded as exc:
                 bounds = {"lower": format_rational(h.lower), "upper": format_rational(h.upper)}
-                skipped.append({**bounds, "reason": refusal})
-                continue
-        reports.append(check_root_order_membership(mu, h.lower, h.upper, scan_max, decisions))
+                skipped.append({**bounds, "reason": str(exc)})
     return reports, skipped
 
 
@@ -186,7 +169,7 @@ def _cmd_analyze(args) -> int:
     if args.theorems:
         reports, skipped = [], []
         if pair is not None:
-            reports, skipped = _hole_theorems(pair, decision, holes)
+            reports, skipped = _hole_theorems(pair, holes)
             if any(not r.ok for r in reports):
                 exit_code = 2
         else:

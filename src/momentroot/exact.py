@@ -12,7 +12,6 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 __all__ = [
     "UsageError",
@@ -143,7 +142,7 @@ class Radical:
     def zero(cls, index: int) -> "Radical":
         return cls(Fraction(0), Fraction(1), index)
 
-    @cached_property
+    @property
     def power(self) -> Fraction:
         """The index-th power of the denoted value; always rational."""
         return self.coeff ** self.index * self.radicand

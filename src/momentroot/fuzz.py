@@ -137,12 +137,15 @@ def _trial_theorems(params: GenParams, index: int) -> list[TheoremReport]:
     mu_holes = find_holes(mu)
     order_scan_max = min(max(params.kappa_set), 16)
     decisions = None
+    if any(0 < hole.lower and hole.upper < mu.max_point for hole in mu_holes):
+        # decided before the hole table is built, so that a trial the guard
+        # refuses is skipped without paying for the table
+        decisions = {k: decide_root(mu, k) for k in range(2, order_scan_max + 1)}
+    pair.hole_table  # built once here; the checker calls on every hole read it
     for hole in mu_holes:
         reports.append(check_hole_backward(pair, hole.lower, hole.upper))
         reports.append(check_iota_hole_criteria(pair, hole.lower, hole.upper))
         if 0 < hole.lower and hole.upper < mu.max_point:
-            if decisions is None:
-                decisions = {k: decide_root(mu, k) for k in range(2, order_scan_max + 1)}
             reports.append(
                 check_root_order_membership(mu, hole.lower, hole.upper, order_scan_max, decisions=decisions)
             )

@@ -523,7 +523,9 @@ class RootPair:
     @cached_property
     def hole_table(self) -> "_HoleTable":
         """The hole table of (mu, kappa), built on first use and kept with
-        the pair, so every checker call on the pair reads the same one."""
+        the pair.  Checker calls read it once it is built; a caller that
+        walks every hole builds it first, and a single checker call does
+        not pay for it."""
         return _HoleTable(self.mu, self.kappa)
 
 
@@ -700,9 +702,11 @@ def _mu_hole(mu: AtomicMeasure, theta1, theta2) -> tuple[Fraction, Fraction]:
 
 
 def _hole_params(pair: RootPair, theta1: Fraction, theta2: Fraction) -> TripleParams:
-    """The pair's table entry for a hole of find_holes(mu), built afresh for
-    any other hole (a part of one, or one above sup supp mu)."""
-    p = pair.hole_table.get(theta1, theta2)
+    """The entry of the pair's hole table when the table is built and holds
+    (theta1, theta2); otherwise the triple is built afresh (a single call, a
+    part of a hole, or a hole above sup supp mu)."""
+    table = pair.__dict__.get("hole_table")
+    p = table.get(theta1, theta2) if table is not None else None
     return p if p is not None else _triple(theta1, theta2, pair.mu.max_point, pair.kappa)
 
 

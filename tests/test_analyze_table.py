@@ -95,7 +95,11 @@ def test_equal_radicals_keep_their_own_rendering(tmp_path):
 def test_pair_builds_its_hole_table_once():
     nu = AtomicMeasure.from_pairs([(1, 1), (3, 2)])
     pair = RootPair(kappa_power_measure(nu, 2), nu, 2)
+    # a single checker call on a fresh pair builds one triple, not the table
+    single = check_iota_hole_criteria(pair, 1, 3).to_dict()
+    assert "hole_table" not in pair.__dict__
     assert pair.hole_table is pair.hole_table
+    assert check_iota_hole_criteria(pair, 1, 3).to_dict() == single
     assert [(p.theta1, p.theta2) for p in pair.hole_table.params] == [(0, 1), (1, 3), (3, 9)]
     # a part of a hole is not in the table and is computed afresh
     assert pair.hole_table.get(F(1), F(2)) is None

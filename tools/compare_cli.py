@@ -1,20 +1,20 @@
 """Check that this checkout's CLI prints what another checkout's prints.
 
-    python tools/compare_cli.py PARENT_CHECKOUT [--seeds 0 1] [--draws 12]
-                                [--bench-seeds 0 1] [--fuzz-trials 200]
+    python tools/compare_cli.py PARENT_CHECKOUT
 
 Builds one list of CLI calls and runs it in one subprocess per checkout;
 each subprocess imports momentroot from its own src/ and calls cli.main in
 process with stdout captured.  The calls:
 
 - analyze --holes --theorems --json, the same in text form, and decide, on
-  generator draws at kappa 2..8 for every --seeds value and on their scale,
-  drop and inject perturbations;
+  DRAWS generator draws at kappa 2..8 for each of SEEDS and on their
+  scale, drop and inject perturbations (tests/test_pushforward_kernel's);
 - analyze --holes --theorems --json on every op of the benchmark's analyze
-  corpus for each --bench-seeds value (the corpus is built with this
-  checkout's bench/);
+  corpus for each of BENCH_SEEDS (the corpus is built with this checkout's
+  bench/);
 - params on generator triples at kappa 2..8, and table --json;
-- fuzz, every suite, on --seeds; elapsed_seconds is masked.
+- fuzz, every suite, on SEEDS (FUZZ_TRIALS trials of the theorems suite);
+  elapsed_seconds is masked.
 
 Prints one line per command with the number of equal calls and exits 0, or
 prints the first call whose exit code or stdout differs, with the first
@@ -37,42 +37,32 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 KAPPAS = range(2, 9)
+SEEDS = (0, 1)  # generator and fuzz seeds
+DRAWS = 12  # generator draws per seed and kappa
+BENCH_SEEDS = (0, 1)
+FUZZ_TRIALS = 200  # trials of the theorems suite
 ELAPSED = re.compile(r'"elapsed_seconds": [-+.\deE]+')
 
 
-def perturbed(mu, kappa):
-    """mu with the top mass doubled, a middle atom dropped, and a stray atom
-    between the two lowest points (or above a single atom)."""
-    from momentroot.measures import AtomicMeasure
+def generator_calls(workdir: Path) -> list[list[str]]:
+    sys.path.insert(0, str(ROOT / "tests"))
+    from test_pushforward_kernel import perturbations
 
-    masses = dict(mu.atoms)
-    scaled = {**masses, mu.max_point: 2 * masses[mu.max_point]}
-    yield AtomicMeasure.from_pairs(scaled.items())
-    if len(masses) > 2:
-        dropped = dict(masses)
-        del dropped[mu.atoms[len(masses) // 2][0]]
-        yield AtomicMeasure.from_pairs(dropped.items())
-    pts = mu.support
-    stray = (pts[0] + pts[1]) / 2 if len(pts) > 1 else 2 * pts[0]
-    yield AtomicMeasure.from_pairs({**masses, stray: mu.atoms[0][1]}.items())
-
-
-def generator_calls(seeds, draws: int, fuzz_trials: int, workdir: Path) -> list[list[str]]:
     from momentroot.exact import GuardExceeded, format_rational
     from momentroot.generate import GenParams, random_atomic_measure, random_triple
     from momentroot.measures import dump_measure, kappa_power_measure
 
     calls = []
-    for seed in seeds:
+    for seed in SEEDS:
         for kappa in KAPPAS:
             params = GenParams(seed=seed, max_atoms=4 if kappa <= 4 else 3, kappa_set=(kappa,))
-            for index in range(draws):
+            for index in range(DRAWS):
                 nu = random_atomic_measure(params, index)
                 try:
                     mu = kappa_power_measure(nu, kappa)
                 except GuardExceeded:
                     continue
-                for variant in (mu, *perturbed(mu, kappa)):
+                for variant in perturbations(mu, nu, kappa):
                     path = workdir / f"m{len(calls):05d}.json"
                     path.write_text(json.dumps(dump_measure(variant)), encoding="utf-8")
                     base = ["--measure", str(path), "--kappa", str(kappa)]
@@ -84,14 +74,14 @@ def generator_calls(seeds, draws: int, fuzz_trials: int, workdir: Path) -> list[
                     ["params", "--theta1", format_rational(t1), "--theta2", format_rational(t2),
                      "--theta3", format_rational(t3), "--kappa", str(kappa)]
                 )
-        for suite, trials in (("theorems", fuzz_trials), ("roundtrip", 100), ("iota", 40), ("feasibility", 40)):
+        for suite, trials in (("theorems", FUZZ_TRIALS), ("roundtrip", 100), ("iota", 40), ("feasibility", 40)):
             calls.append(["fuzz", "--suite", suite, "--trials", str(trials), "--seed", str(seed)])
     calls.append(["table", "--json"])
     calls.append(["table", "--max-m", "40", "--json"])
     return calls
 
 
-def bench_calls(seeds, workdir: Path) -> list[list[str]]:
+def bench_calls(workdir: Path) -> list[list[str]]:
     """The analyze ops of the benchmark corpus, as built by this checkout."""
     sys.path.insert(0, str(ROOT / "bench"))
     import corpus as corpus_mod
@@ -99,7 +89,7 @@ def bench_calls(seeds, workdir: Path) -> list[list[str]]:
 
     mr = import_package()
     calls = []
-    for seed in seeds:
+    for seed in BENCH_SEEDS:
         seed_dir = workdir / f"bench{seed}"
         seed_dir.mkdir()
         for op in corpus_mod.build(mr, "analyze", seed, seed_dir).ops:
@@ -142,10 +132,6 @@ def main(argv=None) -> int:
         return worker(*argv[1:])
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", help="the other checkout (a directory with src/momentroot)")
-    ap.add_argument("--seeds", type=int, nargs="*", default=[0, 1])
-    ap.add_argument("--draws", type=int, default=12, help="generator draws per seed and kappa")
-    ap.add_argument("--bench-seeds", type=int, nargs="*", default=[0, 1])
-    ap.add_argument("--fuzz-trials", type=int, default=200, help="trials of the theorems suite")
     args = ap.parse_args(argv)
     parent = Path(args.parent).resolve()
     if not (parent / "src" / "momentroot" / "cli.py").is_file():
@@ -153,8 +139,8 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     with tempfile.TemporaryDirectory(prefix="compare_cli_") as tmp:
         work = Path(tmp)
-        calls = generator_calls(args.seeds, args.draws, args.fuzz_trials, work)
-        calls += bench_calls(args.bench_seeds, work)
+        calls = generator_calls(work)
+        calls += bench_calls(work)
         jobs = work / "jobs.json"
         jobs.write_text(json.dumps(calls))
         procs = {
