@@ -15,19 +15,12 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from .decide import RootDecision, decide_root
-from .exact import GuardExceeded, UsageError, format_rational, parse_rational
+from .exact import UsageError, format_rational, parse_rational
 from .feasibility import feasible, n_minus, n_plus, witness
 from .fixtures import run_all
 from .fuzz import SUITES, run_suite
 from .generate import GenParams
-from .holes import (
-    RootPair,
-    _HoleTable,
-    check_hole_backward,
-    check_iota_hole_criteria,
-    check_root_order_membership,
-    triple_params,
-)
+from .holes import RootPair, _hole_params, _triples, _walk_holes, triple_params
 from .measures import dump_measure, find_holes, load_measure
 
 __all__ = ["main"]
@@ -133,23 +126,6 @@ def _holes_dict(holes) -> list[dict]:
     ]
 
 
-def _hole_theorems(pair: RootPair, holes):
-    """The hole reports of analyze --theorems, and one entry per hole whose
-    root-order scan a guard refused."""
-    mu = pair.mu
-    reports, skipped = [], []
-    for h in holes:
-        reports.append(check_hole_backward(pair, h.lower, h.upper))
-        reports.append(check_iota_hole_criteria(pair, h.lower, h.upper))
-        if 0 < h.lower and h.upper < mu.max_point:
-            try:
-                reports.append(check_root_order_membership(mu, h.lower, h.upper, max(pair.kappa, 4)))
-            except GuardExceeded as exc:
-                bounds = {"lower": format_rational(h.lower), "upper": format_rational(h.upper)}
-                skipped.append({**bounds, "reason": str(exc)})
-    return reports, skipped
-
-
 def _cmd_analyze(args) -> int:
     mu = load_measure(args.measure)
     decision = decide_root(mu, args.kappa)
@@ -159,17 +135,20 @@ def _cmd_analyze(args) -> int:
         "support": [format_rational(x) for x in mu.support],
         "decision": decision_to_dict(decision),
     }
-    holes = find_holes(mu)
-    pair = RootPair(mu, decision.nu, args.kappa) if args.theorems and decision.is_yes else None
     if args.holes or args.theorems:
-        doc["holes"] = _holes_dict(holes)
-        table = pair.hole_table if pair is not None else _HoleTable(mu, args.kappa)
-        doc["triples"] = table.triples()
+        params = _hole_params(mu, args.kappa)
+        doc["holes"] = _holes_dict(find_holes(mu))
+        doc["triples"] = _triples(params)
     exit_code = 0
     if args.theorems:
         reports, skipped = [], []
-        if pair is not None:
-            reports, skipped = _hole_theorems(pair, holes)
+        if decision.is_yes:
+            pair = RootPair(mu, decision.nu, args.kappa)
+            reports, refused = _walk_holes(pair, params, max(args.kappa, 4))
+            skipped = [
+                {"lower": format_rational(p.theta1), "upper": format_rational(p.theta2), "reason": reason}
+                for p, reason in refused
+            ]
             if any(not r.ok for r in reports):
                 exit_code = 2
         else:

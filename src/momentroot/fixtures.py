@@ -67,6 +67,8 @@ def fixture_four_point_hole():
     assert not any(c.hypotheses_hold for c in report.claims)
     assert report.data["conclusion"] is False  # 1/3 sits inside (1/6, 1)
     assert report.ok
+    assert nu.mass_open(F(1, 6), 1) > 0
+    assert F(1, 3) in nu.support
 
     plus = check_hole_backward(pair, F(1, 2), 1)
     by_name = {c.name: c for c in plus.claims}
@@ -150,7 +152,9 @@ def fixture_proper_inclusion():
         F(1, 125), F(1, 25), F(2, 25), F(1, 5), F(2, 5),
         F(4, 5), F(1), F(2), F(4), F(8),
     ]
-    assert list(mu.support) == expected
+    support = list(mu.support)
+    assert support == expected
+    assert all(a < b for a, b in zip(support, support[1:]))
     d = decide_root(mu, 3)
     assert d.is_yes
     assert len(d.nu.entries) == 10

@@ -22,12 +22,11 @@ from .holes import (
     Claim,
     RootPair,
     TheoremReport,
-    check_root_order_membership,
+    _hole_params,
+    _walk_holes,
     check_top_of_support,
     check_hole_forward,
-    check_hole_backward,
     check_lower_support,
-    check_iota_hole_criteria,
     ordering_report,
     iota_dagger_relations,
     iota_relations,
@@ -134,30 +133,19 @@ def _trial_theorems(params: GenParams, index: int) -> list[TheoremReport]:
     reports: list[TheoremReport] = []
 
     reports.append(check_lower_support(pair))
-    mu_holes = find_holes(mu)
-    order_scan_max = min(max(params.kappa_set), 16)
-    decisions = None
-    if any(0 < hole.lower and hole.upper < mu.max_point for hole in mu_holes):
-        # decided before the hole table is built, so that a trial the guard
-        # refuses is skipped without paying for the table
-        decisions = {k: decide_root(mu, k) for k in range(2, order_scan_max + 1)}
-    pair.hole_table  # built once here; the checker calls on every hole read it
-    for hole in mu_holes:
-        reports.append(check_hole_backward(pair, hole.lower, hole.upper))
-        reports.append(check_iota_hole_criteria(pair, hole.lower, hole.upper))
-        if 0 < hole.lower and hole.upper < mu.max_point:
-            reports.append(
-                check_root_order_membership(mu, hole.lower, hole.upper, order_scan_max, decisions=decisions)
-            )
+    holes = _hole_params(mu, kappa)
+    hole_reports, refused = _walk_holes(pair, holes, max(params.kappa_set))
+    if refused:
+        raise GuardExceeded(refused[0][1])
+    reports.extend(hole_reports)
     # paired consecutive holes exercise the two-hole statement
-    interior = [h for h in mu_holes if not h.leading]
+    interior = holes[1:]
     for first, second in zip(interior, interior[1:]):
-        if first.upper == second.lower:
-            reports.append(check_top_of_support(pair, first.lower, first.upper, second.upper))
+        reports.append(check_top_of_support(pair, first.theta1, first.theta2, second.theta2))
     # top hole with theta2 == theta3 == sup supp mu
     if len(mu.atoms) >= 2:
         top = interior[-1]
-        reports.append(check_top_of_support(pair, top.lower, top.upper, top.upper))
+        reports.append(check_top_of_support(pair, top.theta1, top.theta2, top.theta2))
     # holes of nu through the nu->mu transfer, plain and canonicalized
     for hole in find_holes(nu):
         reports.append(check_hole_forward(pair, hole.lower, hole.upper))

@@ -24,6 +24,7 @@ from typing import Callable, Optional
 
 from .exact import (
     DEFAULT_PRECISION,
+    GuardExceeded,
     Radical,
     UsageError,
     compare_fraction_radical,
@@ -520,18 +521,10 @@ class RootPair:
         """kappa-th powers of nu's atoms, ascending."""
         return tuple(x.power for x in self.atoms)
 
-    @cached_property
-    def hole_table(self) -> "_HoleTable":
-        """The hole table of (mu, kappa), built on first use and kept with
-        the pair.  Checker calls read it once it is built; a caller that
-        walks every hole builds it first, and a single checker call does
-        not pay for it."""
-        return _HoleTable(self.mu, self.kappa)
 
-
-class _HoleTable:
+def _hole_params(mu: AtomicMeasure, kappa: int) -> tuple[TripleParams, ...]:
     """The TripleParams of every hole of find_holes(mu), with theta3 = sup
-    supp mu, for one (mu, kappa).
+    supp mu.
 
     Hole i is (x_{i-1}, x_i) over the support points x_0 < x_1 < ...
     (x_{-1} = 0), so alpha_i = alpha_dag_{i-1} and beta_dag_i = beta_{i-1}:
@@ -539,41 +532,33 @@ class _HoleTable:
     (x/theta3) * theta3**(1/kappa) radical, shared by the two holes it
     bounds.  The iota values are computed once per interior hole.
     """
+    points = mu.support
+    theta3 = points[-1]
+    roots = [Radical.root(x, kappa) for x in points]
+    scaled = [Radical(x / theta3, theta3, kappa) for x in points]
+    gamma, zero = roots[-1], Radical.zero(kappa)
+    lows = [(Fraction(0), zero, zero), *zip(points, scaled, roots)]
+    return tuple(
+        _triple(theta1, theta2, theta3, kappa, (alpha, beta, gamma, alpha_dag, beta_dag))
+        for (theta1, alpha, beta_dag), theta2, beta, alpha_dag in zip(lows, points, roots, scaled)
+    )
 
-    def __init__(self, mu: AtomicMeasure, kappa: int):
-        points = mu.support
-        theta3 = points[-1]
-        roots = [Radical.root(x, kappa) for x in points]
-        scaled = [Radical(x / theta3, theta3, kappa) for x in points]
-        gamma, zero = roots[-1], Radical.zero(kappa)
-        lows = [(Fraction(0), zero, zero), *zip(points, scaled, roots)]
-        self.points = points
-        self.params = tuple(
-            _triple(theta1, theta2, theta3, kappa, (alpha, beta, gamma, alpha_dag, beta_dag))
-            for (theta1, alpha, beta_dag), theta2, beta, alpha_dag in zip(lows, points, roots, scaled)
-        )
 
-    def get(self, theta1: Fraction, theta2: Fraction) -> Optional[TripleParams]:
-        """The params of (theta1, theta2) when it is a hole of find_holes(mu)."""
-        i = bisect_right(self.points, theta1)
-        p = self.params[i] if i < len(self.params) else None
-        return p if p is not None and (p.theta1, p.theta2) == (theta1, theta2) else None
+def _triples(params) -> list[dict]:
+    """[p.to_dict() for p in params], rendering each distinct radical once.
+    Radicals compare by value, so the memo is keyed by their fields: equal
+    values such as (1/2)*4**(1/2) and 1**(1/2) still print their own coeff
+    and radicand."""
+    rendered: dict = {}
 
-    def triples(self) -> list[dict]:
-        """[p.to_dict() for p in params], rendering each distinct radical
-        once.  Radicals compare by value, so the memo is keyed by their
-        fields: equal values such as (1/2)*4**(1/2) and 1**(1/2) still
-        print their own coeff and radicand."""
-        rendered: dict = {}
+    def render(r: Radical) -> dict:
+        key = (r.coeff, r.radicand, r.index)
+        out = rendered.get(key)
+        if out is None:
+            out = rendered[key] = radical_to_dict(r)
+        return out
 
-        def render(r: Radical) -> dict:
-            key = (r.coeff, r.radicand, r.index)
-            out = rendered.get(key)
-            if out is None:
-                out = rendered[key] = radical_to_dict(r)
-            return out
-
-        return [p.to_dict(render) for p in self.params]
+    return [p.to_dict(render) for p in params]
 
 
 def _as_radical(value, kappa: int) -> Radical:
@@ -689,33 +674,38 @@ def check_hole_forward(
     return TheoremReport("hole transfer nu->mu", claims, applicable=applicable, data=data)
 
 
+def _is_hole(mu: AtomicMeasure, a: Fraction, b: Fraction) -> bool:
+    """mu((a, b)) == 0.  Every weight is positive, so this is: no support
+    point in (a, b), found by bisecting the sorted support."""
+    i = bisect_right(mu.atoms, a, key=itemgetter(0))
+    return i == len(mu.atoms) or mu.atoms[i][0] >= b
+
+
 def _mu_hole(mu: AtomicMeasure, theta1, theta2) -> tuple[Fraction, Fraction]:
     """(theta1, theta2) as Fractions, after checking it is a hole of supp mu."""
     theta1, theta2 = Fraction(theta1), Fraction(theta2)
     if not 0 <= theta1 < theta2:
         raise UsageError("need 0 <= theta1 < theta2")
-    # every weight is positive, so the hole test is: no support point in (theta1, theta2)
-    i = bisect_right(mu.atoms, theta1, key=itemgetter(0))
-    if i < len(mu.atoms) and mu.atoms[i][0] < theta2:
+    if not _is_hole(mu, theta1, theta2):
         raise UsageError("(theta1, theta2) is not a hole of supp mu")
     return theta1, theta2
 
 
-def _hole_params(pair: RootPair, theta1: Fraction, theta2: Fraction) -> TripleParams:
-    """The entry of the pair's hole table when the table is built and holds
-    (theta1, theta2); otherwise the triple is built afresh (a single call, a
-    part of a hole, or a hole above sup supp mu)."""
-    table = pair.__dict__.get("hole_table")
-    p = table.get(theta1, theta2) if table is not None else None
-    return p if p is not None else _triple(theta1, theta2, pair.mu.max_point, pair.kappa)
+def _fresh_triple(pair: RootPair, theta1, theta2) -> TripleParams:
+    """The params of a hole (theta1, theta2) of supp mu, with theta3 = sup
+    supp mu; theta2 above sup supp mu is allowed."""
+    theta1, theta2 = _mu_hole(pair.mu, theta1, theta2)
+    return _triple(theta1, theta2, pair.mu.max_point, pair.kappa)
 
 
 def check_hole_backward(pair: RootPair, theta1, theta2) -> TheoremReport:
     """Candidate holes of supp nu induced by a hole (theta1, theta2) of supp mu."""
-    theta1, theta2 = _mu_hole(pair.mu, theta1, theta2)
+    return _hole_backward(pair, _fresh_triple(pair, theta1, theta2))
+
+
+def _hole_backward(pair: RootPair, p: TripleParams) -> TheoremReport:
     kappa, powers = pair.kappa, pair.powers
-    theta3 = pair.mu.max_point
-    p = _hole_params(pair, theta1, theta2)
+    theta2, theta3 = p.theta2, p.theta3
     alpha, beta, gamma, alpha_dag, beta_dag = p.alpha, p.beta, p.gamma, p.alpha_dag, p.beta_dag
 
     upper_ok = theta2 <= theta3
@@ -779,17 +769,18 @@ def check_hole_backward(pair: RootPair, theta1, theta2) -> TheoremReport:
 
 def check_iota_hole_criteria(pair: RootPair, theta1, theta2) -> TheoremReport:
     """iota-based sufficient conditions for (alpha, beta) being a nu-hole."""
-    theta1, theta2 = _mu_hole(pair.mu, theta1, theta2)
+    return _iota_criteria(pair, _fresh_triple(pair, theta1, theta2))
+
+
+def _iota_criteria(pair: RootPair, p: TripleParams) -> TheoremReport:
     kappa, powers = pair.kappa, pair.powers
-    theta3 = pair.mu.max_point
-    if not (0 < theta1 and theta2 < theta3):
+    if p.iota_s is None:  # not 0 < theta1 < theta2 < theta3
         return TheoremReport(
             "iota hole criteria",
             applicable=False,
             note="requires 0 < theta1 < theta2 < sup supp mu",
         )
-    p = _hole_params(pair, theta1, theta2)
-    beta_in_supp = theta2 in powers
+    beta_in_supp = p.theta2 in powers
     conclusion = not _powers_between(powers, p.alpha, p.beta)
     in_supp = ("beta in supp nu", beta_in_supp)
     conditions = (
@@ -822,8 +813,8 @@ def check_top_of_support(pair: RootPair, theta1, theta2, theta3) -> TheoremRepor
     mu, powers = pair.mu, pair.powers
     alpha, beta, gamma, _, beta_dag = _endpoints(theta1, theta2, theta3, pair.kappa)
 
-    hole_12 = mu.mass_open(theta1, theta2) == 0
-    hole_23 = mu.mass_open(theta2, theta3) == 0
+    hole_12 = _is_hole(mu, theta1, theta2)
+    hole_23 = _is_hole(mu, theta2, theta3)
     top = mu.max_point == theta2
     t1_in_mu = theta1 in mu.support
 
@@ -918,13 +909,7 @@ def check_lower_support(pair: RootPair) -> TheoremReport:
     )
 
 
-def check_root_order_membership(
-    mu: AtomicMeasure,
-    theta1,
-    theta2,
-    kappa_max: int,
-    decisions: Optional[dict] = None,
-) -> TheoremReport:
+def check_root_order_membership(mu: AtomicMeasure, theta1, theta2, kappa_max: int) -> TheoremReport:
     """Equivalence of theta2-membership across every working root order.
 
     J is the set of kappa in [2, kappa_max] whose root decision is
@@ -942,6 +927,16 @@ def check_root_order_membership(
             note="requires 0 < theta1 < theta2 < sup supp mu",
         )
     iota_s_star = _iota_s_star(theta1, theta2, theta3)
+    decisions = {k: decide_root(mu, k) for k in range(2, kappa_max + 1)} if iota_s_star == 1 else {}
+    return _order_membership(mu, theta2, iota_s_star, kappa_max, decisions)
+
+
+def _order_membership(
+    mu: AtomicMeasure, theta2: Fraction, iota_s_star: int, kappa_max: int, decisions: dict
+) -> TheoremReport:
+    """The membership report of an interior hole; decisions maps each order
+    2..kappa_max to decide_root(mu, order) and is read only when
+    iota_s_star == 1."""
     if iota_s_star != 1:
         return TheoremReport(
             "membership across root orders",
@@ -949,9 +944,7 @@ def check_root_order_membership(
             note=f"requires iota_s_star == 1, got {iota_s_star}",
             data={"iota_s_star": iota_s_star},
         )
-    if decisions is None:
-        decisions = {k: decide_root(mu, k) for k in range(2, kappa_max + 1)}
-    working = {k: d for k, d in decisions.items() if 2 <= k <= kappa_max and d.is_yes}
+    working = {k: d for k, d in decisions.items() if d.is_yes}
     if not working:
         return TheoremReport(
             "membership across root orders",
@@ -985,3 +978,34 @@ def check_root_order_membership(
             "membership": membership,
         },
     )
+
+
+def _walk_holes(pair: RootPair, params, kappa_max: int):
+    """The reports of every hole of params, in order: check_hole_backward,
+    check_iota_hole_criteria and, on an interior hole,
+    check_root_order_membership over the orders 2..kappa_max.  Also returns
+    (params, reason) for each hole whose order scan a guard refused; such a
+    hole has no membership report.
+
+    Only a hole with iota_s_star == 1 reads the order scan, so mu is decided
+    at 2..kappa_max once, before any checker runs, and only if such a hole
+    exists.
+    """
+    mu = pair.mu
+    decisions, refusal = {}, None
+    if any(p.iota_s_star == 1 for p in params):
+        try:
+            decisions = {k: decide_root(mu, k) for k in range(2, kappa_max + 1)}
+        except GuardExceeded as exc:
+            refusal = str(exc)
+    reports, refused = [], []
+    for p in params:
+        reports.append(_hole_backward(pair, p))
+        reports.append(_iota_criteria(pair, p))
+        if p.iota_s_star is None:
+            continue
+        if p.iota_s_star == 1 and refusal is not None:
+            refused.append((p, refusal))
+        else:
+            reports.append(_order_membership(mu, p.theta2, p.iota_s_star, kappa_max, decisions))
+    return reports, refused

@@ -76,10 +76,6 @@ class AtomicMeasure:
         return tuple(w for _, w in self.atoms)
 
     @property
-    def total_mass(self) -> Fraction:
-        return sum(self.weights, Fraction(0))
-
-    @property
     def min_point(self) -> Fraction:
         return self.atoms[0][0]
 

@@ -10,19 +10,12 @@ import json
 import time
 from fractions import Fraction as F
 
-import pytest
-
+from momentroot import fixtures
 from momentroot.cli import main
-from momentroot.decide import decide_root, verify_representation
+from momentroot.decide import decide_root
 from momentroot.feasibility import feasible, n_minus, n_plus, product_count, witness
-from momentroot.fixtures import run_all
-from momentroot.exact import radical_compare
-from momentroot.holes import RootPair, check_iota_hole_criteria, kappa_dependence_scan, iota_star_witness, triple_params
-from momentroot.measures import AtomicMeasure, find_holes, kappa_power_measure
-
-
-def measure(*pairs):
-    return AtomicMeasure.from_pairs([(F(p), F(w)) for p, w in pairs])
+from momentroot.holes import kappa_dependence_scan, iota_star_witness
+from momentroot.measures import AtomicMeasure
 
 
 def report(criterion, detail):
@@ -61,14 +54,7 @@ def test_criterion_2_feasibility_bounds_and_witnesses(capsys):
 
 def test_criterion_3_fourth_power_instance(capsys):
     start = time.monotonic()
-    nu4 = measure((F(1, 2 ** 33), 1), (1, 1), (8, 1))
-    mu = kappa_power_measure(nu4, 4)
-    assert len(mu.atoms) == 15
-    assert decide_root(mu, 2).is_yes
-    d4 = decide_root(mu, 4)
-    assert d4.is_yes
-    assert d4.nu.to_atomic_measure() == nu4
-    assert not decide_root(mu, 3).is_yes
+    fixtures.fixture_mixed_root_orders()
     elapsed = time.monotonic() - start
     assert elapsed < 5.0
     with capsys.disabled():
@@ -76,66 +62,25 @@ def test_criterion_3_fourth_power_instance(capsys):
 
 
 def test_criterion_4_three_point_instance(capsys):
-    mu = measure((1, 1), (2, 2), (4, 1))
-    d = decide_root(mu, 2)
-    assert d.is_yes
-    assert d.nu.to_atomic_measure() == measure((1, 1), (2, 1))
-    for kappa in (3, 4, 5):
-        assert not decide_root(mu, kappa).is_yes
-    p = triple_params(1, 2, 4, 2)
-    assert (p.iota_s, p.iota_s_star) == (3, 2)
-    assert radical_compare(p.alpha_dag, p.beta_dag) == 0
-    assert p.alpha_dag.to_rational() == 1
+    fixtures.fixture_three_point_hole()
     with capsys.disabled():
         report(4, "square root delta_1+delta_2; no kappa=3,4,5 root; iotas (3,2); daggers equal")
 
 
 def test_criterion_5_nine_point_instance(capsys):
-    nu = measure((F(1, 6), 1), (F(1, 3), 1), (1, 1), (3, 1))
-    mu = kappa_power_measure(nu, 2)
-    assert list(mu.support) == [
-        F(1, 36), F(1, 18), F(1, 9), F(1, 6), F(1, 3), F(1, 2), F(1), F(3), F(9),
-    ]
-    p = triple_params(F(1, 2), 1, 9, 2)
-    assert (p.iota_s, p.iota_s_star) == (2, 4)
-    assert p.alpha.to_rational() == F(1, 6)
-    assert p.alpha_dag.to_rational() == F(1, 3)
-    rep = check_iota_hole_criteria(RootPair(mu, nu, 2), F(1, 2), 1)
-    assert not any(c.hypotheses_hold for c in rep.claims)
-    assert rep.data["conclusion"] is False
-    assert nu.mass_open(F(1, 6), 1) > 0
-    assert F(1, 3) in nu.support
+    fixtures.fixture_four_point_hole()
     with capsys.disabled():
         report(5, "9-point support; all five iota criteria false; hole fails via atom 1/3")
 
 
 def test_criterion_6_six_point_instance(capsys):
-    nu = measure((F(1, 16), 1), (2, 1), (16, 1))
-    mu = kappa_power_measure(nu, 2)
-    assert list(mu.support) == [F(1, 256), F(1, 8), F(1), F(4), F(32), F(256)]
-    assert nu.mass_open(F(1, 16), 2) == 0
-    assert F(1, 16) in nu.support and F(2) in nu.support
-    p = triple_params(1, 4, 256, 2)
-    assert radical_compare(p.alpha_dag, p.beta_dag) < 0  # alpha_dag < beta_dag
-    assert radical_compare(p.gamma * p.alpha / p.beta, p.alpha_dag) > 0
-    assert p.iota_s == 2 < 4 == p.iota_s_star
+    fixtures.fixture_three_point_wide_hole()
     with capsys.disabled():
         report(6, "6-point support; nu-hole (1/16,2) with endpoints present; exact inequalities")
 
 
 def test_criterion_7_proper_inclusion(capsys):
-    nu = measure((F(1, 5), 1), (1, 1), (2, 1))
-    mu = kappa_power_measure(nu, 3)
-    support = list(mu.support)
-    assert support == [
-        F(1, 125), F(1, 25), F(2, 25), F(1, 5), F(2, 5),
-        F(4, 5), F(1), F(2), F(4), F(8),
-    ]
-    assert all(a < b for a, b in zip(support, support[1:]))
-    d = decide_root(mu, 3)
-    assert d.is_yes
-    assert len(d.nu.entries) == 10
-    assert d.nu.support_size() == 3
+    fixtures.fixture_proper_inclusion()
     with capsys.disabled():
         report(7, "10 candidates, exactly 3 carry weight")
 

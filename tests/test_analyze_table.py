@@ -1,4 +1,4 @@
-"""analyze's per-run hole table, radical rendering and JSON emitter against
+"""analyze's hole params, radical rendering and JSON emitter against
 the direct per-hole computation, and the report of refused order scans."""
 
 import io
@@ -90,21 +90,6 @@ def test_equal_radicals_keep_their_own_rendering(tmp_path):
     assert hole["alpha_dag"] == {"coeff": "1/2", "radicand": "4", "index": 2, "rational": "1"}
     assert hole["beta_dag"] == {"coeff": "1", "radicand": "1", "index": 2, "rational": "1"}
     assert doc["triples"] == [triple_params(a, b, 4, 2).to_dict() for a, b in [(0, 1), (1, 2), (2, 4)]]
-
-
-def test_pair_builds_its_hole_table_once():
-    nu = AtomicMeasure.from_pairs([(1, 1), (3, 2)])
-    pair = RootPair(kappa_power_measure(nu, 2), nu, 2)
-    # a single checker call on a fresh pair builds one triple, not the table
-    single = check_iota_hole_criteria(pair, 1, 3).to_dict()
-    assert "hole_table" not in pair.__dict__
-    assert pair.hole_table is pair.hole_table
-    assert check_iota_hole_criteria(pair, 1, 3).to_dict() == single
-    assert [(p.theta1, p.theta2) for p in pair.hole_table.params] == [(0, 1), (1, 3), (3, 9)]
-    # a part of a hole is not in the table and is computed afresh
-    assert pair.hole_table.get(F(1), F(2)) is None
-    part = check_hole_backward(pair, F(3, 2), 2)
-    assert part.to_dict() == check_hole_backward(RootPair(pair.mu, nu, 2), F(3, 2), 2).to_dict()
 
 
 # A kappa=2 power of 12 atoms: 78 atoms, so the kappa=4 order scan needs

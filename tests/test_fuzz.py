@@ -1,7 +1,7 @@
 import pytest
 
 from momentroot.exact import UsageError
-from momentroot.fuzz import run_suite
+from momentroot.fuzz import _run_chunk, run_suite
 from momentroot.generate import GenParams
 
 
@@ -52,3 +52,8 @@ def test_skipped_trials_are_reported():
     assert [s["index"] for s in serial.to_dict()["skipped"]] == [5, 11, 12]
     parallel = run_suite("roundtrip", params, 13, jobs=2)
     assert parallel.skipped == serial.skipped
+    # a theorems trial is skipped only when a hole with iota_s_star == 1
+    # needs an order scan the guard refuses
+    assert run_suite("theorems", params, 13).skipped == []
+    refused = (107, "decide_root guard: C(70+4-1,4) exceeds 1000000")
+    assert _run_chunk("theorems", GenParams(seed=1), 107, 108) == ([], [refused])

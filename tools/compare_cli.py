@@ -16,10 +16,10 @@ process with stdout captured.  The calls:
 - fuzz, every suite, on SEEDS (FUZZ_TRIALS trials of the theorems suite);
   elapsed_seconds is masked.
 
-Prints one line per command with the number of equal calls and exits 0, or
-prints the first call whose exit code or stdout differs, with the first
-differing byte, and exits 1.  This is a check against an older version of
-the code, not a test: nothing in tests/ runs it.
+Prints every call whose exit code or stdout differs, with its first
+differing bytes, then one line per command with the number of equal and of
+differing calls; exits 1 if any call differs.  This is a check against an
+older version of the code, not a test: nothing in tests/ runs it.
 """
 
 from __future__ import annotations
@@ -155,20 +155,21 @@ def main(argv=None) -> int:
                 return 1
         this = json.loads((work / "this.json").read_text())
         other = json.loads((work / "parent.json").read_text())
-    equal = Counter()
+    equal, differ = Counter(), Counter()
     for argv, (code, text), (parent_code, parent_text) in zip(calls, this, other):
-        if code != parent_code or text != parent_text:
-            at = first_difference(text, parent_text)
-            print("differs:", " ".join(argv))
-            print(f"  exit code {code} here, {parent_code} in the parent")
-            print(f"  first differing byte {at}: here {text[at:at + 60]!r}")
-            print(f"  {' ' * len(str(at))}                 parent {parent_text[at:at + 60]!r}")
-            return 1
-        mode = " --json" if "--json" in argv else ""
-        equal[argv[0] + mode] += 1
-    for command, n in sorted(equal.items()):
-        print(f"{command}: {n} calls, stdout and exit code equal")
-    return 0
+        command = argv[0] + (" --json" if "--json" in argv else "")
+        if code == parent_code and text == parent_text:
+            equal[command] += 1
+            continue
+        differ[command] += 1
+        at = first_difference(text, parent_text)
+        print("differs:", " ".join(argv))
+        print(f"  exit code {code} here, {parent_code} in the parent")
+        print(f"  first differing byte {at}: here {text[at:at + 60]!r}")
+        print(f"  {' ' * len(str(at))}                 parent {parent_text[at:at + 60]!r}")
+    for command in sorted({*equal, *differ}):
+        print(f"{command}: {equal[command]} calls equal, {differ[command]} differ")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
