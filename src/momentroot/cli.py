@@ -20,7 +20,7 @@ from .feasibility import feasible, n_minus, n_plus, witness
 from .fixtures import run_all
 from .fuzz import SUITES, run_suite
 from .generate import GenParams
-from .holes import RootPair, _hole_params, _triples, _walk_holes, triple_params
+from .holes import RootPair, _hole_params, _order_scans, _triples, _walk_holes, triple_params
 from .measures import dump_measure, find_holes, load_measure
 
 __all__ = ["main"]
@@ -144,7 +144,8 @@ def _cmd_analyze(args) -> int:
         reports, skipped = [], []
         if decision.is_yes:
             pair = RootPair(mu, decision.nu, args.kappa)
-            reports, refused = _walk_holes(pair, params, max(args.kappa, 4))
+            scans, refused = _order_scans(mu, params, max(args.kappa, 4))
+            reports = _walk_holes(pair, params, scans)
             skipped = [
                 {"lower": format_rational(p.theta1), "upper": format_rational(p.theta2), "reason": reason}
                 for p, reason in refused

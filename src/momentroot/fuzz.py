@@ -23,6 +23,7 @@ from .holes import (
     RootPair,
     TheoremReport,
     _hole_params,
+    _order_scans,
     _walk_holes,
     check_top_of_support,
     check_hole_forward,
@@ -134,10 +135,10 @@ def _trial_theorems(params: GenParams, index: int) -> list[TheoremReport]:
 
     reports.append(check_lower_support(pair))
     holes = _hole_params(mu, kappa)
-    hole_reports, refused = _walk_holes(pair, holes, max(params.kappa_set))
+    scans, refused = _order_scans(mu, holes, max(params.kappa_set))
     if refused:
         raise GuardExceeded(refused[0][1])
-    reports.extend(hole_reports)
+    reports.extend(_walk_holes(pair, holes, scans))
     # paired consecutive holes exercise the two-hole statement
     interior = holes[1:]
     for first, second in zip(interior, interior[1:]):

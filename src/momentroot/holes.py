@@ -15,7 +15,7 @@ a failure by the fuzz harness.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -691,19 +691,27 @@ def _mu_hole(mu: AtomicMeasure, theta1, theta2) -> tuple[Fraction, Fraction]:
     return theta1, theta2
 
 
-def _fresh_triple(pair: RootPair, theta1, theta2) -> TripleParams:
-    """The params of a hole (theta1, theta2) of supp mu, with theta3 = sup
-    supp mu; theta2 above sup supp mu is allowed."""
-    theta1, theta2 = _mu_hole(pair.mu, theta1, theta2)
-    return _triple(theta1, theta2, pair.mu.max_point, pair.kappa)
+def _in_support(mu: AtomicMeasure, x: Fraction) -> bool:
+    """x in supp mu, found by bisecting the sorted support."""
+    i = bisect_left(mu.atoms, x, key=itemgetter(0))
+    return i < len(mu.atoms) and mu.atoms[i][0] == x
 
 
-def check_hole_backward(pair: RootPair, theta1, theta2) -> TheoremReport:
-    """Candidate holes of supp nu induced by a hole (theta1, theta2) of supp mu."""
-    return _hole_backward(pair, _fresh_triple(pair, theta1, theta2))
+def _hole_triple(mu: AtomicMeasure, kappa: int, theta1, theta2, params) -> TripleParams:
+    """params if given, else those of a hole (theta1, theta2) of supp mu with
+    theta3 = sup supp mu, built afresh (theta2 > theta3 is allowed)."""
+    if params is None:
+        theta1, theta2 = _mu_hole(mu, theta1, theta2)
+        params = _triple(theta1, theta2, mu.max_point, kappa)
+    return params
 
 
-def _hole_backward(pair: RootPair, p: TripleParams) -> TheoremReport:
+def check_hole_backward(
+    pair: RootPair, theta1, theta2, *, params: Optional[TripleParams] = None
+) -> TheoremReport:
+    """Candidate holes of supp nu induced by a hole (theta1, theta2) of supp mu.
+    params, if given, are the hole's TripleParams with theta3 = sup supp mu."""
+    p = _hole_triple(pair.mu, pair.kappa, theta1, theta2, params)
     kappa, powers = pair.kappa, pair.powers
     theta2, theta3 = p.theta2, p.theta3
     alpha, beta, gamma, alpha_dag, beta_dag = p.alpha, p.beta, p.gamma, p.alpha_dag, p.beta_dag
@@ -767,12 +775,12 @@ def _hole_backward(pair: RootPair, p: TripleParams) -> TheoremReport:
     )
 
 
-def check_iota_hole_criteria(pair: RootPair, theta1, theta2) -> TheoremReport:
-    """iota-based sufficient conditions for (alpha, beta) being a nu-hole."""
-    return _iota_criteria(pair, _fresh_triple(pair, theta1, theta2))
-
-
-def _iota_criteria(pair: RootPair, p: TripleParams) -> TheoremReport:
+def check_iota_hole_criteria(
+    pair: RootPair, theta1, theta2, *, params: Optional[TripleParams] = None
+) -> TheoremReport:
+    """iota-based sufficient conditions for (alpha, beta) being a nu-hole;
+    params as for check_hole_backward."""
+    p = _hole_triple(pair.mu, pair.kappa, theta1, theta2, params)
     kappa, powers = pair.kappa, pair.powers
     if p.iota_s is None:  # not 0 < theta1 < theta2 < theta3
         return TheoremReport(
@@ -816,7 +824,7 @@ def check_top_of_support(pair: RootPair, theta1, theta2, theta3) -> TheoremRepor
     hole_12 = _is_hole(mu, theta1, theta2)
     hole_23 = _is_hole(mu, theta2, theta3)
     top = mu.max_point == theta2
-    t1_in_mu = theta1 in mu.support
+    t1_in_mu = _in_support(mu, theta1)
 
     cond_a = t1_in_mu and top and hole_12
     alpha_in_nu = alpha.power in powers
@@ -909,14 +917,19 @@ def check_lower_support(pair: RootPair) -> TheoremReport:
     )
 
 
-def check_root_order_membership(mu: AtomicMeasure, theta1, theta2, kappa_max: int) -> TheoremReport:
+def check_root_order_membership(
+    mu: AtomicMeasure, theta1, theta2, kappa_max: int, *, params: Optional[TripleParams] = None
+) -> TheoremReport:
     """Equivalence of theta2-membership across every working root order.
 
     J is the set of kappa in [2, kappa_max] whose root decision is
     CertifiedYes.  Requires iota_s_star = 1; reported as not applicable
-    otherwise (and when J is empty).
+    otherwise (and when J is empty).  mu is decided at the orders
+    2..kappa_max only when iota_s_star = 1.  params as for
+    check_hole_backward; iota_s_star is read from them.
     """
-    theta1, theta2 = _mu_hole(mu, theta1, theta2)
+    if params is None:
+        theta1, theta2 = _mu_hole(mu, theta1, theta2)
     if not 2 <= kappa_max <= 16:
         raise UsageError("kappa_max must be in [2, 16]")
     theta3 = mu.max_point
@@ -926,17 +939,7 @@ def check_root_order_membership(mu: AtomicMeasure, theta1, theta2, kappa_max: in
             applicable=False,
             note="requires 0 < theta1 < theta2 < sup supp mu",
         )
-    iota_s_star = _iota_s_star(theta1, theta2, theta3)
-    decisions = {k: decide_root(mu, k) for k in range(2, kappa_max + 1)} if iota_s_star == 1 else {}
-    return _order_membership(mu, theta2, iota_s_star, kappa_max, decisions)
-
-
-def _order_membership(
-    mu: AtomicMeasure, theta2: Fraction, iota_s_star: int, kappa_max: int, decisions: dict
-) -> TheoremReport:
-    """The membership report of an interior hole; decisions maps each order
-    2..kappa_max to decide_root(mu, order) and is read only when
-    iota_s_star == 1."""
+    iota_s_star = _iota_s_star(theta1, theta2, theta3) if params is None else params.iota_s_star
     if iota_s_star != 1:
         return TheoremReport(
             "membership across root orders",
@@ -944,6 +947,7 @@ def _order_membership(
             note=f"requires iota_s_star == 1, got {iota_s_star}",
             data={"iota_s_star": iota_s_star},
         )
+    decisions = {k: decide_root(mu, k) for k in range(2, kappa_max + 1)}
     working = {k: d for k, d in decisions.items() if d.is_yes}
     if not working:
         return TheoremReport(
@@ -953,7 +957,7 @@ def _order_membership(
             data={"iota_s_star": iota_s_star},
         )
     membership = {k: theta2 in d.nu.positive_powers() for k, d in working.items()}
-    in_mu = theta2 in mu.support
+    in_mu = _in_support(mu, theta2)
     some = any(membership.values())
     every = all(membership.values())
     claims = (
@@ -980,32 +984,32 @@ def _order_membership(
     )
 
 
-def _walk_holes(pair: RootPair, params, kappa_max: int):
-    """The reports of every hole of params, in order: check_hole_backward,
-    check_iota_hole_criteria and, on an interior hole,
-    check_root_order_membership over the orders 2..kappa_max.  Also returns
-    (params, reason) for each hole whose order scan a guard refused; such a
-    hole has no membership report.
-
-    Only a hole with iota_s_star == 1 reads the order scan, so mu is decided
-    at 2..kappa_max once, before any checker runs, and only if such a hole
-    exists.
-    """
-    mu = pair.mu
-    decisions, refusal = {}, None
-    if any(p.iota_s_star == 1 for p in params):
-        try:
-            decisions = {k: decide_root(mu, k) for k in range(2, kappa_max + 1)}
-        except GuardExceeded as exc:
-            refusal = str(exc)
-    reports, refused = [], []
+def _order_scans(mu: AtomicMeasure, params, kappa_max: int):
+    """check_root_order_membership on each interior hole of params (None on
+    the others), and (params, reason) per hole whose scan a guard refused.
+    Only iota_s_star == 1 holes decide mu at the orders 2..kappa_max, so a
+    caller that skips a refused scan learns of it before any other check."""
+    scans, refused = [], []
     for p in params:
-        reports.append(_hole_backward(pair, p))
-        reports.append(_iota_criteria(pair, p))
-        if p.iota_s_star is None:
-            continue
-        if p.iota_s_star == 1 and refusal is not None:
-            refused.append((p, refusal))
-        else:
-            reports.append(_order_membership(mu, p.theta2, p.iota_s_star, kappa_max, decisions))
-    return reports, refused
+        report = None
+        if p.iota_s_star is not None:
+            try:
+                report = check_root_order_membership(mu, p.theta1, p.theta2, kappa_max, params=p)
+            except GuardExceeded as exc:
+                refused.append((p, str(exc)))
+        scans.append(report)
+    return scans, refused
+
+
+def _walk_holes(pair: RootPair, params, scans) -> list[TheoremReport]:
+    """The reports of every hole of params, in order: check_hole_backward,
+    check_iota_hole_criteria and the hole's scan from _order_scans, if any.
+    Each checker is entered by its public name, so a wrapper on it sees
+    every hole."""
+    reports = []
+    for p, scan in zip(params, scans):
+        reports.append(check_hole_backward(pair, p.theta1, p.theta2, params=p))
+        reports.append(check_iota_hole_criteria(pair, p.theta1, p.theta2, params=p))
+        if scan is not None:
+            reports.append(scan)
+    return reports

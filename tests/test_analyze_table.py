@@ -3,15 +3,17 @@ the direct per-hole computation, and the report of refused order scans."""
 
 import io
 import json
+from collections import Counter
 from contextlib import redirect_stdout
 from fractions import Fraction as F
 
 import pytest
 
-from momentroot import cli
+from momentroot import cli, holes
 from momentroot.cli import main
 from momentroot.decide import decide_root
 from momentroot.exact import GuardExceeded, format_rational
+from momentroot.fuzz import _run_chunk
 from momentroot.generate import GenParams, random_atomic_measure
 from momentroot.holes import (
     RootPair,
@@ -120,6 +122,23 @@ def test_no_skipped_key_without_a_refusal(tmp_path):
     mu = AtomicMeasure.from_pairs([(1, 1), (2, 2), (4, 1)])
     doc = json.loads(analyze(tmp_path, mu, 2, "--holes", "--theorems", "--json")[1])
     assert doc["theorems"] and "theorems_skipped" not in doc
+
+
+def test_walk_enters_each_checker_by_its_public_name(tmp_path, monkeypatch):
+    calls = Counter()
+    for name in ("check_hole_backward", "check_iota_hole_criteria", "check_root_order_membership"):
+        def counted(*args, _name=name, _checker=getattr(holes, name), **kwargs):
+            calls[_name] += 1
+            return _checker(*args, **kwargs)
+
+        monkeypatch.setattr(holes, name, counted)
+    mu = AtomicMeasure.from_pairs([(1, 1), (2, 2), (4, 1)])  # holes (0, 1), (1, 2), (2, 4)
+    analyze(tmp_path, mu, 2, "--theorems", "--json")
+    assert calls == {"check_hole_backward": 3, "check_iota_hole_criteria": 3, "check_root_order_membership": 1}
+    # a fuzz trial whose order scan is refused is skipped before the other hole checks
+    calls.clear()
+    assert _run_chunk("theorems", GenParams(seed=1), 107, 108)[1]
+    assert calls["check_root_order_membership"] > 0 and calls["check_hole_backward"] == 0
 
 
 # ---------------------------------------------------------------------------
