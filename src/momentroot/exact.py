@@ -22,7 +22,6 @@ __all__ = [
     "perfect_nth_root",
     "Radical",
     "radical_compare",
-    "compare_fraction_radical",
     "floor_log_ratio",
     "BigFloat",
     "bigfloat_root",
@@ -231,15 +230,6 @@ def radical_compare(a: Radical, b: Radical) -> int:
     if a.index != b.index:
         raise UsageError("radical_compare needs matching indices")
     return a._cmp(b)
-
-
-def compare_fraction_radical(x, r: Radical) -> int:
-    """Compare a nonnegative rational against a radical, exactly."""
-    x = Fraction(x)
-    if x < 0:
-        raise UsageError("comparison defined for nonnegative rationals only")
-    a, b = x ** r.index, r.power
-    return (a > b) - (a < b)
 
 
 def _log2_int(n: int) -> float:

@@ -9,6 +9,7 @@ of parallelism, and aggregation is a plain concatenation.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -223,6 +224,14 @@ def _run_chunk(suite: str, params: GenParams, lo: int, hi: int):
     return violations, skipped
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def run_suite(
     suite: str, params: GenParams, trials: int, jobs: int = 1
 ) -> FuzzSummary:
@@ -236,7 +245,9 @@ def run_suite(
     else:
         step = -(-trials // jobs)
         ranges = [(i, min(i + step, trials)) for i in range(0, trials, step)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a pool may start all its workers at once: no more than there are
+        # chunks, or CPUs to run them
+        with ProcessPoolExecutor(max_workers=min(len(ranges), _cpus())) as pool:
             futures = [
                 pool.submit(_run_chunk, suite, params, lo, hi) for lo, hi in ranges
             ]

@@ -6,9 +6,10 @@ The hole statements concern one fixed pair: mu and a kappa-th root nu of
 it.  RootPair holds that pair and checks it once, when it is built; the
 checkers that relate nu to mu take a RootPair and never re-verify it.
 
-Every interval-emptiness test against a support is exact: "x in (a, b)" is
-decided by comparing kappa-th powers, so no tolerance parameter exists in
-this module.  Checkers return TheoremReports; a report whose hypotheses
+Every support test is exact and is one bisection of an ascending
+sequence: supp nu is held as the kappa-th powers of its atoms, and
+"x in (a, b)" is decided by comparing kappa-th powers, so no tolerance
+parameter exists in this module.  Checkers return TheoremReports; a report whose hypotheses
 all hold but whose conclusion fails is a counterexample and is treated as
 a failure by the fuzz harness.
 """
@@ -18,7 +19,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Optional
 
@@ -27,7 +27,6 @@ from .exact import (
     GuardExceeded,
     Radical,
     UsageError,
-    compare_fraction_radical,
     floor_log_ratio,
     format_rational,
     radical_compare,
@@ -491,35 +490,32 @@ class RootPair:
     RootPair(mu, nu, kappa) is the only way to build one, and it checks the
     pair once: an AtomicMeasure nu must have kappa-fold pushforward mu, and
     a NuRepresentation (as decide_root returns it) must have index kappa
-    and pass verify_representation.  atoms holds nu's atoms as index-kappa
-    radicals in ascending order; nu's weights are dropped, because no hole
-    statement reads them.
+    and pass verify_representation.  powers holds the kappa-th powers of
+    nu's atoms in ascending order, the one encoding of supp nu whatever nu
+    came from; nu's weights are dropped, because no hole statement reads
+    them.
     """
 
     mu: AtomicMeasure
     kappa: int
-    atoms: tuple[Radical, ...]
+    powers: tuple[Fraction, ...]
 
     def __init__(self, mu: AtomicMeasure, nu: AtomicMeasure | NuRepresentation, kappa: int):
         _check_kappa(kappa)
         if isinstance(nu, AtomicMeasure):
             if kappa_power_measure(nu, kappa) != mu:
                 raise UsageError("nu is not a certified kappa-th root of mu")
-            atoms = tuple(Radical.from_rational(x, kappa) for x in nu.support)
+            powers = tuple(x ** kappa for x in nu.support)
         elif isinstance(nu, NuRepresentation):
             if nu.kappa != kappa or not verify_representation(mu, nu):
                 raise UsageError("nu is not a certified kappa-th root of mu")
-            atoms = tuple(Radical.root(p, kappa) for p in nu.positive_powers())
+            # verification ignores the entries' order; bisection does not
+            powers = tuple(sorted(nu.positive_powers()))
         else:
             raise UsageError("nu must be an AtomicMeasure or a NuRepresentation")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "atoms", atoms)
-
-    @cached_property
-    def powers(self) -> tuple[Fraction, ...]:
-        """kappa-th powers of nu's atoms, ascending."""
-        return tuple(x.power for x in self.atoms)
+        object.__setattr__(self, "powers", powers)
 
 
 def _hole_params(mu: AtomicMeasure, kappa: int) -> tuple[TripleParams, ...]:
@@ -572,27 +568,19 @@ def _as_radical(value, kappa: int) -> Radical:
     return Radical.zero(kappa) if value == 0 else Radical.from_rational(value, kappa)
 
 
-def _mass_open(m: AtomicMeasure, lo: Radical, hi: Radical) -> Fraction:
-    return sum(
-        (
-            w
-            for x, w in m.atoms
-            if compare_fraction_radical(x, lo) > 0 and compare_fraction_radical(x, hi) < 0
-        ),
-        Fraction(0),
-    )
+def _some_inside(seq, lo, hi, key=None) -> bool:
+    """Some element of the ascending seq lies strictly inside (lo, hi)."""
+    i = bisect_right(seq, lo, key=key)
+    return i < len(seq) and (seq[i] if key is None else key(seq[i])) < hi
 
 
-def _in_support(m: AtomicMeasure, value: Radical) -> bool:
-    if value.is_zero():
-        return False
-    return any(compare_fraction_radical(x, value) == 0 for x in m.support)
+def _member(seq, x, key=None) -> bool:
+    """x is an element of the ascending seq."""
+    i = bisect_left(seq, x, key=key)
+    return i < len(seq) and (seq[i] if key is None else key(seq[i])) == x
 
 
-def _powers_between(powers, lo: Radical, hi: Radical) -> bool:
-    """Whether any root atom p**(1/kappa) lies in the open interval (lo, hi)."""
-    lp, hp = lo.power, hi.power
-    return any(lp < p < hp for p in powers)
+_point = itemgetter(0)  # the key that reads mu.atoms as supp mu
 
 
 # ---------------------------------------------------------------------------
@@ -614,12 +602,12 @@ def check_hole_forward(
     mu, kappa, powers = pair.mu, pair.kappa, pair.powers
     alpha = _as_radical(alpha, kappa)
     beta = _as_radical(beta, kappa)
-    gamma = pair.atoms[-1]
+    gamma = Radical.root(powers[-1], kappa)
     data: dict = {}
 
     def preconditions(a: Radical, b: Radical):
         return (
-            ("nu((alpha, beta)) == 0", not _powers_between(powers, a, b)),
+            ("nu((alpha, beta)) == 0", not _some_inside(powers, a.power, b.power)),
             ("0 <= alpha < beta <= sup supp nu", a < b and b <= gamma),
             (
                 "alpha*gamma^(kappa-1) < beta^kappa",
@@ -630,11 +618,11 @@ def check_hole_forward(
     extra_claims: list[Claim] = []
     if canonicalize:
         original_ok = all(ok for _, ok in preconditions(alpha, beta))
-        below = [x for x in pair.atoms if x <= alpha]
-        above = [x for x in pair.atoms if x >= beta]
         data["canonicalized_from"] = {"alpha": alpha, "beta": beta}
-        alpha = below[-1] if below else Radical.zero(kappa)
-        beta = above[0] if above else beta
+        below = bisect_right(powers, alpha.power)  # atoms <= alpha
+        above = bisect_left(powers, beta.power)  # first atom >= beta
+        alpha = Radical.root(powers[below - 1], kappa) if below else Radical.zero(kappa)
+        beta = Radical.root(powers[above], kappa) if above < len(powers) else beta
         extra_claims.append(
             Claim(
                 "canonicalization",
@@ -653,11 +641,15 @@ def check_hole_forward(
     data["theta1"], data["theta2"], data["theta3"] = t1, t2, t3
 
     if applicable:
-        hole_ok = _mass_open(mu, t1, t2) == 0
-        sup_ok = compare_fraction_radical(mu.max_point, t3) == 0
+        # supp mu against radical endpoints, through kappa-th powers
+        def key(atom):
+            return atom[0] ** kappa
+
+        hole_ok = not _some_inside(mu.atoms, t1.power, t2.power, key)
+        sup_ok = mu.max_point ** kappa == t3.power
         c1 = hole_ok and sup_ok
-        c2 = (alpha.power in powers) == _in_support(mu, t1)
-        c3 = (beta.power in powers) == _in_support(mu, t2)
+        c2 = _member(powers, alpha.power) == _member(mu.atoms, t1.power, key)
+        c3 = _member(powers, beta.power) == _member(mu.atoms, t2.power, key)
     else:
         c1 = c2 = c3 = None
     claims = (
@@ -674,35 +666,30 @@ def check_hole_forward(
     return TheoremReport("hole transfer nu->mu", claims, applicable=applicable, data=data)
 
 
-def _is_hole(mu: AtomicMeasure, a: Fraction, b: Fraction) -> bool:
-    """mu((a, b)) == 0.  Every weight is positive, so this is: no support
-    point in (a, b), found by bisecting the sorted support."""
-    i = bisect_right(mu.atoms, a, key=itemgetter(0))
-    return i == len(mu.atoms) or mu.atoms[i][0] >= b
-
-
-def _mu_hole(mu: AtomicMeasure, theta1, theta2) -> tuple[Fraction, Fraction]:
-    """(theta1, theta2) as Fractions, after checking it is a hole of supp mu."""
+def _mu_hole(mu: AtomicMeasure, theta1, theta2, params=None) -> tuple[Fraction, Fraction]:
+    """(theta1, theta2) as Fractions, after checking it is a hole of supp mu
+    and, when params are given, that they are this hole's TripleParams with
+    theta3 = sup supp mu."""
     theta1, theta2 = Fraction(theta1), Fraction(theta2)
     if not 0 <= theta1 < theta2:
         raise UsageError("need 0 <= theta1 < theta2")
-    if not _is_hole(mu, theta1, theta2):
+    if _some_inside(mu.atoms, theta1, theta2, _point):
         raise UsageError("(theta1, theta2) is not a hole of supp mu")
+    hole = (theta1, theta2, mu.max_point)
+    if params is not None and (params.theta1, params.theta2, params.theta3) != hole:
+        raise UsageError("params do not describe the hole (theta1, theta2) of supp mu")
     return theta1, theta2
 
 
-def _in_support(mu: AtomicMeasure, x: Fraction) -> bool:
-    """x in supp mu, found by bisecting the sorted support."""
-    i = bisect_left(mu.atoms, x, key=itemgetter(0))
-    return i < len(mu.atoms) and mu.atoms[i][0] == x
-
-
-def _hole_triple(mu: AtomicMeasure, kappa: int, theta1, theta2, params) -> TripleParams:
-    """params if given, else those of a hole (theta1, theta2) of supp mu with
-    theta3 = sup supp mu, built afresh (theta2 > theta3 is allowed)."""
+def _hole_triple(pair: RootPair, theta1, theta2, params) -> TripleParams:
+    """The TripleParams of a hole (theta1, theta2) of supp mu with theta3 =
+    sup supp mu (theta2 > theta3 is allowed): params, once checked against
+    the hole and the pair's kappa, or else built afresh."""
+    theta1, theta2 = _mu_hole(pair.mu, theta1, theta2, params)
     if params is None:
-        theta1, theta2 = _mu_hole(mu, theta1, theta2)
-        params = _triple(theta1, theta2, mu.max_point, kappa)
+        return _triple(theta1, theta2, pair.mu.max_point, pair.kappa)
+    if params.kappa != pair.kappa:
+        raise UsageError(f"params are for kappa = {params.kappa}, the pair's is {pair.kappa}")
     return params
 
 
@@ -710,8 +697,9 @@ def check_hole_backward(
     pair: RootPair, theta1, theta2, *, params: Optional[TripleParams] = None
 ) -> TheoremReport:
     """Candidate holes of supp nu induced by a hole (theta1, theta2) of supp mu.
-    params, if given, are the hole's TripleParams with theta3 = sup supp mu."""
-    p = _hole_triple(pair.mu, pair.kappa, theta1, theta2, params)
+    params, if given, must be the hole's TripleParams with theta3 = sup supp
+    mu at the pair's kappa; others raise UsageError."""
+    p = _hole_triple(pair, theta1, theta2, params)
     kappa, powers = pair.kappa, pair.powers
     theta2, theta3 = p.theta2, p.theta3
     alpha, beta, gamma, alpha_dag, beta_dag = p.alpha, p.beta, p.gamma, p.alpha_dag, p.beta_dag
@@ -719,11 +707,11 @@ def check_hole_backward(
     upper_ok = theta2 <= theta3
     bd_vs_ad = radical_compare(beta_dag, alpha_dag)
     gba_small = radical_compare(gamma * alpha / beta, alpha_dag) < 0
-    beta_in_supp = theta2 in powers
+    beta_in_supp = _member(powers, theta2)
 
-    concl_i = not _powers_between(powers, beta_dag, beta)
-    concl_ii = not _powers_between(powers, alpha, alpha_dag)
-    concl_iii = not _powers_between(powers, alpha, beta)
+    concl_i = not _some_inside(powers, beta_dag.power, beta.power)
+    concl_ii = not _some_inside(powers, alpha.power, alpha_dag.power)
+    concl_iii = not _some_inside(powers, alpha.power, beta.power)
 
     hyp_upper = ("theta2 <= sup supp mu", upper_ok)
     cond_a = (
@@ -780,7 +768,7 @@ def check_iota_hole_criteria(
 ) -> TheoremReport:
     """iota-based sufficient conditions for (alpha, beta) being a nu-hole;
     params as for check_hole_backward."""
-    p = _hole_triple(pair.mu, pair.kappa, theta1, theta2, params)
+    p = _hole_triple(pair, theta1, theta2, params)
     kappa, powers = pair.kappa, pair.powers
     if p.iota_s is None:  # not 0 < theta1 < theta2 < theta3
         return TheoremReport(
@@ -788,8 +776,8 @@ def check_iota_hole_criteria(
             applicable=False,
             note="requires 0 < theta1 < theta2 < sup supp mu",
         )
-    beta_in_supp = p.theta2 in powers
-    conclusion = not _powers_between(powers, p.alpha, p.beta)
+    beta_in_supp = _member(powers, p.theta2)
+    conclusion = not _some_inside(powers, p.alpha.power, p.beta.power)
     in_supp = ("beta in supp nu", beta_in_supp)
     conditions = (
         ("(i)", (("kappa >= iota_s_star", kappa >= p.iota_s_star), in_supp)),
@@ -821,16 +809,16 @@ def check_top_of_support(pair: RootPair, theta1, theta2, theta3) -> TheoremRepor
     mu, powers = pair.mu, pair.powers
     alpha, beta, gamma, _, beta_dag = _endpoints(theta1, theta2, theta3, pair.kappa)
 
-    hole_12 = _is_hole(mu, theta1, theta2)
-    hole_23 = _is_hole(mu, theta2, theta3)
+    hole_12 = not _some_inside(mu.atoms, theta1, theta2, _point)
+    hole_23 = not _some_inside(mu.atoms, theta2, theta3, _point)
     top = mu.max_point == theta2
-    t1_in_mu = _in_support(mu, theta1)
+    t1_in_mu = _member(mu.atoms, theta1, _point)
 
     cond_a = t1_in_mu and top and hole_12
-    alpha_in_nu = alpha.power in powers
-    beta_in_nu = beta.power in powers
+    alpha_in_nu = _member(powers, alpha.power)
+    beta_in_nu = _member(powers, beta.power)
     beta_is_sup = powers[-1] == beta.power
-    nu_hole = not _powers_between(powers, alpha, beta)
+    nu_hole = not _some_inside(powers, alpha.power, beta.power)
     cond_b = alpha_in_nu and beta_is_sup and nu_hole
 
     claims = (
@@ -842,8 +830,8 @@ def check_top_of_support(pair: RootPair, theta1, theta2, theta3) -> TheoremRepor
                 ("mu((theta2, theta3)) == 0", hole_23),
             ),
             "nu((beta_dag, beta)) == 0 and nu((beta, gamma)) == 0",
-            not _powers_between(powers, beta_dag, beta)
-            and not _powers_between(powers, beta, gamma),
+            not _some_inside(powers, beta_dag.power, beta.power)
+            and not _some_inside(powers, beta.power, gamma.power),
         ),
         Claim(
             "(ii)",
@@ -883,16 +871,16 @@ def check_top_of_support(pair: RootPair, theta1, theta2, theta3) -> TheoremRepor
 def check_lower_support(pair: RootPair) -> TheoremReport:
     """Bottom-of-support transfer: minima map to kappa-th powers and back."""
     mu, powers = pair.mu, pair.powers
-    beta = pair.atoms[0]
+    beta = Radical.root(powers[0], pair.kappa)
     theta = mu.min_point
-    below_root = any(p < theta for p in powers)
+    below_root = powers[0] < theta  # both supports are ascending
     min_nu = beta.to_rational()
     claims = (
         Claim(
             "(i)",
             (("nu([0, beta)) == 0 for beta = min supp nu", True),),
             "mu([0, beta^kappa)) == 0",
-            all(x >= powers[0] for x in mu.support),
+            theta >= powers[0],
         ),
         Claim(
             "(ii)",
@@ -907,7 +895,7 @@ def check_lower_support(pair: RootPair) -> TheoremReport:
                 ("theta in supp mu", True),
             ),
             "nu([0, theta^(1/kappa))) == 0 and theta^(1/kappa) in supp nu",
-            not below_root and theta in powers,
+            not below_root and _member(powers, theta),
         ),
     )
     return TheoremReport(
@@ -926,10 +914,9 @@ def check_root_order_membership(
     CertifiedYes.  Requires iota_s_star = 1; reported as not applicable
     otherwise (and when J is empty).  mu is decided at the orders
     2..kappa_max only when iota_s_star = 1.  params as for
-    check_hole_backward; iota_s_star is read from them.
+    check_hole_backward, at any kappa; iota_s_star is read from them.
     """
-    if params is None:
-        theta1, theta2 = _mu_hole(mu, theta1, theta2)
+    theta1, theta2 = _mu_hole(mu, theta1, theta2, params)
     if not 2 <= kappa_max <= 16:
         raise UsageError("kappa_max must be in [2, 16]")
     theta3 = mu.max_point
@@ -956,8 +943,8 @@ def check_root_order_membership(
             note=f"J intersected with [2, {kappa_max}] is empty",
             data={"iota_s_star": iota_s_star},
         )
-    membership = {k: theta2 in d.nu.positive_powers() for k, d in working.items()}
-    in_mu = _in_support(mu, theta2)
+    membership = {k: _member(d.nu.positive_powers(), theta2) for k, d in working.items()}
+    in_mu = _member(mu.atoms, theta2, _point)
     some = any(membership.values())
     every = all(membership.values())
     claims = (

@@ -1,5 +1,8 @@
+from concurrent.futures import Future
+
 import pytest
 
+from momentroot import fuzz
 from momentroot.exact import UsageError
 from momentroot.fuzz import _run_chunk, run_suite
 from momentroot.generate import GenParams
@@ -29,6 +32,35 @@ def test_parallel_matches_serial():
     parallel = run_suite("roundtrip", params, 24, jobs=3)
     assert serial.ok == parallel.ok
     assert len(serial.violations) == len(parallel.violations)
+
+
+def test_pool_has_no_more_workers_than_chunks(monkeypatch):
+    started = []
+
+    class InlinePool:
+        """Runs each chunk at submit, in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(fuzz, "ProcessPoolExecutor", InlinePool)
+    params = GenParams(seed=31)
+    pooled = run_suite("roundtrip", params, 3, jobs=10 ** 6).to_dict()
+    serial = run_suite("roundtrip", params, 3).to_dict()
+    assert len(started) == 1 and 1 <= started[0] <= 3
+    del pooled["elapsed_seconds"], serial["elapsed_seconds"]
+    assert pooled == serial
 
 
 def test_violations_are_reported_not_raised():

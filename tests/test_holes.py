@@ -1,15 +1,20 @@
+import itertools
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentroot.decide import decide_root
+from momentroot.decide import NuRepresentation, decide_root
 from momentroot.exact import GuardExceeded, Radical, UsageError, radical_compare
 from momentroot.generate import GenParams, pick_kappa, random_atomic_measure, stream
 from momentroot.holes import (
     RootPair,
+    _member,
+    _point,
+    _some_inside,
     check_root_order_membership,
     check_top_of_support,
     check_hole_forward,
@@ -287,9 +292,18 @@ def test_root_pair_rejects_representation_of_another_kappa():
 def test_root_pair_has_one_checked_constructor():
     pair = root_pair(measure((1, 1), (2, 1)), 2)
     with pytest.raises(TypeError):
-        RootPair(mu=pair.mu, kappa=2, atoms=pair.atoms)
+        RootPair(mu=pair.mu, kappa=2, powers=pair.powers)
     with pytest.raises(FrozenInstanceError):
-        pair.atoms = ()
+        pair.powers = ()
+
+
+def test_root_pair_sorts_representation_powers():
+    # verify_representation does not read the entries' order
+    nu = measure((F(1, 2), 1), (1, 2), (3, 1))
+    mu = kappa_power_measure(nu, 2)
+    rep = decide_root(mu, 2).nu
+    shuffled = NuRepresentation(rep.base_mass, rep.entries[::-1], 2)
+    assert RootPair(mu, shuffled, 2) == RootPair(mu, nu, 2)
 
 
 def test_root_pair_from_decision_gives_same_reports():
@@ -305,12 +319,115 @@ def test_root_pair_from_decision_gives_same_reports():
             continue
         from_measure = RootPair(mu, nu, kappa)
         from_decision = RootPair(mu, decision.nu, kappa)
+        calls = [(check_lower_support,)]
         for hole in find_holes(mu):
-            for check in (check_hole_backward, check_iota_hole_criteria):
-                a = check(from_measure, hole.lower, hole.upper).to_dict()
-                assert a == check(from_decision, hole.lower, hole.upper).to_dict()
-                compared += 1
-    assert compared > 100
+            calls.append((check_hole_backward, hole.lower, hole.upper))
+            calls.append((check_iota_hole_criteria, hole.lower, hole.upper))
+            calls.append((check_top_of_support, hole.lower, hole.upper, mu.max_point))
+        for hole in find_holes(nu):
+            calls.append((check_hole_forward, hole.lower, hole.upper))
+            calls.append((partial(check_hole_forward, canonicalize=True), hole.lower, hole.upper))
+        for check, *args in calls:
+            a = check(from_measure, *args).to_dict()
+            assert a == check(from_decision, *args).to_dict()
+            compared += 1
+    assert compared > 300
+
+
+@pytest.mark.parametrize(
+    "check", [check_hole_backward, check_iota_hole_criteria, check_root_order_membership]
+)
+def test_params_must_describe_the_hole(check):
+    # the four-point fixture: holes (1/3, 1/2) and (1/2, 1) of supp mu
+    nu = measure((F(1, 6), 1), (F(1, 3), 1), (1, 1), (3, 1))
+    mu = kappa_power_measure(nu, 2)
+    pair = RootPair(mu, nu, 2)
+
+    def run(theta1, theta2, params):
+        if check is check_root_order_membership:
+            return check(mu, theta1, theta2, 4, params=params)
+        return check(pair, theta1, theta2, params=params)
+
+    own = triple_params(F(1, 2), 1, 9, 2)
+    assert run(F(1, 2), 1, own).to_dict() == run(F(1, 2), 1, None).to_dict()
+    with pytest.raises(UsageError):
+        run(F(1, 3), F(1, 2), own)  # another hole's params
+    with pytest.raises(UsageError):
+        run(F(1, 2), 1, triple_params(F(1, 2), 1, 10, 2))  # theta3 is not sup supp mu
+    with pytest.raises(UsageError):
+        run(F(1, 100), 2, triple_params(F(1, 100), 2, 9, 2))  # not a hole
+    if check is not check_root_order_membership:
+        with pytest.raises(UsageError):
+            run(F(1, 2), 1, triple_params(F(1, 2), 1, 9, 3))  # the pair's kappa is 2
+
+
+# ---------------------------------------------------------------------------
+# the support predicates, against the scans they replaced
+# ---------------------------------------------------------------------------
+
+
+def old_mass_open(mu, lo, hi):
+    """mu((lo, hi)) for radical endpoints, by kappa-th power comparisons."""
+    k = lo.index
+    return sum((w for x, w in mu.atoms if lo.power < x ** k < hi.power), F(0))
+
+
+def old_in_support(mu, r):
+    return not r.is_zero() and any(x ** r.index == r.power for x in mu.support)
+
+
+def assert_predicates_match_scans(mu, powers, kappa, rationals):
+    """_some_inside and _member over nu's powers and over mu's atoms agree
+    with the linear scans on every ordered pair of endpoints, lo >= hi too."""
+    radicals = [Radical.zero(kappa)]
+    for q in rationals:
+        if q > 0:
+            radicals += [Radical.root(q, kappa), Radical.from_rational(q, kappa)]
+            radicals.append(Radical(q, 3, kappa) * Radical.root(powers[-1], kappa))
+
+    def by_power(atom):
+        return atom[0] ** kappa
+
+    for lo in radicals:
+        assert _member(powers, lo.power) == (lo.power in powers)
+        assert _member(mu.atoms, lo.power, by_power) == old_in_support(mu, lo)
+        for hi in radicals:
+            assert _some_inside(powers, lo.power, hi.power) == any(
+                lo.power < p < hi.power for p in powers
+            )
+            assert _some_inside(mu.atoms, lo.power, hi.power, by_power) == (
+                old_mass_open(mu, lo, hi) != 0
+            )
+    for a in rationals:
+        assert _member(mu.atoms, a, _point) == (a in mu.support)
+        assert _member(powers, a) == (a in powers)
+        for b in rationals:
+            assert _some_inside(mu.atoms, a, b, _point) == (mu.mass_open(a, b) != 0)
+
+
+def test_predicates_match_scans_on_three_atom_grid():
+    thetas = [F(2) ** i for i in range(7)]
+    for support in itertools.combinations(thetas, 3):
+        mu = AtomicMeasure(tuple((t, F(1)) for t in support))
+        between = [(a + b) / 2 for a, b in zip(support, support[1:])]
+        rationals = [F(0), F(1, 2), *support, *between, F(2) ** 7]
+        for kappa in (2, 3):
+            assert_predicates_match_scans(mu, support, kappa, rationals)
+
+
+def test_predicates_match_scans_on_generator_draws():
+    params = GenParams(seed=0, max_atoms=3)  # every pair of endpoints is tried
+    for index in range(12):
+        nu = random_atomic_measure(params, index)
+        kappa = pick_kappa(params, stream(params, index))
+        try:
+            mu = kappa_power_measure(nu, kappa)
+        except GuardExceeded:
+            continue
+        powers = RootPair(mu, nu, kappa).powers
+        ends = [h.lower for h in find_holes(mu)] + [h.upper for h in find_holes(mu)]
+        rationals = sorted({F(0), *ends, *powers, *nu.support, mu.max_point + 1})
+        assert_predicates_match_scans(mu, powers, kappa, rationals)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ process with stdout captured.  The calls:
   corpus for each of BENCH_SEEDS (the corpus is built with this checkout's
   bench/);
 - params on generator triples at kappa 2..8, and table --json;
-- fuzz, every suite, on SEEDS (FUZZ_TRIALS trials of the theorems suite);
-  elapsed_seconds is masked.
+- fuzz, every suite, on SEEDS (FUZZ_TRIALS trials of the theorems suite),
+  and roundtrip and theorems again with --jobs 2, so the process-pool path
+  is compared too; elapsed_seconds is masked.
 
 Prints every call whose exit code or stdout differs, with its first
 differing bytes, then one line per command with the number of equal and of
@@ -76,6 +77,8 @@ def generator_calls(workdir: Path) -> list[list[str]]:
                 )
         for suite, trials in (("theorems", FUZZ_TRIALS), ("roundtrip", 100), ("iota", 40), ("feasibility", 40)):
             calls.append(["fuzz", "--suite", suite, "--trials", str(trials), "--seed", str(seed)])
+            if suite in ("theorems", "roundtrip"):
+                calls.append(calls[-1] + ["--jobs", "2"])
     calls.append(["table", "--json"])
     calls.append(["table", "--max-m", "40", "--json"])
     return calls
