@@ -20,7 +20,7 @@ from .feasibility import feasible, n_minus, n_plus, witness
 from .fixtures import run_all
 from .fuzz import SUITES, run_suite
 from .generate import GenParams
-from .holes import RootPair, _hole_params, _order_scans, _triples, _walk_holes, triple_params
+from .holes import RootPair, _order_scans, _triples, _walk_holes, triple_params
 from .measures import dump_measure, find_holes, load_measure
 
 __all__ = ["main"]
@@ -136,19 +136,19 @@ def _cmd_analyze(args) -> int:
         "decision": decision_to_dict(decision),
     }
     if args.holes or args.theorems:
-        params = _hole_params(mu, args.kappa)
-        doc["holes"] = _holes_dict(find_holes(mu))
-        doc["triples"] = _triples(params)
+        holes = find_holes(mu)
+        doc["holes"] = _holes_dict(holes)
+        doc["triples"] = _triples(mu, args.kappa)
     exit_code = 0
     if args.theorems:
         reports, skipped = [], []
         if decision.is_yes:
             pair = RootPair(mu, decision.nu, args.kappa)
-            scans, refused = _order_scans(mu, params, max(args.kappa, 4))
-            reports = _walk_holes(pair, params, scans)
+            scans, refused = _order_scans(mu, holes, max(args.kappa, 4))
+            reports = _walk_holes(pair, holes, scans)
             skipped = [
-                {"lower": format_rational(p.theta1), "upper": format_rational(p.theta2), "reason": reason}
-                for p, reason in refused
+                {"lower": format_rational(h.lower), "upper": format_rational(h.upper), "reason": reason}
+                for h, reason in refused
             ]
             if any(not r.ok for r in reports):
                 exit_code = 2

@@ -18,12 +18,11 @@ from fractions import Fraction
 from .decide import decide_root
 from .exact import GuardExceeded, UsageError
 from .feasibility import n_minus, n_plus, product_count, witness
-from .generate import GenParams, pick_kappa, random_atomic_measure, random_triple, stream
+from .generate import GenParams, random_root_instance, random_triple, stream
 from .holes import (
     Claim,
     RootPair,
     TheoremReport,
-    _hole_params,
     _order_scans,
     _walk_holes,
     check_top_of_support,
@@ -74,9 +73,7 @@ def _fail(theorem: str, name: str, conclusion: str, **data) -> TheoremReport:
 
 
 def _trial_roundtrip(params: GenParams, index: int) -> list[TheoremReport]:
-    rng = stream(params, index)
-    nu = random_atomic_measure(params, index)
-    kappa = pick_kappa(params, rng)
+    nu, kappa = random_root_instance(params, index)
     mu = kappa_power_measure(nu, kappa)
     out: list[TheoremReport] = []
     ctx = {"index": index, "kappa": kappa, "atoms": len(nu.atoms)}
@@ -127,15 +124,13 @@ def _trial_roundtrip(params: GenParams, index: int) -> list[TheoremReport]:
 
 
 def _trial_theorems(params: GenParams, index: int) -> list[TheoremReport]:
-    rng = stream(params, index)
-    nu = random_atomic_measure(params, index)
-    kappa = pick_kappa(params, rng)
+    nu, kappa = random_root_instance(params, index)
     mu = kappa_power_measure(nu, kappa)
     pair = RootPair(mu, nu, kappa)
     reports: list[TheoremReport] = []
 
     reports.append(check_lower_support(pair))
-    holes = _hole_params(mu, kappa)
+    holes = find_holes(mu)
     scans, refused = _order_scans(mu, holes, max(params.kappa_set))
     if refused:
         raise GuardExceeded(refused[0][1])
@@ -143,11 +138,11 @@ def _trial_theorems(params: GenParams, index: int) -> list[TheoremReport]:
     # paired consecutive holes exercise the two-hole statement
     interior = holes[1:]
     for first, second in zip(interior, interior[1:]):
-        reports.append(check_top_of_support(pair, first.theta1, first.theta2, second.theta2))
+        reports.append(check_top_of_support(pair, first.lower, first.upper, second.upper))
     # top hole with theta2 == theta3 == sup supp mu
     if len(mu.atoms) >= 2:
         top = interior[-1]
-        reports.append(check_top_of_support(pair, top.theta1, top.theta2, top.theta2))
+        reports.append(check_top_of_support(pair, top.lower, top.upper, top.upper))
     # holes of nu through the nu->mu transfer, plain and canonicalized
     for hole in find_holes(nu):
         reports.append(check_hole_forward(pair, hole.lower, hole.upper))

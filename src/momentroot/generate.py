@@ -29,6 +29,7 @@ __all__ = [
     "GenParams",
     "stream",
     "random_atomic_measure",
+    "random_root_instance",
     "random_triple",
     "pick_kappa",
 ]
@@ -95,7 +96,19 @@ def _rational(rng: SplitMix64, bound: int) -> Fraction:
 def random_atomic_measure(params: GenParams, index: int) -> AtomicMeasure:
     """Deterministic measure for (params.seed, index): 1..max_atoms distinct
     positive rational atoms with numerators/denominators within bound."""
+    return _draw_measure(params, stream(params, index))
+
+
+def random_root_instance(params: GenParams, index: int) -> tuple[AtomicMeasure, int]:
+    """(random_atomic_measure(params, index), kappa), with kappa drawn from
+    the trial's stream after the measure, so that it does not reuse the
+    value the atom count came from."""
     rng = stream(params, index)
+    nu = _draw_measure(params, rng)
+    return nu, pick_kappa(params, rng)
+
+
+def _draw_measure(params: GenParams, rng: SplitMix64) -> AtomicMeasure:
     count = 1 + rng.below(params.max_atoms)
     points: set[Fraction] = set()
     while len(points) < count:

@@ -9,9 +9,12 @@ checkers that relate nu to mu take a RootPair and never re-verify it.
 Every support test is exact and is one bisection of an ascending
 sequence: supp nu is held as the kappa-th powers of its atoms, and
 "x in (a, b)" is decided by comparing kappa-th powers, so no tolerance
-parameter exists in this module.  Checkers return TheoremReports; a report whose hypotheses
-all hold but whose conclusion fails is a counterexample and is treated as
-a failure by the fuzz harness.
+parameter exists in this module.  The kappa-th powers of the endpoints of
+a hole (theta1, theta2) of supp mu are rationals in theta1, theta2 and
+theta3, so the mu->nu checkers decide on those and build no radicals.
+Checkers return TheoremReports; a report whose hypotheses all hold but
+whose conclusion fails is a counterexample and is treated as a failure by
+the fuzz harness.
 """
 
 from __future__ import annotations
@@ -130,7 +133,10 @@ def json_value(v):
     return v
 
 
-def radical_to_dict(r: Radical, precision: int = 64) -> dict:
+APPROX_BITS = 64  # precision of the approx of an irrational radical in JSON
+
+
+def radical_to_dict(r: Radical) -> dict:
     exact = r.to_rational()
     out = {
         "coeff": format_rational(r.coeff),
@@ -139,8 +145,8 @@ def radical_to_dict(r: Radical, precision: int = 64) -> dict:
         "rational": format_rational(exact) if exact is not None else None,
     }
     if exact is None:
-        approx = r.approx(precision)
-        out["approx"] = {"decimal": approx.decimal(), "precision_bits": precision}
+        approx = r.approx(APPROX_BITS)
+        out["approx"] = {"decimal": approx.decimal(), "precision_bits": APPROX_BITS}
     return out
 
 
@@ -190,27 +196,21 @@ def _validate_triple(theta1, theta2, theta3, strict: bool = False):
         raise UsageError("need 0 <= theta1 < theta2 <= theta3")
 
 
-def _endpoints(theta1: Fraction, theta2: Fraction, theta3: Fraction, kappa: int):
-    """(alpha, beta, gamma, alpha_dag, beta_dag) for theta3 > 0.  Nothing is
-    validated, so theta2 > theta3 (a hole above sup supp mu) is allowed."""
-    if theta1 == 0:
-        alpha = beta_dag = Radical.zero(kappa)
-    else:
-        alpha = Radical(theta1 / theta3, theta3, kappa)
-        beta_dag = Radical.root(theta1, kappa)
-    beta = Radical.root(theta2, kappa)
-    gamma = Radical.root(theta3, kappa)
-    alpha_dag = Radical(theta2 / theta3, theta3, kappa)
-    return alpha, beta, gamma, alpha_dag, beta_dag
-
-
 def _triple(
     theta1: Fraction, theta2: Fraction, theta3: Fraction, kappa: int, endpoints=None
 ) -> TripleParams:
-    """TripleParams without validation, like _endpoints; endpoints, when
-    given, are the (alpha, beta, gamma, alpha_dag, beta_dag) of the triple."""
+    """TripleParams for theta3 > 0 without validation, so theta2 > theta3 (a
+    hole above sup supp mu) is allowed; endpoints, when given, are the
+    (alpha, beta, gamma, alpha_dag, beta_dag) of the triple."""
     iotas = _iotas(theta1, theta2, theta3) if 0 < theta1 and theta2 < theta3 else (None, None)
-    endpoints = endpoints or _endpoints(theta1, theta2, theta3, kappa)
+    if endpoints is None:
+        if theta1 == 0:
+            alpha = beta_dag = Radical.zero(kappa)
+        else:
+            alpha = Radical(theta1 / theta3, theta3, kappa)
+            beta_dag = Radical.root(theta1, kappa)
+        beta, gamma = Radical.root(theta2, kappa), Radical.root(theta3, kappa)
+        endpoints = alpha, beta, gamma, Radical(theta2 / theta3, theta3, kappa), beta_dag
     return TripleParams(theta1, theta2, theta3, kappa, *endpoints, *iotas)
 
 
@@ -518,15 +518,17 @@ class RootPair:
         object.__setattr__(self, "powers", powers)
 
 
-def _hole_params(mu: AtomicMeasure, kappa: int) -> tuple[TripleParams, ...]:
-    """The TripleParams of every hole of find_holes(mu), with theta3 = sup
-    supp mu.
+def _triples(mu: AtomicMeasure, kappa: int) -> list[dict]:
+    """The to_dict() of the TripleParams of every hole of find_holes(mu),
+    with theta3 = sup supp mu.
 
     Hole i is (x_{i-1}, x_i) over the support points x_0 < x_1 < ...
     (x_{-1} = 0), so alpha_i = alpha_dag_{i-1} and beta_dag_i = beta_{i-1}:
     each support point x gets one x**(1/kappa) radical and one
     (x/theta3) * theta3**(1/kappa) radical, shared by the two holes it
-    bounds.  The iota values are computed once per interior hole.
+    bounds, and each distinct radical is rendered once.  Radicals compare by
+    value, so the memo is keyed by their fields: equal values such as
+    (1/2)*4**(1/2) and 1**(1/2) still print their own coeff and radicand.
     """
     points = mu.support
     theta3 = points[-1]
@@ -534,17 +536,6 @@ def _hole_params(mu: AtomicMeasure, kappa: int) -> tuple[TripleParams, ...]:
     scaled = [Radical(x / theta3, theta3, kappa) for x in points]
     gamma, zero = roots[-1], Radical.zero(kappa)
     lows = [(Fraction(0), zero, zero), *zip(points, scaled, roots)]
-    return tuple(
-        _triple(theta1, theta2, theta3, kappa, (alpha, beta, gamma, alpha_dag, beta_dag))
-        for (theta1, alpha, beta_dag), theta2, beta, alpha_dag in zip(lows, points, roots, scaled)
-    )
-
-
-def _triples(params) -> list[dict]:
-    """[p.to_dict() for p in params], rendering each distinct radical once.
-    Radicals compare by value, so the memo is keyed by their fields: equal
-    values such as (1/2)*4**(1/2) and 1**(1/2) still print their own coeff
-    and radicand."""
     rendered: dict = {}
 
     def render(r: Radical) -> dict:
@@ -554,7 +545,10 @@ def _triples(params) -> list[dict]:
             out = rendered[key] = radical_to_dict(r)
         return out
 
-    return [p.to_dict(render) for p in params]
+    return [
+        _triple(theta1, theta2, theta3, kappa, (alpha, beta, gamma, alpha_dag, beta_dag)).to_dict(render)
+        for (theta1, alpha, beta_dag), theta2, beta, alpha_dag in zip(lows, points, roots, scaled)
+    ]
 
 
 def _as_radical(value, kappa: int) -> Radical:
@@ -666,52 +660,39 @@ def check_hole_forward(
     return TheoremReport("hole transfer nu->mu", claims, applicable=applicable, data=data)
 
 
-def _mu_hole(mu: AtomicMeasure, theta1, theta2, params=None) -> tuple[Fraction, Fraction]:
-    """(theta1, theta2) as Fractions, after checking it is a hole of supp mu
-    and, when params are given, that they are this hole's TripleParams with
-    theta3 = sup supp mu."""
+def _mu_hole(mu: AtomicMeasure, theta1, theta2) -> tuple[Fraction, Fraction]:
+    """(theta1, theta2) as Fractions, after checking it is a hole of supp mu."""
     theta1, theta2 = Fraction(theta1), Fraction(theta2)
     if not 0 <= theta1 < theta2:
         raise UsageError("need 0 <= theta1 < theta2")
     if _some_inside(mu.atoms, theta1, theta2, _point):
         raise UsageError("(theta1, theta2) is not a hole of supp mu")
-    hole = (theta1, theta2, mu.max_point)
-    if params is not None and (params.theta1, params.theta2, params.theta3) != hole:
-        raise UsageError("params do not describe the hole (theta1, theta2) of supp mu")
     return theta1, theta2
 
 
-def _hole_triple(pair: RootPair, theta1, theta2, params) -> TripleParams:
-    """The TripleParams of a hole (theta1, theta2) of supp mu with theta3 =
-    sup supp mu (theta2 > theta3 is allowed): params, once checked against
-    the hole and the pair's kappa, or else built afresh."""
-    theta1, theta2 = _mu_hole(pair.mu, theta1, theta2, params)
-    if params is None:
-        return _triple(theta1, theta2, pair.mu.max_point, pair.kappa)
-    if params.kappa != pair.kappa:
-        raise UsageError(f"params are for kappa = {params.kappa}, the pair's is {pair.kappa}")
-    return params
+def _scaled_power(x: Fraction, theta3: Fraction, kappa: int) -> Fraction:
+    """((x/theta3) * theta3**(1/kappa))**kappa: alpha**kappa for x = theta1,
+    alpha_dag**kappa for x = theta2."""
+    return x ** kappa / theta3 ** (kappa - 1)
 
 
-def check_hole_backward(
-    pair: RootPair, theta1, theta2, *, params: Optional[TripleParams] = None
-) -> TheoremReport:
-    """Candidate holes of supp nu induced by a hole (theta1, theta2) of supp mu.
-    params, if given, must be the hole's TripleParams with theta3 = sup supp
-    mu at the pair's kappa; others raise UsageError."""
-    p = _hole_triple(pair, theta1, theta2, params)
-    kappa, powers = pair.kappa, pair.powers
-    theta2, theta3 = p.theta2, p.theta3
-    alpha, beta, gamma, alpha_dag, beta_dag = p.alpha, p.beta, p.gamma, p.alpha_dag, p.beta_dag
+def check_hole_backward(pair: RootPair, theta1, theta2) -> TheoremReport:
+    """Candidate holes of supp nu induced by a hole (theta1, theta2) of supp mu,
+    with theta3 = sup supp mu; theta2 > theta3 is allowed."""
+    theta1, theta2 = _mu_hole(pair.mu, theta1, theta2)
+    kappa, powers, theta3 = pair.kappa, pair.powers, pair.mu.max_point
+    # the kappa-th powers of beta_dag, beta and gamma are theta1, theta2, theta3
+    alpha_k = _scaled_power(theta1, theta3, kappa)
+    alpha_dag_k = _scaled_power(theta2, theta3, kappa)
 
     upper_ok = theta2 <= theta3
-    bd_vs_ad = radical_compare(beta_dag, alpha_dag)
-    gba_small = radical_compare(gamma * alpha / beta, alpha_dag) < 0
+    bd_vs_ad = (theta1 > alpha_dag_k) - (theta1 < alpha_dag_k)
+    gba_small = theta3 * alpha_k / theta2 < alpha_dag_k  # ((gamma/beta)*alpha)**kappa
     beta_in_supp = _member(powers, theta2)
 
-    concl_i = not _some_inside(powers, beta_dag.power, beta.power)
-    concl_ii = not _some_inside(powers, alpha.power, alpha_dag.power)
-    concl_iii = not _some_inside(powers, alpha.power, beta.power)
+    concl_i = not _some_inside(powers, theta1, theta2)
+    concl_ii = not _some_inside(powers, alpha_k, alpha_dag_k)
+    concl_iii = not _some_inside(powers, alpha_k, theta2)
 
     hyp_upper = ("theta2 <= sup supp mu", upper_ok)
     cond_a = (
@@ -763,28 +744,27 @@ def check_hole_backward(
     )
 
 
-def check_iota_hole_criteria(
-    pair: RootPair, theta1, theta2, *, params: Optional[TripleParams] = None
-) -> TheoremReport:
-    """iota-based sufficient conditions for (alpha, beta) being a nu-hole;
-    params as for check_hole_backward."""
-    p = _hole_triple(pair, theta1, theta2, params)
-    kappa, powers = pair.kappa, pair.powers
-    if p.iota_s is None:  # not 0 < theta1 < theta2 < theta3
+def check_iota_hole_criteria(pair: RootPair, theta1, theta2) -> TheoremReport:
+    """iota-based sufficient conditions for (alpha, beta) being a nu-hole,
+    for a hole (theta1, theta2) of supp mu with theta3 = sup supp mu."""
+    theta1, theta2 = _mu_hole(pair.mu, theta1, theta2)
+    kappa, powers, theta3 = pair.kappa, pair.powers, pair.mu.max_point
+    if not (0 < theta1 and theta2 < theta3):
         return TheoremReport(
             "iota hole criteria",
             applicable=False,
             note="requires 0 < theta1 < theta2 < sup supp mu",
         )
-    beta_in_supp = _member(powers, p.theta2)
-    conclusion = not _some_inside(powers, p.alpha.power, p.beta.power)
+    iota_s, iota_s_star = _iotas(theta1, theta2, theta3)
+    beta_in_supp = _member(powers, theta2)
+    conclusion = not _some_inside(powers, _scaled_power(theta1, theta3, kappa), theta2)
     in_supp = ("beta in supp nu", beta_in_supp)
     conditions = (
-        ("(i)", (("kappa >= iota_s_star", kappa >= p.iota_s_star), in_supp)),
-        ("(ii)", (("iota_s >= iota_s_star", p.iota_s >= p.iota_s_star), in_supp)),
-        ("(iii)", (("iota_s >= 3", p.iota_s >= 3), in_supp)),
-        ("(iv)", (("iota_s >= 4", p.iota_s >= 4),)),
-        ("(v)", (("iota_s_star == 1", p.iota_s_star == 1),)),
+        ("(i)", (("kappa >= iota_s_star", kappa >= iota_s_star), in_supp)),
+        ("(ii)", (("iota_s >= iota_s_star", iota_s >= iota_s_star), in_supp)),
+        ("(iii)", (("iota_s >= 3", iota_s >= 3), in_supp)),
+        ("(iv)", (("iota_s >= 4", iota_s >= 4),)),
+        ("(v)", (("iota_s_star == 1", iota_s_star == 1),)),
     )
     claims = tuple(
         Claim(name, hyps, "nu((alpha, beta)) == 0", conclusion)
@@ -794,8 +774,8 @@ def check_iota_hole_criteria(
         "iota hole criteria",
         claims,
         data={
-            "iota_s": p.iota_s,
-            "iota_s_star": p.iota_s_star,
+            "iota_s": iota_s,
+            "iota_s_star": iota_s_star,
             "beta_in_support": beta_in_supp,
             "conclusion": conclusion,
         },
@@ -807,7 +787,8 @@ def check_top_of_support(pair: RootPair, theta1, theta2, theta3) -> TheoremRepor
     theta1, theta2, theta3 = Fraction(theta1), Fraction(theta2), Fraction(theta3)
     _validate_triple(theta1, theta2, theta3)
     mu, powers = pair.mu, pair.powers
-    alpha, beta, gamma, _, beta_dag = _endpoints(theta1, theta2, theta3, pair.kappa)
+    # the kappa-th powers of beta_dag, beta and gamma are theta1, theta2, theta3
+    alpha_k = _scaled_power(theta1, theta3, pair.kappa)
 
     hole_12 = not _some_inside(mu.atoms, theta1, theta2, _point)
     hole_23 = not _some_inside(mu.atoms, theta2, theta3, _point)
@@ -815,10 +796,10 @@ def check_top_of_support(pair: RootPair, theta1, theta2, theta3) -> TheoremRepor
     t1_in_mu = _member(mu.atoms, theta1, _point)
 
     cond_a = t1_in_mu and top and hole_12
-    alpha_in_nu = _member(powers, alpha.power)
-    beta_in_nu = _member(powers, beta.power)
-    beta_is_sup = powers[-1] == beta.power
-    nu_hole = not _some_inside(powers, alpha.power, beta.power)
+    alpha_in_nu = _member(powers, alpha_k)
+    beta_in_nu = _member(powers, theta2)
+    beta_is_sup = powers[-1] == theta2
+    nu_hole = not _some_inside(powers, alpha_k, theta2)
     cond_b = alpha_in_nu and beta_is_sup and nu_hole
 
     claims = (
@@ -830,8 +811,8 @@ def check_top_of_support(pair: RootPair, theta1, theta2, theta3) -> TheoremRepor
                 ("mu((theta2, theta3)) == 0", hole_23),
             ),
             "nu((beta_dag, beta)) == 0 and nu((beta, gamma)) == 0",
-            not _some_inside(powers, beta_dag.power, beta.power)
-            and not _some_inside(powers, beta.power, gamma.power),
+            not _some_inside(powers, theta1, theta2)
+            and not _some_inside(powers, theta2, theta3),
         ),
         Claim(
             "(ii)",
@@ -905,18 +886,15 @@ def check_lower_support(pair: RootPair) -> TheoremReport:
     )
 
 
-def check_root_order_membership(
-    mu: AtomicMeasure, theta1, theta2, kappa_max: int, *, params: Optional[TripleParams] = None
-) -> TheoremReport:
+def check_root_order_membership(mu: AtomicMeasure, theta1, theta2, kappa_max: int) -> TheoremReport:
     """Equivalence of theta2-membership across every working root order.
 
     J is the set of kappa in [2, kappa_max] whose root decision is
     CertifiedYes.  Requires iota_s_star = 1; reported as not applicable
     otherwise (and when J is empty).  mu is decided at the orders
-    2..kappa_max only when iota_s_star = 1.  params as for
-    check_hole_backward, at any kappa; iota_s_star is read from them.
+    2..kappa_max only when iota_s_star = 1.
     """
-    theta1, theta2 = _mu_hole(mu, theta1, theta2, params)
+    theta1, theta2 = _mu_hole(mu, theta1, theta2)
     if not 2 <= kappa_max <= 16:
         raise UsageError("kappa_max must be in [2, 16]")
     theta3 = mu.max_point
@@ -926,7 +904,7 @@ def check_root_order_membership(
             applicable=False,
             note="requires 0 < theta1 < theta2 < sup supp mu",
         )
-    iota_s_star = _iota_s_star(theta1, theta2, theta3) if params is None else params.iota_s_star
+    iota_s_star = _iota_s_star(theta1, theta2, theta3)
     if iota_s_star != 1:
         return TheoremReport(
             "membership across root orders",
@@ -971,32 +949,35 @@ def check_root_order_membership(
     )
 
 
-def _order_scans(mu: AtomicMeasure, params, kappa_max: int):
-    """check_root_order_membership on each interior hole of params (None on
-    the others), and (params, reason) per hole whose scan a guard refused.
-    Only iota_s_star == 1 holes decide mu at the orders 2..kappa_max, so a
-    caller that skips a refused scan learns of it before any other check."""
+def _order_scans(mu: AtomicMeasure, holes, kappa_max: int):
+    """check_root_order_membership on each interior hole of holes, the Holes
+    of find_holes(mu) (None on the others), and (hole, reason) per hole whose
+    scan a guard refused.  A hole is interior when 0 < lower and upper <
+    sup supp mu.  Only iota_s_star == 1 holes decide mu at the orders
+    2..kappa_max, so a caller that skips a refused scan learns of it before
+    any other check."""
+    theta3 = mu.max_point
     scans, refused = [], []
-    for p in params:
+    for hole in holes:
         report = None
-        if p.iota_s_star is not None:
+        if 0 < hole.lower and hole.upper < theta3:
             try:
-                report = check_root_order_membership(mu, p.theta1, p.theta2, kappa_max, params=p)
+                report = check_root_order_membership(mu, hole.lower, hole.upper, kappa_max)
             except GuardExceeded as exc:
-                refused.append((p, str(exc)))
+                refused.append((hole, str(exc)))
         scans.append(report)
     return scans, refused
 
 
-def _walk_holes(pair: RootPair, params, scans) -> list[TheoremReport]:
-    """The reports of every hole of params, in order: check_hole_backward,
+def _walk_holes(pair: RootPair, holes, scans) -> list[TheoremReport]:
+    """The reports of every hole of holes, in order: check_hole_backward,
     check_iota_hole_criteria and the hole's scan from _order_scans, if any.
     Each checker is entered by its public name, so a wrapper on it sees
     every hole."""
     reports = []
-    for p, scan in zip(params, scans):
-        reports.append(check_hole_backward(pair, p.theta1, p.theta2, params=p))
-        reports.append(check_iota_hole_criteria(pair, p.theta1, p.theta2, params=p))
+    for hole, scan in zip(holes, scans):
+        reports.append(check_hole_backward(pair, hole.lower, hole.upper))
+        reports.append(check_iota_hole_criteria(pair, hole.lower, hole.upper))
         if scan is not None:
             reports.append(scan)
     return reports

@@ -1,4 +1,4 @@
-"""analyze's hole params, radical rendering and JSON emitter against
+"""analyze's triples, radical rendering and JSON emitter against
 the direct per-hole computation, and the report of refused order scans."""
 
 import io

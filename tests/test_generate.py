@@ -7,6 +7,7 @@ from momentroot.generate import (
     GenParams,
     SplitMix64,
     random_atomic_measure,
+    random_root_instance,
     random_triple,
     stream,
 )
@@ -54,6 +55,21 @@ def test_random_triple_strictly_increasing():
     for index in range(32):
         a, b, c = random_triple(params, index)
         assert 0 < a < b < c
+
+
+@pytest.mark.parametrize(
+    "max_atoms,kappa_set", [(3, (2, 3, 4)), (6, (2, 3, 4)), (2, (2, 3))]
+)
+def test_root_instances_draw_kappa_apart_from_the_atom_count(max_atoms, kappa_set):
+    # gcd(max_atoms, len(kappa_set)) > 1: a kappa drawn from the value the
+    # atom count came from would reach only some (atoms, kappa) pairs
+    params = GenParams(seed=0, max_atoms=max_atoms, kappa_set=kappa_set)
+    seen = set()
+    for index in range(200):
+        nu, kappa = random_root_instance(params, index)
+        assert nu == random_atomic_measure(params, index)
+        seen.add((len(nu.atoms), kappa))
+    assert seen == {(n, k) for n in range(1, max_atoms + 1) for k in kappa_set}
 
 
 def test_stream_state_transition():

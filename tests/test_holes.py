@@ -14,7 +14,9 @@ from momentroot.holes import (
     RootPair,
     _member,
     _point,
+    _scaled_power,
     _some_inside,
+    _triple,
     check_root_order_membership,
     check_top_of_support,
     check_hole_forward,
@@ -28,7 +30,7 @@ from momentroot.holes import (
     iota_star_witness,
     triple_params,
 )
-from momentroot.measures import AtomicMeasure, find_holes, kappa_power_measure
+from momentroot.measures import AtomicMeasure, Hole, find_holes, kappa_power_measure
 
 
 def measure(*pairs):
@@ -334,33 +336,6 @@ def test_root_pair_from_decision_gives_same_reports():
     assert compared > 300
 
 
-@pytest.mark.parametrize(
-    "check", [check_hole_backward, check_iota_hole_criteria, check_root_order_membership]
-)
-def test_params_must_describe_the_hole(check):
-    # the four-point fixture: holes (1/3, 1/2) and (1/2, 1) of supp mu
-    nu = measure((F(1, 6), 1), (F(1, 3), 1), (1, 1), (3, 1))
-    mu = kappa_power_measure(nu, 2)
-    pair = RootPair(mu, nu, 2)
-
-    def run(theta1, theta2, params):
-        if check is check_root_order_membership:
-            return check(mu, theta1, theta2, 4, params=params)
-        return check(pair, theta1, theta2, params=params)
-
-    own = triple_params(F(1, 2), 1, 9, 2)
-    assert run(F(1, 2), 1, own).to_dict() == run(F(1, 2), 1, None).to_dict()
-    with pytest.raises(UsageError):
-        run(F(1, 3), F(1, 2), own)  # another hole's params
-    with pytest.raises(UsageError):
-        run(F(1, 2), 1, triple_params(F(1, 2), 1, 10, 2))  # theta3 is not sup supp mu
-    with pytest.raises(UsageError):
-        run(F(1, 100), 2, triple_params(F(1, 100), 2, 9, 2))  # not a hole
-    if check is not check_root_order_membership:
-        with pytest.raises(UsageError):
-            run(F(1, 2), 1, triple_params(F(1, 2), 1, 9, 3))  # the pair's kappa is 2
-
-
 # ---------------------------------------------------------------------------
 # the support predicates, against the scans they replaced
 # ---------------------------------------------------------------------------
@@ -510,10 +485,62 @@ def test_hole_backward_square_of_two_diracs():
 
 
 def test_hole_backward_rejects_non_hole():
-    nu = measure((1, 1), (2, 1))
-    mu = kappa_power_measure(nu, 2)
-    with pytest.raises(UsageError):
-        check_hole_backward(RootPair(mu, nu, 2), F(3, 2), 3)
+    # each checker of a hole of supp mu refuses an interval that is not one
+    two_diracs = measure((1, 1), (2, 1))  # mu = {1, 2, 4}
+    four_point = measure((F(1, 6), 1), (F(1, 3), 1), (1, 1), (3, 1))
+    for nu, theta1, theta2 in ((two_diracs, F(3, 2), 3), (four_point, F(1, 100), 2)):
+        mu = kappa_power_measure(nu, 2)
+        pair = RootPair(mu, nu, 2)
+        for check in (check_hole_backward, check_iota_hole_criteria):
+            with pytest.raises(UsageError):
+                check(pair, theta1, theta2)
+        with pytest.raises(UsageError):
+            check_root_order_membership(mu, theta1, theta2, 4)
+
+
+def assert_powers_match_radicals(theta1, theta2, theta3, kappa):
+    """The kappa-th powers the mu->nu checkers compare equal the powers of
+    the radicals of the triple (_triple does not validate, so theta2 > theta3
+    is allowed)."""
+    p = _triple(F(theta1), F(theta2), F(theta3), kappa)
+    alpha_k = _scaled_power(p.theta1, p.theta3, kappa)
+    alpha_dag_k = _scaled_power(p.theta2, p.theta3, kappa)
+    assert (alpha_k, alpha_dag_k) == (p.alpha.power, p.alpha_dag.power)
+    assert (p.theta1, p.theta2, p.theta3) == (p.beta_dag.power, p.beta.power, p.gamma.power)
+    assert p.theta3 * alpha_k / p.theta2 == (p.gamma * p.alpha / p.beta).power
+    assert (p.theta1 > alpha_dag_k) - (p.theta1 < alpha_dag_k) == radical_compare(p.beta_dag, p.alpha_dag)
+    return p
+
+
+def test_powers_match_radicals_on_three_atom_grid():
+    thetas = [F(2) ** i for i in range(7)]
+    for t1, t2, t3 in itertools.combinations(thetas, 3):  # criterion 8's supports
+        for kappa in range(2, 9):
+            # the holes of {t1, t2, t3}, one above it, and theta3 = theta2
+            for triple in ((0, t1, t3), (t1, t2, t3), (t2, t3, t3), (t3, 2 * t3, t3), (t1, t2, t2)):
+                assert_powers_match_radicals(*triple, kappa)
+
+
+def test_powers_match_radicals_on_generator_draws():
+    compared = 0
+    for index in range(40):
+        params = GenParams(seed=0, max_atoms=4, kappa_set=(2 + index % 7,))
+        nu = random_atomic_measure(params, index)
+        kappa = params.kappa_set[0]
+        try:
+            mu = kappa_power_measure(nu, kappa)
+        except GuardExceeded:
+            continue
+        pair, theta3 = RootPair(mu, nu, kappa), mu.max_point
+        for hole in [*find_holes(mu), Hole(theta3, 2 * theta3)]:
+            p = assert_powers_match_radicals(hole.lower, hole.upper, theta3, kappa)
+            # and the checker reads the same signs off its powers
+            report = check_hole_backward(pair, hole.lower, hole.upper)
+            remark = {c.name: c for c in report.claims}["dagger remark"]
+            assert report.data["beta_dag_vs_alpha_dag"] == radical_compare(p.beta_dag, p.alpha_dag)
+            assert remark.holds == (radical_compare(p.gamma * p.alpha / p.beta, p.alpha_dag) < 0)
+            compared += 1
+    assert compared > 100
 
 
 def test_hole_backward_accepts_nu_representation():

@@ -12,6 +12,8 @@ process with stdout captured.  The calls:
 - analyze --holes --theorems --json on every op of the benchmark's analyze
   corpus for each of BENCH_SEEDS (the corpus is built with this checkout's
   bench/);
+- analyze --holes --theorems --json on the squares of nu = {1, 1 + 10**-e,
+  10} for e in GAPS, whose holes next to 1 have a large iota_s_star;
 - params on generator triples at kappa 2..8, and table --json;
 - fuzz, every suite, on SEEDS (FUZZ_TRIALS trials of the theorems suite),
   and roundtrip and theorems again with --jobs 2, so the process-pool path
@@ -34,6 +36,7 @@ import subprocess
 import sys
 import tempfile
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,6 +45,7 @@ SEEDS = (0, 1)  # generator and fuzz seeds
 DRAWS = 12  # generator draws per seed and kappa
 BENCH_SEEDS = (0, 1)
 FUZZ_TRIALS = 200  # trials of the theorems suite
+GAPS = (2, 3, 4)  # at e = 5 one call takes seconds
 ELAPSED = re.compile(r'"elapsed_seconds": [-+.\deE]+')
 
 
@@ -100,6 +104,18 @@ def bench_calls(workdir: Path) -> list[list[str]]:
     return calls
 
 
+def narrow_gap_calls(workdir: Path) -> list[list[str]]:
+    from momentroot.measures import AtomicMeasure, dump_measure, kappa_power_measure
+
+    calls = []
+    for e in GAPS:
+        nu = AtomicMeasure.from_pairs([(1, 1), (1 + Fraction(1, 10 ** e), 1), (10, 1)])
+        path = workdir / f"gap{e}.json"
+        path.write_text(json.dumps(dump_measure(kappa_power_measure(nu, 2))), encoding="utf-8")
+        calls.append(["analyze", "--measure", str(path), "--kappa", "2", "--holes", "--theorems", "--json"])
+    return calls
+
+
 def worker(src: str, jobs: str, out: str) -> int:
     """Run every call of the jobs file with the momentroot under src."""
     sys.path.insert(0, src)
@@ -144,6 +160,7 @@ def main(argv=None) -> int:
         work = Path(tmp)
         calls = generator_calls(work)
         calls += bench_calls(work)
+        calls += narrow_gap_calls(work)
         jobs = work / "jobs.json"
         jobs.write_text(json.dumps(calls))
         procs = {
