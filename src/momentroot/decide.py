@@ -46,7 +46,6 @@ from typing import Optional
 
 from .exact import (
     BigFloat,
-    GuardExceeded,
     Radical,
     UsageError,
     perfect_nth_root,
@@ -56,6 +55,7 @@ from .measures import (
     MAX_MULTISETS,
     _check_kappa,
     _degree_maps,
+    _multiset_guard,
     _numerators,
     _push_atom,
 )
@@ -161,13 +161,12 @@ class RootDecision:
 def decide_root(mu: AtomicMeasure, kappa: int) -> RootDecision:
     """Decide whether the kappa-th root of mu's moment sequence is again a
     Stieltjes moment sequence, with an exact certificate either way.
+
+    Raises GuardExceeded when the positive candidates, the only ones
+    pushed forward, have more than MAX_MULTISETS size-kappa multisets.
     """
     _check_kappa(kappa)
     m_count = len(mu.atoms)
-    if math.comb(m_count + kappa - 1, kappa) > MAX_MULTISETS:
-        raise GuardExceeded(
-            f"decide_root guard: C({m_count}+{kappa}-1,{kappa}) exceeds {MAX_MULTISETS}"
-        )
     xs = mu.support
     base_mass = mu.atoms[0][1]
     den = math.lcm(*(x.denominator for x in xs))
@@ -194,6 +193,8 @@ def decide_root(mu: AtomicMeasure, kappa: int) -> RootDecision:
             )
         rhos.append(rho)
         if rho > 0:
+            # maps[1] holds one key per atom pushed so far
+            _multiset_guard(len(maps[1]) + 1, kappa, MAX_MULTISETS)
             _push_atom(maps, nums[j], rho)
 
     # full verification: every product of the positive candidates against mu
@@ -239,6 +240,7 @@ def verify_representation(mu: AtomicMeasure, nu: NuRepresentation) -> bool:
     positives = nu.positive_entries()
     if not positives:
         return False
+    _multiset_guard(len(positives), nu.kappa, MAX_MULTISETS)
     powers = [e.power for e in positives]
     den = math.lcm(*(p.denominator for p in powers + list(mu.support)))
     maps = _degree_maps(nu.kappa, zip(_numerators(powers, den), (e.rho for e in positives)))

@@ -8,7 +8,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from typing import Optional
 
 from .exact import (
@@ -133,11 +132,12 @@ def _check_kappa(kappa: int):
         raise UsageError(f"kappa must be in [2, 16], got {kappa}")
 
 
-def _multiset_guard(n: int, kappa: int):
+def _multiset_guard(n: int, kappa: int, limit: int):
+    """Refuse to push n atoms whose size-kappa multisets exceed limit."""
     count = math.comb(n + kappa - 1, kappa)
-    if count > MAX_MULTISETS:
+    if count > limit:
         raise GuardExceeded(
-            f"{count} multisets of size {kappa} over {n} elements exceed guard {MAX_MULTISETS}"
+            f"{count} multisets of size {kappa} over {n} elements exceed guard {limit}"
         )
 
 
@@ -192,7 +192,7 @@ def kappa_power_measure(nu: AtomicMeasure, kappa: int) -> AtomicMeasure:
     degree maps hold only ints.
     """
     _check_kappa(kappa)
-    _multiset_guard(len(nu.atoms), kappa)
+    _multiset_guard(len(nu.atoms), kappa, MAX_MULTISETS)
     point_den = math.lcm(*(p.denominator for p in nu.support))
     weight_den = math.lcm(*(w.denominator for w in nu.weights))
     maps = _degree_maps(
@@ -212,8 +212,10 @@ def product_support(points, kappa: int) -> tuple[Radical, ...]:
     the given points, deduplicated exactly and sorted ascending.
 
     Points may be rationals or same-index radicals; rationals are promoted
-    to the common index.  Products of radicals are deduplicated through
-    their index-th powers, which are rational.
+    to the common index.  The products' index-th powers, which are
+    rational, are the support of the kappa-fold power of a unit-weight
+    measure on the points' index-th powers; each product is returned as a
+    rational at index 1 and as the index-th root of its power above it.
     """
     _check_kappa(kappa)
     points = list(points)
@@ -223,20 +225,15 @@ def product_support(points, kappa: int) -> tuple[Radical, ...]:
     if len(indices) > 1:
         raise UsageError("product_support points must share a radical index")
     index = indices.pop() if indices else 1
-    rads = []
+    powers = set()
     for p in points:
         r = p if isinstance(p, Radical) else Radical.from_rational(Fraction(p), index)
         if r.is_zero():
             raise UsageError("product_support points must be positive")
-        rads.append(r)
-    _multiset_guard(len(rads), kappa)
-    seen: dict[Fraction, Radical] = {}
-    for combo in combinations_with_replacement(rads, kappa):
-        prod = combo[0]
-        for r in combo[1:]:
-            prod = prod * r
-        seen.setdefault(prod.power, prod)
-    return tuple(seen[k] for k in sorted(seen))
+        powers.add(r.power)
+    products = kappa_power_measure(AtomicMeasure.from_pairs((x, 1) for x in powers), kappa).support
+    form = Radical.from_rational if index == 1 else Radical.root
+    return tuple(form(x, index) for x in products)
 
 
 def find_holes(m: AtomicMeasure) -> list[Hole]:

@@ -117,7 +117,7 @@ def test_criterion_9_property_suites(capsys):
         doc = json.loads(capsys.readouterr().out)
         assert code == 0
         assert doc["ok"] is True and doc["violations"] == []
-        assert doc["trials"] == trials
+        assert doc["trials"] == trials and doc["skipped"] == []
         assert doc["elapsed_seconds"] < 120.0
         results.append(f"{suite}:{trials} in {doc['elapsed_seconds']}s")
     with capsys.disabled():

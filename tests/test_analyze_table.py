@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from momentroot import cli, holes
+from momentroot import cli, decide, holes
 from momentroot.cli import main
 from momentroot.decide import decide_root
 from momentroot.exact import GuardExceeded, format_rational
@@ -64,14 +64,10 @@ def test_analyze_blocks_match_direct_computation(tmp_path, kappa):
     for index in range(10):
         nu = random_atomic_measure(params, index)
         if kappa > 4 and len(nu.atoms) > 2:
-            continue  # kappa-th powers of larger nu lie beyond the multiset guard
+            continue  # their many holes make the reference walk take seconds
         mu = kappa_power_measure(nu, kappa)
         for variant in perturbations(mu, nu, kappa):
-            try:
-                triples, theorems, skipped = reference_blocks(variant, kappa)
-            except GuardExceeded:
-                assert analyze(tmp_path, variant, kappa, "--holes", "--theorems", "--json")[0] == 1
-                continue
+            triples, theorems, skipped = reference_blocks(variant, kappa)
             code, out = analyze(tmp_path, variant, kappa, "--holes", "--theorems", "--json")
             doc = json.loads(out)
             assert doc["triples"] == triples
@@ -94,28 +90,39 @@ def test_equal_radicals_keep_their_own_rendering(tmp_path):
     assert doc["triples"] == [triple_params(a, b, 4, 2).to_dict() for a, b in [(0, 1), (1, 2), (2, 4)]]
 
 
-# A kappa=2 power of 12 atoms: 78 atoms, so the kappa=4 order scan needs
-# C(81, 4) > 10**6 multisets, and the hole (649/17, 100) has iota_s_star 1.
+# A kappa=2 power of 12 atoms: 78 atoms, and the hole (649/17, 100) has
+# iota_s_star 1.  Its order scan pushes at most the 12 atoms the kappa=2
+# decision pushes, so it runs.
 NU_78 = AtomicMeasure.from_pairs(
     [(F(p, 17), 1) for p in (19, 23, 29, 31, 37, 41, 43, 47, 53, 59)] + [(10, 1), (11, 1)]
 )
 
 
-def test_refused_order_scan_is_reported(tmp_path):
+def test_refused_order_scan_is_reported(tmp_path, monkeypatch):
     mu = kappa_power_measure(NU_78, 2)
     assert len(mu.atoms) == 78
     code, out = analyze(tmp_path, mu, 2, "--theorems", "--json")
     assert code == 0
     doc = json.loads(out)
+    assert "theorems_skipped" not in doc
+    assert doc["theorems"] == reference_blocks(mu, 2)[1]
+    # The kappa=4 power of {1, 5, 6} pushes 3 atoms (15 multisets); the
+    # hole (216, 625) has iota_s_star 1, and its order scan decides mu at
+    # order 2, where mu is the square of a 6-atom measure (21 multisets).
+    mu = kappa_power_measure(AtomicMeasure.from_pairs([(1, 1), (5, 1), (6, 1)]), 4)
+    monkeypatch.setattr(decide, "MAX_MULTISETS", 20)
+    code, out = analyze(tmp_path, mu, 4, "--theorems", "--json")
+    assert code == 0
+    doc = json.loads(out)
     assert doc["theorems_skipped"] == [
-        {"lower": "649/17", "upper": "100", "reason": "decide_root guard: C(78+4-1,4) exceeds 1000000"}
+        {"lower": "216", "upper": "625", "reason": "21 multisets of size 2 over 6 elements exceed guard 20"}
     ]
-    _, theorems, skipped = reference_blocks(mu, 2)
+    _, theorems, skipped = reference_blocks(mu, 4)
     assert doc["theorems"] == theorems and doc["theorems_skipped"] == skipped
     assert list(doc)[-1] == "theorems_skipped"
-    code, text = analyze(tmp_path, mu, 2, "--theorems")
+    code, text = analyze(tmp_path, mu, 4, "--theorems")
     assert code == 0
-    assert "theorem check skipped: hole (649/17, 100): decide_root guard" in text
+    assert "theorem check skipped: hole (216, 625): 21 multisets of size 2 over 6 elements" in text
 
 
 def test_no_skipped_key_without_a_refusal(tmp_path):
@@ -136,6 +143,7 @@ def test_walk_enters_each_checker_by_its_public_name(tmp_path, monkeypatch):
     analyze(tmp_path, mu, 2, "--theorems", "--json")
     assert calls == {"check_hole_backward": 3, "check_iota_hole_criteria": 3, "check_root_order_membership": 1}
     # a fuzz trial whose order scan is refused is skipped before the other hole checks
+    monkeypatch.setattr(decide, "MAX_MULTISETS", 50)
     calls.clear()
     assert _run_chunk("theorems", GenParams(seed=1), 107, 108)[1]
     assert calls["check_root_order_membership"] > 0 and calls["check_hole_backward"] == 0
@@ -172,6 +180,7 @@ def test_emitter_matches_json_dumps_on_edge_docs(doc):
 def test_emitter_matches_json_dumps_for_every_subcommand(tmp_path, monkeypatch):
     docs = []
     monkeypatch.setattr(cli, "_emit", docs.append)
+    monkeypatch.setattr(decide, "MAX_MULTISETS", 50)  # so that fuzz skips trials
     nu = AtomicMeasure.from_pairs([(F(1, 3), 1), (1, 2), (F(5, 2), 1)])
     path = tmp_path / "mu.json"
     path.write_text(json.dumps(dump_measure(kappa_power_measure(nu, 3))))

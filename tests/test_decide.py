@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from momentroot import decide
 from momentroot.decide import (
+    Certificate,
     CertificateKind,
     Verdict,
     approx_root_moments,
@@ -100,10 +102,24 @@ def test_guard_kappa_range():
         decide_root(mu, 17)
 
 
-def test_guard_multiset_budget():
+def test_guard_multiset_budget(monkeypatch):
+    # the guard counts the atoms decide_root pushes, not the candidates:
+    # 80 candidates at kappa 16, but only the first is ever pushed
+    monkeypatch.setattr(decide, "MAX_MULTISETS", 1)
     mu = AtomicMeasure.from_pairs([(F(10 ** 9 + i), F(1)) for i in range(80)])
-    with pytest.raises(GuardExceeded):
-        decide_root(mu, 16)
+    d = decide_root(mu, 16)
+    assert d.certificate == Certificate(CertificateKind.MASS_MISMATCH, F(10 ** 9 + 1))
+    # the kappa=4 power of 5 atoms pushes all 5: C(5+4-1, 4) = 70 multisets
+    mu = kappa_power_measure(measure((1, 1), (2, 1), (3, 1), (5, 1), (7, 1)), 4)
+    monkeypatch.setattr(decide, "MAX_MULTISETS", 70)
+    rep = decide_root(mu, 4).nu
+    assert verify_representation(mu, rep)
+    monkeypatch.setattr(decide, "MAX_MULTISETS", 69)
+    message = "^70 multisets of size 4 over 5 elements exceed guard 69$"
+    with pytest.raises(GuardExceeded, match=message):
+        decide_root(mu, 4)
+    with pytest.raises(GuardExceeded, match=message):
+        verify_representation(mu, rep)
 
 
 # ---------------------------------------------------------------------------
@@ -142,10 +158,7 @@ def test_peeling_key_isolates_new_candidate(points, kappa):
 @settings(max_examples=40, deadline=None)
 def test_roundtrip_recovery(nu, kappa):
     mu = kappa_power_measure(nu, kappa)
-    try:
-        d = decide_root(mu, kappa)
-    except GuardExceeded:  # N=5, kappa=4 with all products distinct
-        return
+    d = decide_root(mu, kappa)
     assert d.is_yes
     w1 = nu.atoms[0][1]
     assert d.nu.base_mass == w1 ** kappa

@@ -2,7 +2,7 @@ from concurrent.futures import Future
 
 import pytest
 
-from momentroot import fuzz
+from momentroot import decide, fuzz
 from momentroot.exact import UsageError
 from momentroot.fuzz import _run_chunk, run_suite
 from momentroot.generate import GenParams
@@ -75,11 +75,19 @@ def test_theorems_with_wide_rational_bounds():
     assert summary.ok, [v.to_dict() for v in summary.violations]
 
 
-def test_skipped_trials_are_reported():
+def test_skipped_trials_are_reported(monkeypatch):
     params = GenParams(seed=0)
+    # the guard counts only the atoms decide_root pushes, so no trial of
+    # these ranges is refused at the default limit
+    assert run_suite("roundtrip", params, 13).skipped == []
+    assert run_suite("theorems", params, 13).skipped == []
+    assert _run_chunk("theorems", GenParams(seed=1), 107, 108) == ([], [])
+    # below it, the kappa=4 powers of 5-atom nu (70 multisets) are refused;
+    # the pool's workers are forked, so they see the lowered limit too
+    monkeypatch.setattr(decide, "MAX_MULTISETS", 50)
     serial = run_suite("roundtrip", params, 13)
-    assert [i for i, _ in serial.skipped] == [7, 12]
-    assert all(reason for _, reason in serial.skipped)
+    refused = "70 multisets of size 4 over 5 elements exceed guard 50"
+    assert serial.skipped == [(7, refused), (12, refused)]
     assert serial.trials == 13
     assert [s["index"] for s in serial.to_dict()["skipped"]] == [7, 12]
     parallel = run_suite("roundtrip", params, 13, jobs=2)
@@ -87,5 +95,5 @@ def test_skipped_trials_are_reported():
     # a theorems trial is skipped only when a hole with iota_s_star == 1
     # needs an order scan the guard refuses
     assert run_suite("theorems", params, 13).skipped == []
-    refused = (107, "decide_root guard: C(70+4-1,4) exceeds 1000000")
+    refused = (107, "55 multisets of size 2 over 10 elements exceed guard 50")
     assert _run_chunk("theorems", GenParams(seed=1), 107, 108) == ([], [refused])

@@ -314,11 +314,8 @@ def test_root_pair_from_decision_gives_same_reports():
     for index in range(40):
         nu = random_atomic_measure(params, index)
         kappa = pick_kappa(params, stream(params, index))
-        try:
-            mu = kappa_power_measure(nu, kappa)
-            decision = decide_root(mu, kappa)
-        except GuardExceeded:
-            continue
+        mu = kappa_power_measure(nu, kappa)
+        decision = decide_root(mu, kappa)
         from_measure = RootPair(mu, nu, kappa)
         from_decision = RootPair(mu, decision.nu, kappa)
         calls = [(check_lower_support,)]

@@ -1,12 +1,13 @@
 """The integer-key pushforward kernel against a direct multiset enumeration.
 
-decide_root, verify_representation and kappa_power_measure all run on one
-incremental kernel (measures._push_atom).  The reference below is the
-enumeration the kernel replaced: a depth-first search over size-kappa
-multisets per peeled candidate, a second full search for verification, and
-combinations_with_replacement for the kappa-fold power, all in Fraction
-arithmetic.  Decisions must agree exactly: verdict, certificate kind and
-location, and every NuEntry including the zero-rho ones.
+decide_root, verify_representation, kappa_power_measure and product_support
+all run on one incremental kernel (measures._push_atom).  The reference
+below is the enumeration the kernel replaced: a depth-first search over
+size-kappa multisets per peeled candidate, a second full search for
+verification, and combinations_with_replacement for the kappa-fold power
+and for the product support, all in Fraction arithmetic and with no
+multiset guard.  Decisions must agree exactly: verdict, certificate kind
+and location, and every NuEntry including the zero-rho ones.
 """
 
 import itertools
@@ -16,7 +17,6 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from momentroot import decide as decide_mod
 from momentroot.decide import (
     Certificate,
     CertificateKind,
@@ -27,9 +27,15 @@ from momentroot.decide import (
     decide_root,
     verify_representation,
 )
-from momentroot.exact import GuardExceeded
+from momentroot.exact import GuardExceeded, Radical
 from momentroot.generate import GenParams, pick_kappa, random_atomic_measure, stream
-from momentroot.measures import AtomicMeasure, _multiset_guard, kappa_power_measure
+from momentroot.measures import (
+    MAX_MULTISETS,
+    AtomicMeasure,
+    _multiset_guard,
+    kappa_power_measure,
+    product_support,
+)
 
 
 def ref_key_contribution(positives, kappa, key):
@@ -89,8 +95,6 @@ def ref_pushforward_map(positives, kappa):
 
 def ref_decide_root(mu, kappa):
     m_count = len(mu.atoms)
-    if math.comb(m_count + kappa - 1, kappa) > decide_mod.MAX_MULTISETS:
-        raise GuardExceeded("reference guard")
     xs = mu.support
     masses = dict(mu.atoms)
     base_mass = masses[xs[0]]
@@ -140,7 +144,7 @@ def ref_verify_representation(mu, nu):
 
 
 def ref_kappa_power_measure(nu, kappa):
-    _multiset_guard(len(nu.atoms), kappa)
+    _multiset_guard(len(nu.atoms), kappa, MAX_MULTISETS)
     fact = math.factorial
     acc = {}
     for combo in combinations_with_replacement(range(len(nu.atoms)), kappa):
@@ -156,6 +160,21 @@ def ref_kappa_power_measure(nu, kappa):
                 run = 1
         acc[point] = acc.get(point, F(0)) + weight
     return AtomicMeasure.from_pairs(acc.items())
+
+
+def ref_product_support(points, kappa):
+    """Every size-kappa product of the points as a Radical at their common
+    index, deduplicated through index-th powers; the first product reached
+    represents its power."""
+    index = next((p.index for p in points if isinstance(p, Radical)), 1)
+    rads = [p if isinstance(p, Radical) else Radical.from_rational(p, index) for p in points]
+    seen = {}
+    for combo in combinations_with_replacement(rads, kappa):
+        prod = combo[0]
+        for r in combo[1:]:
+            prod = prod * r
+        seen.setdefault(prod.power, prod)
+    return tuple(seen[k] for k in sorted(seen))
 
 
 def outcome(fn, *args):
@@ -212,15 +231,11 @@ def test_generator_draws_and_perturbations_match_reference(kappa):
     decided = 0
     for index in range(24):
         nu = random_atomic_measure(params, index)
-        if kappa > 4 and len(nu.atoms) > 2:
-            continue  # kappa-th powers of larger nu lie beyond the multiset guard
         mu = kappa_power_measure(nu, kappa)
         assert mu == ref_kappa_power_measure(nu, kappa)
         root = None
         for variant in perturbations(mu, nu, kappa):
             got = assert_same_decision(variant, kappa)
-            if got is GuardExceeded:
-                continue
             decided += 1
             if root is None:
                 assert got.is_yes
@@ -248,3 +263,39 @@ def test_negative_rho_precedes_an_earlier_stray_product():
     mu = AtomicMeasure.from_pairs([(1, 1), (2, 2), (3, 2), (4, 1), (9, 1), (36, 1)])
     got = assert_same_decision(mu, 2)
     assert got.certificate == Certificate(CertificateKind.NEGATIVE_RHO, F(36))
+
+
+def fields(radicals):
+    return [(r.coeff, r.radicand, r.index) for r in radicals]
+
+
+@pytest.mark.parametrize(
+    "points,kappa",
+    [
+        ([F(1, 5), F(1), F(2)], 3),
+        ([F(1, 2 ** 33), F(1), F(8)], 4),
+        ([F(3), F(3, 2), F(3), F(1, 7)], 2),  # a duplicate
+        ([Radical.root(2, 2), Radical.root(8, 2), Radical.root(3, 2)], 3),
+        ([Radical.root(F(1, 3), 5), Radical.root(7, 5), Radical.root(7, 5)], 4),
+        ([F(2), Radical.from_rational(3, 1), F(5, 3)], 3),  # mixed, index 1
+    ],
+)
+def test_product_support_matches_reference(points, kappa):
+    got = product_support(points, kappa)
+    assert fields(got) == fields(ref_product_support(points, kappa))
+
+
+def test_product_support_returns_roots_of_powers():
+    # a rational promoted to index 2 has coeff 3, not 1: its products keep
+    # their values and are returned as square roots of their squares
+    points = [F(3), Radical.root(2, 2)]
+    got = product_support(points, 2)
+    assert got == ref_product_support(points, 2)
+    assert fields(got) == [(1, 4, 2), (1, 18, 2), (1, 81, 2)]
+    assert fields(ref_product_support(points, 2)) == [(1, 4, 2), (3, 2, 2), (9, 1, 2)]
+    # at index 1 every product is returned as a rational
+    points = [Radical.root(3, 1), F(2)]
+    got = product_support(points, 2)
+    assert got == ref_product_support(points, 2)
+    assert fields(got) == [(4, 1, 1), (6, 1, 1), (9, 1, 1)]
+    assert fields(ref_product_support(points, 2)) == [(4, 1, 1), (2, 3, 1), (1, 9, 1)]

@@ -20,8 +20,9 @@ process with stdout captured.  The calls:
   is compared too; elapsed_seconds is masked.
 
 Prints every call whose exit code or stdout differs, with its first
-differing bytes, then one line per command with the number of equal and of
-differing calls; exits 1 if any call differs.  This is a check against an
+differing bytes and, when the exit codes differ, each side's first line of
+stderr (a refusal's message), then one line per command with the number of
+equal and of differing calls; exits 1 if any call differs.  This is a check against an
 older version of the code, not a test: nothing in tests/ runs it.
 """
 
@@ -125,8 +126,8 @@ def worker(src: str, jobs: str, out: str) -> int:
         raise SystemExit(f"imported momentroot from {cli.__file__}, not from {src}")
     results = []
     for argv in json.loads(Path(jobs).read_text()):
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        buf, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
             try:
                 code = cli.main(argv)
             except SystemExit as exc:  # argparse refusals
@@ -134,7 +135,7 @@ def worker(src: str, jobs: str, out: str) -> int:
         text = buf.getvalue()
         if argv[0] == "fuzz":
             text = ELAPSED.sub('"elapsed_seconds": _', text)
-        results.append([code, text])
+        results.append([code, text, err.getvalue().partition("\n")[0]])
     Path(out).write_text(json.dumps(results))
     return 0
 
@@ -176,7 +177,7 @@ def main(argv=None) -> int:
         this = json.loads((work / "this.json").read_text())
         other = json.loads((work / "parent.json").read_text())
     equal, differ = Counter(), Counter()
-    for argv, (code, text), (parent_code, parent_text) in zip(calls, this, other):
+    for argv, (code, text, err), (parent_code, parent_text, parent_err) in zip(calls, this, other):
         command = argv[0] + (" --json" if "--json" in argv else "")
         if code == parent_code and text == parent_text:
             equal[command] += 1
@@ -185,6 +186,8 @@ def main(argv=None) -> int:
         at = first_difference(text, parent_text)
         print("differs:", " ".join(argv))
         print(f"  exit code {code} here, {parent_code} in the parent")
+        if code != parent_code:
+            print(f"  first stderr line: here {err!r}, parent {parent_err!r}")
         print(f"  first differing byte {at}: here {text[at:at + 60]!r}")
         print(f"  {' ' * len(str(at))}                 parent {parent_text[at:at + 60]!r}")
     for command in sorted({*equal, *differ}):
