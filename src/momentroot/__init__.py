@@ -18,16 +18,13 @@ from .exact import (
     floor_log_ratio,
     format_rational,
     parse_rational,
-    radical_compare,
 )
 from .measures import (
     AtomicMeasure,
     Hole,
     find_holes,
-    hankel_consistency,
     kappa_power_measure,
     load_measure,
-    moments,
     product_support,
 )
 from .decide import (
@@ -104,17 +101,14 @@ __all__ = [
     "find_holes",
     "floor_log_ratio",
     "format_rational",
-    "hankel_consistency",
     "kappa_power_measure",
     "load_measure",
-    "moments",
     "n_minus",
     "n_plus",
     "parse_rational",
     "kappa_dependence_scan",
     "product_count",
     "product_support",
-    "radical_compare",
     "random_atomic_measure",
     "run_suite",
     "iota_dagger_relations",

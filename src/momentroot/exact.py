@@ -21,7 +21,6 @@ __all__ = [
     "int_nth_root",
     "perfect_nth_root",
     "Radical",
-    "radical_compare",
     "floor_log_ratio",
     "BigFloat",
     "bigfloat_root",
@@ -105,9 +104,10 @@ class Radical:
 
     coeff >= 0, radicand > 0, index >= 1.  A zero value is encoded as
     coeff == 0 (needed for interval endpoints sitting at the origin).
-    Radicals of equal index form a totally ordered multiplicative
-    semigroup; the order is decided exactly through index-th powers, which
-    are always rational.
+    A Radical is a value with no arithmetic: callers compare or combine
+    radicals through their index-th powers, which are always rational.
+    Equality and hash are on (index, power), so equal values of one index
+    compare equal whatever their coeff and radicand.
     """
 
     coeff: Fraction
@@ -160,53 +160,10 @@ class Radical:
             return None
         return self.coeff * r
 
-    def _coerce(self, other) -> "Radical":
-        if isinstance(other, Radical):
-            if other.index != self.index:
-                raise UsageError("mismatched radical indices")
-            return other
-        return Radical.from_rational(Fraction(other), self.index)
-
-    def __mul__(self, other) -> "Radical":
-        o = self._coerce(other)
-        return Radical(self.coeff * o.coeff, self.radicand * o.radicand, self.index)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "Radical":
-        o = self._coerce(other)
-        if o.coeff == 0:
-            raise ZeroDivisionError("division by zero radical")
-        return Radical(self.coeff / o.coeff, self.radicand / o.radicand, self.index)
-
-    def __pow__(self, m: int) -> "Radical":
-        if m < 0:
-            raise UsageError("negative radical powers unsupported")
-        if m == 0:
-            return Radical.from_rational(1, self.index)
-        return Radical(self.coeff ** m, self.radicand ** m, self.index)
-
-    def _cmp(self, other) -> int:
-        o = self._coerce(other)
-        a, b = self.power, o.power
-        return (a > b) - (a < b)
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
-
     def __eq__(self, other):
-        if not isinstance(other, (Radical, Fraction, int)):
+        if not isinstance(other, Radical):
             return NotImplemented
-        return self._cmp(other) == 0
+        return (self.index, self.power) == (other.index, other.power)
 
     def __hash__(self):
         return hash((self.index, self.power))
@@ -223,13 +180,6 @@ class Radical:
             f"Radical({format_rational(self.coeff)}"
             f"*{format_rational(self.radicand)}^(1/{self.index}))"
         )
-
-
-def radical_compare(a: Radical, b: Radical) -> int:
-    """-1, 0 or +1 as a <, ==, > b.  Exact; requires equal indices."""
-    if a.index != b.index:
-        raise UsageError("radical_compare needs matching indices")
-    return a._cmp(b)
 
 
 def _log2_int(n: int) -> float:

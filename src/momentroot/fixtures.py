@@ -10,9 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .decide import approx_root_moments, decide_root, verify_representation
-from .exact import radical_compare
 from .feasibility import class_membership, n_minus, n_plus, product_count, witness
-from .holes import RootPair, check_root_order_membership, check_hole_forward, check_hole_backward, check_iota_hole_criteria, triple_params
+from .holes import RootPair, _some_inside, check_root_order_membership, check_hole_forward, check_hole_backward, check_iota_hole_criteria, triple_params
 from .measures import AtomicMeasure, find_holes, kappa_power_measure
 
 __all__ = ["FIXTURES", "run_all"]
@@ -36,7 +35,7 @@ def fixture_three_point_hole():
         assert not decide_root(mu, kappa).is_yes, f"kappa={kappa}"
     p = triple_params(1, 2, 4, 2)
     assert p.iota_s == 3 and p.iota_s_star == 2
-    assert radical_compare(p.alpha_dag, p.beta_dag) == 0
+    assert p.alpha_dag.power == p.beta_dag.power
     assert p.alpha_dag.to_rational() == 1
     # beta = sqrt(2) is not a nu-atom, so every sufficient condition fails
     report = check_iota_hole_criteria(RootPair(mu, d2.nu, 2), 1, 2)
@@ -60,14 +59,14 @@ def fixture_four_point_hole():
     assert p.alpha.to_rational() == F(1, 6)
     assert p.alpha_dag.to_rational() == F(1, 3)
     assert p.gamma.to_rational() == 3
-    assert radical_compare(p.alpha_dag, p.beta_dag) < 0  # 1/3 < sqrt(1/2)
+    assert p.alpha_dag.power < p.beta_dag.power  # 1/3 < sqrt(1/2)
 
     pair = RootPair(mu, nu, 2)
     report = check_iota_hole_criteria(pair, F(1, 2), 1)
     assert not any(c.hypotheses_hold for c in report.claims)
     assert report.data["conclusion"] is False  # 1/3 sits inside (1/6, 1)
     assert report.ok
-    assert nu.mass_open(F(1, 6), 1) > 0
+    assert _some_inside(nu.support, F(1, 6), 1)
     assert F(1, 3) in nu.support
 
     plus = check_hole_backward(pair, F(1, 2), 1)
@@ -90,18 +89,18 @@ def fixture_three_point_wide_hole():
     nu = measure((F(1, 16), 1), (2, 1), (16, 1))
     mu = kappa_power_measure(nu, 2)
     assert list(mu.support) == [F(1, 256), F(1, 8), 1, 4, 32, 256]
-    assert mu.mass_open(1, 4) == 0
+    assert not _some_inside(mu.support, 1, 4)
 
     p = triple_params(1, 4, 256, 2)
     assert p.alpha.to_rational() == F(1, 16)
     assert p.alpha_dag.to_rational() == F(1, 4)
     assert p.beta.to_rational() == 2
     assert p.beta_dag.to_rational() == 1
-    assert radical_compare(p.alpha_dag, p.beta_dag) < 0
-    assert radical_compare(p.gamma * p.alpha / p.beta, p.alpha_dag) > 0
+    assert p.alpha_dag.power < p.beta_dag.power
+    assert p.gamma.power * p.alpha.power / p.beta.power > p.alpha_dag.power
     assert p.iota_s == 2 and p.iota_s_star == 4
 
-    assert nu.mass_open(F(1, 16), 2) == 0
+    assert not _some_inside(nu.support, F(1, 16), 2)
     assert F(1, 16) in nu.support and F(2) in nu.support
 
     plus = check_hole_backward(RootPair(mu, nu, 2), 1, 4)

@@ -11,7 +11,9 @@ sequence: supp nu is held as the kappa-th powers of its atoms, and
 "x in (a, b)" is decided by comparing kappa-th powers, so no tolerance
 parameter exists in this module.  The kappa-th powers of the endpoints of
 a hole (theta1, theta2) of supp mu are rationals in theta1, theta2 and
-theta3, so the mu->nu checkers decide on those and build no radicals.
+theta3, so the mu->nu checkers decide on those and build no radicals;
+check_hole_forward and ordering_report compare kappa-th powers as well, so
+radicals appear only as report data.
 Checkers return TheoremReports; a report whose hypotheses all hold but
 whose conclusion fails is a counterexample and is treated as a failure by
 the fuzz harness.
@@ -30,11 +32,11 @@ from .exact import (
     GuardExceeded,
     Radical,
     UsageError,
+    bigfloat_root,
     floor_log_ratio,
     format_rational,
-    radical_compare,
 )
-from .measures import AtomicMeasure, _check_kappa, kappa_power_measure
+from .measures import KAPPA_RANGE, AtomicMeasure, _check_kappa, kappa_power_measure
 from .decide import NuRepresentation, decide_root, verify_representation
 
 __all__ = [
@@ -222,28 +224,30 @@ def triple_params(theta1, theta2, theta3, kappa: int) -> TripleParams:
 
 
 def ordering_report(p: TripleParams) -> TheoremReport:
-    """The unconditional order relations among the derived endpoints."""
+    """The unconditional order relations among the derived endpoints,
+    decided on their kappa-th powers."""
     k = p.kappa
-    lhs = p.alpha * p.gamma ** (k - 1)
+    alpha, beta, gamma = p.alpha.power, p.beta.power, p.gamma.power
+    alpha_dag, beta_dag = p.alpha_dag.power, p.beta_dag.power
     t2_vs = (p.theta1 * p.theta3 ** (k - 1)) - (p.theta2 ** k)
-    dag_cmp = radical_compare(p.alpha_dag, p.beta_dag)
+    dag_cmp = (alpha_dag > beta_dag) - (alpha_dag < beta_dag)
     claims = (
-        Claim("alpha < beta", (), "alpha < beta", p.alpha < p.beta),
-        Claim("beta <= gamma", (), "beta <= gamma", p.beta <= p.gamma),
-        Claim("alpha < alpha_dag", (), "alpha < alpha_dag", p.alpha < p.alpha_dag),
-        Claim("alpha_dag <= beta", (), "alpha_dag <= beta", p.alpha_dag <= p.beta),
-        Claim("beta_dag < beta", (), "beta_dag < beta", p.beta_dag < p.beta),
+        Claim("alpha < beta", (), "alpha < beta", alpha < beta),
+        Claim("beta <= gamma", (), "beta <= gamma", beta <= gamma),
+        Claim("alpha < alpha_dag", (), "alpha < alpha_dag", alpha < alpha_dag),
+        Claim("alpha_dag <= beta", (), "alpha_dag <= beta", alpha_dag <= beta),
+        Claim("beta_dag < beta", (), "beta_dag < beta", beta_dag < beta),
         Claim(
             "alpha*gamma^(k-1) < beta^k",
             (),
             "alpha * gamma**(kappa-1) < beta**kappa",
-            radical_compare(lhs, p.beta ** k) < 0,
+            alpha * gamma ** (k - 1) < beta ** k,
         ),
         Claim(
             "alpha_dag < beta iff theta2 < theta3",
             (),
             "strictness of alpha_dag < beta matches theta2 < theta3",
-            (radical_compare(p.alpha_dag, p.beta) < 0) == (p.theta2 < p.theta3),
+            (alpha_dag < beta) == (p.theta2 < p.theta3),
         ),
         Claim(
             "dagger order matches theta comparison",
@@ -408,7 +412,7 @@ def kappa_dependence_scan(
 
     # (i)/(ii): limits, restated as monotone approach and checked numerically
     alpha_dag_vals = [
-        Radical(theta2 / theta3, theta3, k).approx(precision).to_fraction()
+        bigfloat_root(_scaled_power(theta2, theta3, k), k, precision).to_fraction()
         for k in kappas
     ]
     target = theta2 / theta3
@@ -424,9 +428,7 @@ def kappa_dependence_scan(
     )
     beta_dag_vals = None
     if theta1 > 0:
-        beta_dag_vals = [
-            Radical.root(theta1, k).approx(precision).to_fraction() for k in kappas
-        ]
+        beta_dag_vals = [bigfloat_root(theta1, k, precision).to_fraction() for k in kappas]
         dist_b = [abs(v - 1) for v in beta_dag_vals]
         holds_b = all(b <= a for a, b in zip(dist_b, dist_b[1:]))
     else:
@@ -551,15 +553,21 @@ def _triples(mu: AtomicMeasure, kappa: int) -> list[dict]:
     ]
 
 
-def _as_radical(value, kappa: int) -> Radical:
+def _endpoint_power(value, kappa: int) -> Fraction:
+    """The kappa-th power of a nonnegative rational or index-kappa Radical."""
     if isinstance(value, Radical):
         if value.index != kappa:
             raise UsageError(f"endpoint radical has index {value.index}, expected {kappa}")
-        return value
+        return value.power
     value = Fraction(value)
     if value < 0:
         raise UsageError("endpoints must be nonnegative")
-    return Radical.zero(kappa) if value == 0 else Radical.from_rational(value, kappa)
+    return value ** kappa
+
+
+def _radical(power: Fraction, kappa: int) -> Radical:
+    """The nonnegative kappa-th root of power, as a Radical."""
+    return Radical.root(power, kappa) if power else Radical.zero(kappa)
 
 
 def _some_inside(seq, lo, hi, key=None) -> bool:
@@ -592,58 +600,55 @@ def check_hole_forward(
     (theta1, theta2) and theta3 = sup supp mu; (ii) alpha in supp nu iff
     theta1 in supp mu; (iii) beta in supp nu iff theta2 in supp mu.
     Precondition failures are reported (applicable=False), not raised.
+    Decided on kappa-th powers: a = alpha**kappa, b = beta**kappa and
+    g = gamma**kappa = theta3, so the kappa-th powers of theta1, theta2 and
+    theta3 are a*g**(kappa-1), b**kappa and g**kappa.
     """
     mu, kappa, powers = pair.mu, pair.kappa, pair.powers
-    alpha = _as_radical(alpha, kappa)
-    beta = _as_radical(beta, kappa)
-    gamma = Radical.root(powers[-1], kappa)
+    a = _endpoint_power(alpha, kappa)
+    b = _endpoint_power(beta, kappa)
+    g = powers[-1]
     data: dict = {}
 
-    def preconditions(a: Radical, b: Radical):
+    def preconditions(a: Fraction, b: Fraction):
         return (
-            ("nu((alpha, beta)) == 0", not _some_inside(powers, a.power, b.power)),
-            ("0 <= alpha < beta <= sup supp nu", a < b and b <= gamma),
-            (
-                "alpha*gamma^(kappa-1) < beta^kappa",
-                radical_compare(a * gamma ** (kappa - 1), b ** kappa) < 0,
-            ),
+            ("nu((alpha, beta)) == 0", not _some_inside(powers, a, b)),
+            ("0 <= alpha < beta <= sup supp nu", a < b <= g),
+            ("alpha*gamma^(kappa-1) < beta^kappa", a * g ** (kappa - 1) < b ** kappa),
         )
 
     extra_claims: list[Claim] = []
     if canonicalize:
-        original_ok = all(ok for _, ok in preconditions(alpha, beta))
-        data["canonicalized_from"] = {"alpha": alpha, "beta": beta}
-        below = bisect_right(powers, alpha.power)  # atoms <= alpha
-        above = bisect_left(powers, beta.power)  # first atom >= beta
-        alpha = Radical.root(powers[below - 1], kappa) if below else Radical.zero(kappa)
-        beta = Radical.root(powers[above], kappa) if above < len(powers) else beta
+        original_ok = all(ok for _, ok in preconditions(a, b))
+        data["canonicalized_from"] = {"alpha": _radical(a, kappa), "beta": _radical(b, kappa)}
+        below = bisect_right(powers, a)  # atoms <= alpha
+        above = bisect_left(powers, b)  # first atom >= beta
+        a = powers[below - 1] if below else Fraction(0)
+        b = powers[above] if above < len(powers) else b
         extra_claims.append(
             Claim(
                 "canonicalization",
                 (("original endpoints satisfy the preconditions", original_ok),),
                 "snapped endpoints satisfy the preconditions as well",
-                all(ok for _, ok in preconditions(alpha, beta)),
+                all(ok for _, ok in preconditions(a, b)),
             )
         )
 
-    hyps = preconditions(alpha, beta)
+    hyps = preconditions(a, b)
     applicable = all(ok for _, ok in hyps)
 
-    t1 = alpha * gamma ** (kappa - 1)
-    t2 = beta ** kappa
-    t3 = gamma ** kappa
-    data["theta1"], data["theta2"], data["theta3"] = t1, t2, t3
+    t1, t2 = a * g ** (kappa - 1), b ** kappa  # kappa-th powers of theta1, theta2
+    data["theta1"], data["theta2"] = _radical(t1, kappa), _radical(t2, kappa)
+    data["theta3"] = _radical(g ** kappa, kappa)
 
     if applicable:
-        # supp mu against radical endpoints, through kappa-th powers
+        # supp mu against theta1 and theta2, through kappa-th powers
         def key(atom):
             return atom[0] ** kappa
 
-        hole_ok = not _some_inside(mu.atoms, t1.power, t2.power, key)
-        sup_ok = mu.max_point ** kappa == t3.power
-        c1 = hole_ok and sup_ok
-        c2 = _member(powers, alpha.power) == _member(mu.atoms, t1.power, key)
-        c3 = _member(powers, beta.power) == _member(mu.atoms, t2.power, key)
+        c1 = not _some_inside(mu.atoms, t1, t2, key) and mu.max_point == g
+        c2 = _member(powers, a) == _member(mu.atoms, t1, key)
+        c3 = _member(powers, b) == _member(mu.atoms, t2, key)
     else:
         c1 = c2 = c3 = None
     claims = (
@@ -895,7 +900,7 @@ def check_root_order_membership(mu: AtomicMeasure, theta1, theta2, kappa_max: in
     2..kappa_max only when iota_s_star = 1.
     """
     theta1, theta2 = _mu_hole(mu, theta1, theta2)
-    if not 2 <= kappa_max <= 16:
+    if kappa_max not in KAPPA_RANGE:
         raise UsageError("kappa_max must be in [2, 16]")
     theta3 = mu.max_point
     if not (0 < theta1 and theta2 < theta3):

@@ -1,5 +1,5 @@
-"""Finitely atomic measures on (0, oo): exact moments, power pushforwards,
-product supports, hole extraction and Hankel positivity.
+"""Finitely atomic measures on (0, oo): power pushforwards, product
+supports and hole extraction.
 """
 
 from __future__ import annotations
@@ -8,7 +8,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .exact import (
     GuardExceeded,
@@ -21,19 +20,13 @@ from .exact import (
 __all__ = [
     "AtomicMeasure",
     "Hole",
-    "moments",
     "kappa_power_measure",
     "product_support",
     "find_holes",
-    "hankel_consistency",
-    "hankel_matrix",
-    "HankelVerdict",
-    "HankelWitness",
     "load_measure",
     "dump_measure",
 ]
 
-MAX_HORIZON = 10 ** 4
 MAX_MULTISETS = 10 ** 6
 KAPPA_RANGE = range(2, 17)
 
@@ -82,23 +75,6 @@ class AtomicMeasure:
     def max_point(self) -> Fraction:
         return self.atoms[-1][0]
 
-    def mass_open(self, lo, hi) -> Fraction:
-        """Mass of the open interval (lo, hi) with rational endpoints."""
-        lo, hi = Fraction(lo), Fraction(hi)
-        return sum((w for p, w in self.atoms if lo < p < hi), Fraction(0))
-
-    def scale_weights(self, c) -> "AtomicMeasure":
-        c = Fraction(c)
-        if c <= 0:
-            raise UsageError("weight scaling must be positive")
-        return AtomicMeasure(tuple((p, c * w) for p, w in self.atoms))
-
-    def dilate(self, s) -> "AtomicMeasure":
-        s = Fraction(s)
-        if s <= 0:
-            raise UsageError("dilation factor must be positive")
-        return AtomicMeasure(tuple((s * p, w) for p, w in self.atoms))
-
 
 @dataclass(frozen=True)
 class Hole:
@@ -111,20 +87,6 @@ class Hole:
     def __post_init__(self):
         if not (0 <= self.lower < self.upper):
             raise UsageError("hole endpoints must satisfy 0 <= lower < upper")
-
-
-def moments(m: AtomicMeasure, horizon: int) -> tuple[Fraction, ...]:
-    """Exact moments a_n = sum_i w_i * p_i**n for n = 0..horizon."""
-    if horizon < 0:
-        raise UsageError("horizon must be >= 0")
-    if horizon > MAX_HORIZON:
-        raise GuardExceeded(f"horizon {horizon} exceeds guard {MAX_HORIZON}")
-    values = []
-    powers = [Fraction(1)] * len(m.atoms)
-    for _ in range(horizon + 1):
-        values.append(sum((w * pw for (_, w), pw in zip(m.atoms, powers)), Fraction(0)))
-        powers = [pw * p for (p, _), pw in zip(m.atoms, powers)]
-    return tuple(values)
 
 
 def _check_kappa(kappa: int):
@@ -185,8 +147,8 @@ def _push_atom(maps: list[dict], num: int, weight) -> None:
 def kappa_power_measure(nu: AtomicMeasure, kappa: int) -> AtomicMeasure:
     """Pushforward of the kappa-fold product of nu under multiplication.
 
-    The result mu satisfies moments(mu, n) = moments(nu, n)**kappa for
-    every n: the mass at a product point is the sum over size-kappa
+    The n-th moment of the result mu is the kappa-th power of nu's n-th
+    moment, for every n: the mass at a product point is the sum over size-kappa
     multisets of nu-atoms of multinomial(multiplicities) * product of
     weights.  Points and weights are cleared of denominators first, so the
     degree maps hold only ints.
@@ -246,92 +208,6 @@ def find_holes(m: AtomicMeasure) -> list[Hole]:
     for a, b in zip(pts, pts[1:]):
         holes.append(Hole(a, b))
     return holes
-
-
-@dataclass(frozen=True)
-class HankelWitness:
-    """A principal submatrix with negative determinant.
-
-    offset selects the Hankel matrix (0 for entries a_{i+j}, 1 for
-    a_{i+j+1}); indices are its violating row/column indices.
-    """
-
-    offset: int
-    indices: tuple[int, ...]
-    determinant: Fraction
-
-
-@dataclass(frozen=True)
-class HankelVerdict:
-    consistent: bool
-    witness: Optional[HankelWitness] = None
-
-
-def hankel_matrix(values, offset: int, size: int) -> list[list[Fraction]]:
-    values = list(values)
-    return [
-        [Fraction(values[i + j + offset]) for j in range(size)] for i in range(size)
-    ]
-
-
-def _psd_violation(matrix) -> Optional[tuple[tuple[int, ...], Fraction]]:
-    """None if the symmetric rational matrix is PSD; otherwise indices of a
-    principal submatrix with negative determinant, plus that determinant.
-
-    Recursive Schur complementation with the zero-pivot rule: a zero
-    diagonal pivot must have an all-zero row, else the matrix is not PSD.
-    """
-    work = [row[:] for row in matrix]
-    active = list(range(len(matrix)))
-    done: list[tuple[int, Fraction]] = []  # (original index, positive pivot)
-    while work:
-        d = work[0][0]
-        if d < 0:
-            det = math.prod((p for _, p in done), start=Fraction(1)) * d
-            return tuple(i for i, _ in done) + (active[0],), det
-        if d == 0:
-            for j in range(1, len(work)):
-                c = work[0][j]
-                if c != 0:
-                    det = math.prod((p for _, p in done), start=Fraction(1)) * (-c * c)
-                    return (
-                        tuple(i for i, _ in done) + (active[0], active[j]),
-                        det,
-                    )
-            work = [row[1:] for row in work[1:]]
-            active = active[1:]
-            continue
-        done.append((active[0], d))
-        top = work[0]
-        work = [
-            [work[i][j] - top[i] * top[j] / d for j in range(1, len(work))]
-            for i in range(1, len(work))
-        ]
-        active = active[1:]
-    return None
-
-
-def hankel_consistency(prefix) -> HankelVerdict:
-    """Exact PSD test of both Hankel matrices built from a moment prefix.
-
-    Consistent iff H0 = (a_{i+j}) and H1 = (a_{i+j+1}), at the largest
-    sizes the prefix supports, are both positive semidefinite.  This is
-    the standard necessary condition for a Stieltjes prefix and serves as
-    an independent consistency oracle.
-    """
-    values = list(prefix)
-    if not values:
-        raise UsageError("hankel_consistency needs a nonempty prefix")
-    top = len(values) - 1
-    for offset in (0, 1):
-        size = (top - offset) // 2 + 1
-        if size < 1:
-            continue
-        violation = _psd_violation(hankel_matrix(values, offset, size))
-        if violation is not None:
-            indices, det = violation
-            return HankelVerdict(False, HankelWitness(offset, indices, det))
-    return HankelVerdict(True)
 
 
 def load_measure(source) -> AtomicMeasure:

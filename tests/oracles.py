@@ -1,0 +1,327 @@
+"""Reference implementations that the tests compare the library against.
+
+None of this is read by a verdict.  The moment and Hankel oracles give an
+independent consistency check of root decisions; the ref_* functions are
+the direct multiset enumerations the pushforward kernel replaced, in
+Fraction arithmetic and with no multiset guard; radical_product,
+radical_quotient and radical_compare are same-index radical arithmetic,
+which the library does only on kappa-th powers.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import combinations_with_replacement
+from typing import Optional
+
+from momentroot.decide import (
+    Certificate,
+    CertificateKind,
+    NuEntry,
+    NuRepresentation,
+    RootDecision,
+    Verdict,
+)
+from momentroot.exact import GuardExceeded, Radical, UsageError
+from momentroot.measures import MAX_MULTISETS, AtomicMeasure, _multiset_guard
+
+MAX_HORIZON = 10 ** 4
+
+
+# ---------------------------------------------------------------------------
+# radicals of one index
+# ---------------------------------------------------------------------------
+
+
+def radical_product(a: Radical, b: Radical) -> Radical:
+    """a * b, field by field."""
+    assert a.index == b.index
+    return Radical(a.coeff * b.coeff, a.radicand * b.radicand, a.index)
+
+
+def radical_quotient(a: Radical, b: Radical) -> Radical:
+    """a / b for b != 0, field by field."""
+    assert a.index == b.index and not b.is_zero()
+    return Radical(a.coeff / b.coeff, a.radicand / b.radicand, a.index)
+
+
+def radical_compare(a: Radical, b: Radical) -> int:
+    """-1, 0 or +1 as a <, ==, > b, through index-th powers."""
+    assert a.index == b.index
+    return (a.power > b.power) - (a.power < b.power)
+
+
+# ---------------------------------------------------------------------------
+# measures: open-interval mass, scaling, moments
+# ---------------------------------------------------------------------------
+
+
+def mass_open(m: AtomicMeasure, lo, hi) -> Fraction:
+    """Mass of the open interval (lo, hi) with rational endpoints."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    return sum((w for p, w in m.atoms if lo < p < hi), Fraction(0))
+
+
+def scale_weights(m: AtomicMeasure, c) -> AtomicMeasure:
+    c = Fraction(c)
+    if c <= 0:
+        raise UsageError("weight scaling must be positive")
+    return AtomicMeasure(tuple((p, c * w) for p, w in m.atoms))
+
+
+def dilate(m: AtomicMeasure, s) -> AtomicMeasure:
+    s = Fraction(s)
+    if s <= 0:
+        raise UsageError("dilation factor must be positive")
+    return AtomicMeasure(tuple((s * p, w) for p, w in m.atoms))
+
+
+def moments(m: AtomicMeasure, horizon: int) -> tuple[Fraction, ...]:
+    """Exact moments a_n = sum_i w_i * p_i**n for n = 0..horizon."""
+    if horizon < 0:
+        raise UsageError("horizon must be >= 0")
+    if horizon > MAX_HORIZON:
+        raise GuardExceeded(f"horizon {horizon} exceeds guard {MAX_HORIZON}")
+    values = []
+    powers = [Fraction(1)] * len(m.atoms)
+    for _ in range(horizon + 1):
+        values.append(sum((w * pw for (_, w), pw in zip(m.atoms, powers)), Fraction(0)))
+        powers = [pw * p for (p, _), pw in zip(m.atoms, powers)]
+    return tuple(values)
+
+
+# ---------------------------------------------------------------------------
+# Hankel positivity
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class HankelWitness:
+    """A principal submatrix with negative determinant.
+
+    offset selects the Hankel matrix (0 for entries a_{i+j}, 1 for
+    a_{i+j+1}); indices are its violating row/column indices.
+    """
+
+    offset: int
+    indices: tuple[int, ...]
+    determinant: Fraction
+
+
+@dataclass(frozen=True)
+class HankelVerdict:
+    consistent: bool
+    witness: Optional[HankelWitness] = None
+
+
+def hankel_matrix(values, offset: int, size: int) -> list[list[Fraction]]:
+    values = list(values)
+    return [
+        [Fraction(values[i + j + offset]) for j in range(size)] for i in range(size)
+    ]
+
+
+def _psd_violation(matrix) -> Optional[tuple[tuple[int, ...], Fraction]]:
+    """None if the symmetric rational matrix is PSD; otherwise indices of a
+    principal submatrix with negative determinant, plus that determinant.
+
+    Recursive Schur complementation with the zero-pivot rule: a zero
+    diagonal pivot must have an all-zero row, else the matrix is not PSD.
+    """
+    work = [row[:] for row in matrix]
+    active = list(range(len(matrix)))
+    done: list[tuple[int, Fraction]] = []  # (original index, positive pivot)
+    while work:
+        d = work[0][0]
+        if d < 0:
+            det = math.prod((p for _, p in done), start=Fraction(1)) * d
+            return tuple(i for i, _ in done) + (active[0],), det
+        if d == 0:
+            for j in range(1, len(work)):
+                c = work[0][j]
+                if c != 0:
+                    det = math.prod((p for _, p in done), start=Fraction(1)) * (-c * c)
+                    return (
+                        tuple(i for i, _ in done) + (active[0], active[j]),
+                        det,
+                    )
+            work = [row[1:] for row in work[1:]]
+            active = active[1:]
+            continue
+        done.append((active[0], d))
+        top = work[0]
+        work = [
+            [work[i][j] - top[i] * top[j] / d for j in range(1, len(work))]
+            for i in range(1, len(work))
+        ]
+        active = active[1:]
+    return None
+
+
+def hankel_consistency(prefix) -> HankelVerdict:
+    """Exact PSD test of both Hankel matrices built from a moment prefix.
+
+    Consistent iff H0 = (a_{i+j}) and H1 = (a_{i+j+1}), at the largest
+    sizes the prefix supports, are both positive semidefinite.  This is
+    the standard necessary condition for a Stieltjes prefix and serves as
+    an independent consistency oracle.
+    """
+    values = list(prefix)
+    if not values:
+        raise UsageError("hankel_consistency needs a nonempty prefix")
+    top = len(values) - 1
+    for offset in (0, 1):
+        size = (top - offset) // 2 + 1
+        if size < 1:
+            continue
+        violation = _psd_violation(hankel_matrix(values, offset, size))
+        if violation is not None:
+            indices, det = violation
+            return HankelVerdict(False, HankelWitness(offset, indices, det))
+    return HankelVerdict(True)
+
+
+# ---------------------------------------------------------------------------
+# direct multiset enumerations
+# ---------------------------------------------------------------------------
+
+
+def ref_key_contribution(positives, kappa, key):
+    n = len(positives)
+    fact = math.factorial
+    total = Fraction(0)
+
+    def rec(i, slots, prod, coeff):
+        nonlocal total
+        if slots == 0:
+            if prod == key:
+                total += coeff
+            return
+        if i == n:
+            return
+        if prod * positives[i][0] ** slots > key:
+            return
+        if prod * positives[-1][0] ** slots < key:
+            return
+        x, rho = positives[i]
+        c, p, co = 0, prod, coeff
+        while c <= slots:
+            rec(i + 1, slots - c, p, co)
+            c += 1
+            p *= x
+            co = co * rho / c
+
+    rec(0, kappa, Fraction(1), Fraction(fact(kappa)))
+    return total
+
+
+def ref_pushforward_map(positives, kappa):
+    n = len(positives)
+    fact = math.factorial
+    out = {}
+
+    def rec(i, slots, prod, coeff):
+        if slots == 0:
+            out[prod] = out.get(prod, Fraction(0)) + coeff
+            return
+        if i == n - 1:
+            x, rho = positives[i]
+            key = prod * x ** slots
+            out[key] = out.get(key, Fraction(0)) + coeff * rho ** slots / fact(slots)
+            return
+        x, rho = positives[i]
+        c, p, co = 0, prod, coeff
+        while c <= slots:
+            rec(i + 1, slots - c, p, co)
+            c += 1
+            p *= x
+            co = co * rho / c
+
+    rec(0, kappa, Fraction(1), Fraction(fact(kappa)))
+    return out
+
+
+def ref_decide_root(mu, kappa):
+    m_count = len(mu.atoms)
+    xs = mu.support
+    masses = dict(mu.atoms)
+    base_mass = masses[xs[0]]
+    power_to_point = {x ** kappa: x for x in xs}
+
+    def no(kind, location):
+        return RootDecision(Verdict.CERTIFIED_NO, kappa, certificate=Certificate(kind, location))
+
+    rhos = [Fraction(1)]
+    positives = [(xs[0], Fraction(1))]
+    x1_pow = xs[0] ** (kappa - 1)
+    for j in range(1, m_count):
+        key = x1_pow * xs[j]
+        earlier = ref_key_contribution(positives, kappa, key)
+        point = power_to_point.get(key)
+        target = masses[point] if point is not None else Fraction(0)
+        rho = (target / base_mass - earlier) / kappa
+        if rho < 0:
+            return no(CertificateKind.NEGATIVE_RHO, xs[j])
+        rhos.append(rho)
+        if rho > 0:
+            positives.append((xs[j], rho))
+
+    produced = ref_pushforward_map(positives, kappa)
+    for key, value in sorted(produced.items()):
+        point = power_to_point.get(key)
+        if point is None:
+            if value != 0:
+                return no(CertificateKind.COVERAGE_VIOLATION, key)
+            continue
+        if base_mass * value != masses[point]:
+            return no(CertificateKind.MASS_MISMATCH, point)
+    for x in xs:
+        if x ** kappa not in produced and masses[x] != 0:
+            return no(CertificateKind.MASS_MISMATCH, x)
+    nu = NuRepresentation(base_mass, tuple(NuEntry(x, r) for x, r in zip(xs, rhos)), kappa)
+    return RootDecision(Verdict.CERTIFIED_YES, kappa, nu=nu)
+
+
+def ref_verify_representation(mu, nu):
+    positives = [(e.power, e.rho) for e in nu.positive_entries()]
+    if not positives:
+        return False
+    produced = ref_pushforward_map(positives, nu.kappa)
+    expected = {x ** nu.kappa: w for x, w in mu.atoms}
+    return {k: nu.base_mass * v for k, v in produced.items() if v != 0} == expected
+
+
+def ref_kappa_power_measure(nu, kappa):
+    _multiset_guard(len(nu.atoms), kappa, MAX_MULTISETS)
+    fact = math.factorial
+    acc = {}
+    for combo in combinations_with_replacement(range(len(nu.atoms)), kappa):
+        point, weight, run = Fraction(1), Fraction(fact(kappa)), 1
+        for i, j in zip(combo, combo[1:] + (None,)):
+            p, w = nu.atoms[i]
+            point *= p
+            weight *= w
+            if j == i:
+                run += 1
+            else:
+                weight /= fact(run)
+                run = 1
+        acc[point] = acc.get(point, Fraction(0)) + weight
+    return AtomicMeasure.from_pairs(acc.items())
+
+
+def ref_product_support(points, kappa):
+    """Every size-kappa product of the points as a Radical at their common
+    index, deduplicated through index-th powers; the first product reached
+    represents its power."""
+    index = next((p.index for p in points if isinstance(p, Radical)), 1)
+    rads = [p if isinstance(p, Radical) else Radical.from_rational(p, index) for p in points]
+    seen = {}
+    for combo in combinations_with_replacement(rads, kappa):
+        prod = combo[0]
+        for r in combo[1:]:
+            prod = radical_product(prod, r)
+        seen.setdefault(prod.power, prod)
+    return tuple(seen[k] for k in sorted(seen))

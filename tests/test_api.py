@@ -36,20 +36,17 @@ PUBLIC = [
     "find_holes",
     "floor_log_ratio",
     "format_rational",
-    "hankel_consistency",
     "iota_dagger_relations",
     "iota_relations",
     "iota_star_witness",
     "kappa_dependence_scan",
     "kappa_power_measure",
     "load_measure",
-    "moments",
     "n_minus",
     "n_plus",
     "parse_rational",
     "product_count",
     "product_support",
-    "radical_compare",
     "random_atomic_measure",
     "run_suite",
     "triple_params",
@@ -60,7 +57,7 @@ PUBLIC = [
 
 def test_public_names_are_pinned():
     assert sorted(momentroot.__all__) == PUBLIC
-    assert len(PUBLIC) == len(set(PUBLIC)) == 51
+    assert len(PUBLIC) == len(set(PUBLIC)) == 48
 
 
 def test_public_names_resolve():

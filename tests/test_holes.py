@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentroot.decide import NuRepresentation, decide_root
-from momentroot.exact import GuardExceeded, Radical, UsageError, radical_compare
+from momentroot.exact import GuardExceeded, Radical, UsageError
 from momentroot.generate import GenParams, pick_kappa, random_atomic_measure, stream
 from momentroot.holes import (
     RootPair,
@@ -31,6 +31,7 @@ from momentroot.holes import (
     triple_params,
 )
 from momentroot.measures import AtomicMeasure, Hole, find_holes, kappa_power_measure
+from oracles import mass_open, radical_compare, radical_product, radical_quotient
 
 
 def measure(*pairs):
@@ -355,7 +356,7 @@ def assert_predicates_match_scans(mu, powers, kappa, rationals):
     for q in rationals:
         if q > 0:
             radicals += [Radical.root(q, kappa), Radical.from_rational(q, kappa)]
-            radicals.append(Radical(q, 3, kappa) * Radical.root(powers[-1], kappa))
+            radicals.append(radical_product(Radical(q, 3, kappa), Radical.root(powers[-1], kappa)))
 
     def by_power(atom):
         return atom[0] ** kappa
@@ -374,7 +375,7 @@ def assert_predicates_match_scans(mu, powers, kappa, rationals):
         assert _member(mu.atoms, a, _point) == (a in mu.support)
         assert _member(powers, a) == (a in powers)
         for b in rationals:
-            assert _some_inside(mu.atoms, a, b, _point) == (mu.mass_open(a, b) != 0)
+            assert _some_inside(mu.atoms, a, b, _point) == (mass_open(mu, a, b) != 0)
 
 
 def test_predicates_match_scans_on_three_atom_grid():
@@ -424,7 +425,7 @@ def test_hole_forward_top_hole():
     assert report.data["theta2"].to_rational() == 1
     mu = kappa_power_measure(nu, 2)
     assert mu == measure((F(1, 4), 1), (F(1, 2), 2), (1, 1))
-    assert mu.mass_open(F(1, 2), 1) == 0
+    assert mass_open(mu, F(1, 2), 1) == 0
 
 
 def test_hole_forward_inapplicable_interval_is_reported():
@@ -463,6 +464,53 @@ def test_hole_forward_fuzz_all_holes(nu, kappa):
         if base.applicable:
             # canonicalized endpoints keep the preconditions
             assert canonical.applicable
+
+
+def radical_power(r, m):
+    """r**m by repeated radical_product."""
+    out = Radical.from_rational(1, r.index)
+    for _ in range(m):
+        out = radical_product(out, r)
+    return out
+
+
+def assert_forward_matches_radicals(pair, ends):
+    """check_hole_forward's preconditions and its theta1, theta2, theta3 on
+    every pair of the endpoints equal those of radical arithmetic: theta1 =
+    alpha*gamma**(kappa-1), theta2 = beta**kappa, theta3 = gamma**kappa."""
+    kappa, powers = pair.kappa, pair.powers
+    gamma = Radical.root(powers[-1], kappa)
+    gamma_k1, theta3 = radical_power(gamma, kappa - 1), radical_power(gamma, kappa)
+    applicable = 0
+    for alpha, beta in itertools.product(ends, repeat=2):
+        theta1, theta2 = radical_product(alpha, gamma_k1), radical_power(beta, kappa)
+        expected = (
+            ("nu((alpha, beta)) == 0", not any(alpha.power < x < beta.power for x in powers)),
+            ("0 <= alpha < beta <= sup supp nu", radical_compare(alpha, beta) < 0 <= radical_compare(gamma, beta)),
+            ("alpha*gamma^(kappa-1) < beta^kappa", radical_compare(theta1, theta2) < 0),
+        )
+        report = check_hole_forward(pair, alpha, beta)
+        assert all(c.hypotheses == expected for c in report.claims)
+        assert report.applicable == all(ok for _, ok in expected)
+        assert (report.data["theta1"], report.data["theta2"], report.data["theta3"]) == (theta1, theta2, theta3)
+        canonical = check_hole_forward(pair, alpha, beta, canonicalize=True)
+        assert canonical.data["canonicalized_from"] == {"alpha": alpha, "beta": beta}
+        applicable += report.applicable
+    return applicable
+
+
+def test_hole_forward_matches_radicals_on_three_atom_grid():
+    thetas = [F(2) ** i for i in range(7)]
+    applicable = 0
+    for support in itertools.combinations(thetas, 3):
+        nu = AtomicMeasure(tuple((t, F(1)) for t in support))
+        between = [(a + b) / 2 for a, b in zip(support, support[1:])]
+        for kappa in (2, 3, 5, 8):
+            # endpoints at and between the atoms, and an irrational one
+            ends = [Radical.zero(kappa), Radical.root(support[1], kappa)]
+            ends += [Radical.root(x ** kappa, kappa) for x in (*support, *between)]
+            applicable += assert_forward_matches_radicals(root_pair(nu, kappa), ends)
+    assert applicable > 0
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +552,7 @@ def assert_powers_match_radicals(theta1, theta2, theta3, kappa):
     alpha_dag_k = _scaled_power(p.theta2, p.theta3, kappa)
     assert (alpha_k, alpha_dag_k) == (p.alpha.power, p.alpha_dag.power)
     assert (p.theta1, p.theta2, p.theta3) == (p.beta_dag.power, p.beta.power, p.gamma.power)
-    assert p.theta3 * alpha_k / p.theta2 == (p.gamma * p.alpha / p.beta).power
+    assert p.theta3 * alpha_k / p.theta2 == radical_product(p.gamma, radical_quotient(p.alpha, p.beta)).power
     assert (p.theta1 > alpha_dag_k) - (p.theta1 < alpha_dag_k) == radical_compare(p.beta_dag, p.alpha_dag)
     return p
 
@@ -535,7 +583,7 @@ def test_powers_match_radicals_on_generator_draws():
             report = check_hole_backward(pair, hole.lower, hole.upper)
             remark = {c.name: c for c in report.claims}["dagger remark"]
             assert report.data["beta_dag_vs_alpha_dag"] == radical_compare(p.beta_dag, p.alpha_dag)
-            assert remark.holds == (radical_compare(p.gamma * p.alpha / p.beta, p.alpha_dag) < 0)
+            assert remark.holds == (radical_compare(radical_product(p.gamma, radical_quotient(p.alpha, p.beta)), p.alpha_dag) < 0)
             compared += 1
     assert compared > 100
 

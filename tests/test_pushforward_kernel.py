@@ -1,9 +1,9 @@
 """The integer-key pushforward kernel against a direct multiset enumeration.
 
 decide_root, verify_representation, kappa_power_measure and product_support
-all run on one incremental kernel (measures._push_atom).  The reference
-below is the enumeration the kernel replaced: a depth-first search over
-size-kappa multisets per peeled candidate, a second full search for
+all run on one incremental kernel (measures._push_atom).  The references
+in oracles.py are the enumeration the kernel replaced: a depth-first search
+over size-kappa multisets per peeled candidate, a second full search for
 verification, and combinations_with_replacement for the kappa-fold power
 and for the product support, all in Fraction arithmetic and with no
 multiset guard.  Decisions must agree exactly: verdict, certificate kind
@@ -11,170 +11,20 @@ and location, and every NuEntry including the zero-rho ones.
 """
 
 import itertools
-import math
 from fractions import Fraction as F
-from itertools import combinations_with_replacement
 
 import pytest
 
-from momentroot.decide import (
-    Certificate,
-    CertificateKind,
-    NuEntry,
-    NuRepresentation,
-    RootDecision,
-    Verdict,
-    decide_root,
-    verify_representation,
-)
+from momentroot.decide import Certificate, CertificateKind, decide_root, verify_representation
 from momentroot.exact import GuardExceeded, Radical
 from momentroot.generate import GenParams, pick_kappa, random_atomic_measure, stream
-from momentroot.measures import (
-    MAX_MULTISETS,
-    AtomicMeasure,
-    _multiset_guard,
-    kappa_power_measure,
-    product_support,
+from momentroot.measures import AtomicMeasure, kappa_power_measure, product_support
+from oracles import (
+    ref_decide_root,
+    ref_kappa_power_measure,
+    ref_product_support,
+    ref_verify_representation,
 )
-
-
-def ref_key_contribution(positives, kappa, key):
-    n = len(positives)
-    fact = math.factorial
-    total = F(0)
-
-    def rec(i, slots, prod, coeff):
-        nonlocal total
-        if slots == 0:
-            if prod == key:
-                total += coeff
-            return
-        if i == n:
-            return
-        if prod * positives[i][0] ** slots > key:
-            return
-        if prod * positives[-1][0] ** slots < key:
-            return
-        x, rho = positives[i]
-        c, p, co = 0, prod, coeff
-        while c <= slots:
-            rec(i + 1, slots - c, p, co)
-            c += 1
-            p *= x
-            co = co * rho / c
-
-    rec(0, kappa, F(1), F(fact(kappa)))
-    return total
-
-
-def ref_pushforward_map(positives, kappa):
-    n = len(positives)
-    fact = math.factorial
-    out = {}
-
-    def rec(i, slots, prod, coeff):
-        if slots == 0:
-            out[prod] = out.get(prod, F(0)) + coeff
-            return
-        if i == n - 1:
-            x, rho = positives[i]
-            key = prod * x ** slots
-            out[key] = out.get(key, F(0)) + coeff * rho ** slots / fact(slots)
-            return
-        x, rho = positives[i]
-        c, p, co = 0, prod, coeff
-        while c <= slots:
-            rec(i + 1, slots - c, p, co)
-            c += 1
-            p *= x
-            co = co * rho / c
-
-    rec(0, kappa, F(1), F(fact(kappa)))
-    return out
-
-
-def ref_decide_root(mu, kappa):
-    m_count = len(mu.atoms)
-    xs = mu.support
-    masses = dict(mu.atoms)
-    base_mass = masses[xs[0]]
-    power_to_point = {x ** kappa: x for x in xs}
-
-    def no(kind, location):
-        return RootDecision(Verdict.CERTIFIED_NO, kappa, certificate=Certificate(kind, location))
-
-    rhos = [F(1)]
-    positives = [(xs[0], F(1))]
-    x1_pow = xs[0] ** (kappa - 1)
-    for j in range(1, m_count):
-        key = x1_pow * xs[j]
-        earlier = ref_key_contribution(positives, kappa, key)
-        point = power_to_point.get(key)
-        target = masses[point] if point is not None else F(0)
-        rho = (target / base_mass - earlier) / kappa
-        if rho < 0:
-            return no(CertificateKind.NEGATIVE_RHO, xs[j])
-        rhos.append(rho)
-        if rho > 0:
-            positives.append((xs[j], rho))
-
-    produced = ref_pushforward_map(positives, kappa)
-    for key, value in sorted(produced.items()):
-        point = power_to_point.get(key)
-        if point is None:
-            if value != 0:
-                return no(CertificateKind.COVERAGE_VIOLATION, key)
-            continue
-        if base_mass * value != masses[point]:
-            return no(CertificateKind.MASS_MISMATCH, point)
-    for x in xs:
-        if x ** kappa not in produced and masses[x] != 0:
-            return no(CertificateKind.MASS_MISMATCH, x)
-    nu = NuRepresentation(base_mass, tuple(NuEntry(x, r) for x, r in zip(xs, rhos)), kappa)
-    return RootDecision(Verdict.CERTIFIED_YES, kappa, nu=nu)
-
-
-def ref_verify_representation(mu, nu):
-    positives = [(e.power, e.rho) for e in nu.positive_entries()]
-    if not positives:
-        return False
-    produced = ref_pushforward_map(positives, nu.kappa)
-    expected = {x ** nu.kappa: w for x, w in mu.atoms}
-    return {k: nu.base_mass * v for k, v in produced.items() if v != 0} == expected
-
-
-def ref_kappa_power_measure(nu, kappa):
-    _multiset_guard(len(nu.atoms), kappa, MAX_MULTISETS)
-    fact = math.factorial
-    acc = {}
-    for combo in combinations_with_replacement(range(len(nu.atoms)), kappa):
-        point, weight, run = F(1), F(fact(kappa)), 1
-        for i, j in zip(combo, combo[1:] + (None,)):
-            p, w = nu.atoms[i]
-            point *= p
-            weight *= w
-            if j == i:
-                run += 1
-            else:
-                weight /= fact(run)
-                run = 1
-        acc[point] = acc.get(point, F(0)) + weight
-    return AtomicMeasure.from_pairs(acc.items())
-
-
-def ref_product_support(points, kappa):
-    """Every size-kappa product of the points as a Radical at their common
-    index, deduplicated through index-th powers; the first product reached
-    represents its power."""
-    index = next((p.index for p in points if isinstance(p, Radical)), 1)
-    rads = [p if isinstance(p, Radical) else Radical.from_rational(p, index) for p in points]
-    seen = {}
-    for combo in combinations_with_replacement(rads, kappa):
-        prod = combo[0]
-        for r in combo[1:]:
-            prod = prod * r
-        seen.setdefault(prod.power, prod)
-    return tuple(seen[k] for k in sorted(seen))
 
 
 def outcome(fn, *args):

@@ -14,7 +14,7 @@ process with stdout captured.  The calls:
   bench/);
 - analyze --holes --theorems --json on the squares of nu = {1, 1 + 10**-e,
   10} for e in GAPS, whose holes next to 1 have a large iota_s_star;
-- params on generator triples at kappa 2..8, and table --json;
+- params on generator triples at kappa 2..8, table --json, and fixtures;
 - fuzz, every suite, on SEEDS (FUZZ_TRIALS trials of the theorems suite),
   and roundtrip and theorems again with --jobs 2, so the process-pool path
   is compared too; elapsed_seconds is masked.
@@ -86,6 +86,7 @@ def generator_calls(workdir: Path) -> list[list[str]]:
                 calls.append(calls[-1] + ["--jobs", "2"])
     calls.append(["table", "--json"])
     calls.append(["table", "--max-m", "40", "--json"])
+    calls.append(["fixtures"])
     return calls
 
 
