@@ -62,7 +62,8 @@ def _dumps(doc) -> str:
 
 
 def _leaf(value):
-    """The JSON text of a str, int, bool or None; None for anything else."""
+    """The JSON text of a str, int, bool, None or empty list or dict; None
+    for anything else."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
@@ -72,6 +73,8 @@ def _leaf(value):
         return "null"
     if kind is bool:
         return "true" if value else "false"
+    if not value and (kind is list or kind is dict):
+        return "[]" if kind is list else "{}"
     return None
 
 
@@ -82,7 +85,7 @@ def _encode(value, newline: str, out: list[str]) -> None:
         return
     kind = type(value)
     inner = newline + "  "
-    if kind is list and value:
+    if kind is list:
         sep = "[" + inner
         for item in value:
             text = _leaf(item)
@@ -94,7 +97,7 @@ def _encode(value, newline: str, out: list[str]) -> None:
             sep = "," + inner
         out.append(newline + "]")
         return
-    if kind is dict and value:
+    if kind is dict:
         mark = len(out)
         sep = "{" + inner
         for key, item in value.items():

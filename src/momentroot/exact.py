@@ -195,7 +195,7 @@ def _log2_frac(n: int, d: int) -> float:
         return 0.0
     if abs(n.bit_length() - d.bit_length()) <= 8:
         # log1p avoids the catastrophic cancellation of log(n) - log(d)
-        return math.log1p(float(Fraction(n - d, d))) / math.log(2)
+        return math.log1p((n - d) / d) / math.log(2)
     return _log2_int(n) - _log2_int(d)
 
 
@@ -207,12 +207,12 @@ def floor_log_ratio(base: Fraction, target: Fraction) -> int:
     boundary cases where the ratio is an exact power floor correctly.
     """
     base, target = Fraction(base), Fraction(target)
-    if base <= 1:
-        raise UsageError("floor_log_ratio needs base > 1")
-    if target < 1:
-        raise UsageError("floor_log_ratio needs target >= 1")
     p, q = base.numerator, base.denominator
     u, v = target.numerator, target.denominator
+    if p <= q:
+        raise UsageError("floor_log_ratio needs base > 1")
+    if u < v:
+        raise UsageError("floor_log_ratio needs target >= 1")
     if p * v > u * q:
         return 0
     denom = _log2_frac(p, q)
@@ -265,7 +265,10 @@ class BigFloat:
         """Decimal rendering with the given number of significant digits."""
         if digits is None:
             digits = max(self.precision * 301 // 1000, 1)
-        return _decimal_str(self.to_fraction(), digits)
+        if self.sign == 0:
+            return "0"
+        num, den = self.mantissa << max(self.exponent, 0), 1 << max(-self.exponent, 0)
+        return ("-" if self.sign < 0 else "") + _decimal_str(num, den, digits)
 
     @classmethod
     def from_fraction(cls, q, precision: int = DEFAULT_PRECISION) -> "BigFloat":
@@ -278,35 +281,35 @@ class BigFloat:
         return bigfloat_root(q, 1, precision)
 
 
-def _decimal_str(q: Fraction, digits: int) -> str:
-    if q == 0:
-        return "0"
-    sign = "-" if q < 0 else ""
-    q = abs(q)
-    # decimal exponent e10 with 10**e10 <= q < 10**(e10+1)
-    e10 = len(str(q.numerator)) - len(str(q.denominator))
-    while 10 ** e10 > q:
-        e10 -= 1
-    while 10 ** (e10 + 1) <= q:
-        e10 += 1
-    scaled = q * Fraction(10) ** (digits - 1 - e10)
-    n = scaled.numerator // scaled.denominator
-    if 2 * (scaled.numerator - n * scaled.denominator) >= scaled.denominator:
+def _decimal_str(num: int, den: int, digits: int) -> str:
+    """num/den > 0 to the given number of significant digits, rounded half
+    up; integer arithmetic throughout."""
+
+    def scaled(e: int) -> tuple[int, int]:  # num/den * 10**e
+        return num * 10 ** max(e, 0), den * 10 ** max(-e, 0)
+
+    # decimal exponent e10 with 10**e10 <= num/den < 10**(e10+1), starting
+    # from an estimate by bit lengths
+    e10 = (num.bit_length() - den.bit_length()) * 30103 // 100000
+    while True:
+        a, b = scaled(-e10)
+        if b <= a < 10 * b:
+            break
+        e10 += 1 if a >= b else -1
+    a, b = scaled(digits - 1 - e10)
+    n, r = divmod(a, b)
+    if 2 * r >= b:
         n += 1
     s = str(n)
     if len(s) > digits:  # rounding carried into a new digit
         e10 += 1
         s = s[:digits]
-    if -4 <= e10 < digits:
-        if e10 >= 0:
-            intpart = s[: e10 + 1]
-            fracpart = s[e10 + 1 :].rstrip("0")
-            return sign + intpart + ("." + fracpart if fracpart else "")
-        body = ("0." + "0" * (-e10 - 1) + s).rstrip("0")
-        return sign + (body if body != "0." else "0")
-    fracpart = s[1:].rstrip("0")
-    mant = s[0] + ("." + fracpart if fracpart else "")
-    return f"{sign}{mant}e{e10}"
+    if -4 <= e10 < 0:
+        return ("0." + "0" * (-e10 - 1) + s).rstrip("0")
+    fixed = 0 <= e10 < digits  # else scientific, one digit before the point
+    point = e10 + 1 if fixed else 1
+    body = (s[:point] + "." + s[point:]).rstrip("0").rstrip(".")
+    return body if fixed else f"{body}e{e10}"
 
 
 def bigfloat_root(q: Fraction, k: int, precision: int) -> BigFloat:

@@ -22,10 +22,10 @@ the fuzz harness.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Optional
+from typing import Optional
 
 from .exact import (
     DEFAULT_PRECISION,
@@ -35,8 +35,9 @@ from .exact import (
     bigfloat_root,
     floor_log_ratio,
     format_rational,
+    perfect_nth_root,
 )
-from .measures import KAPPA_RANGE, AtomicMeasure, _check_kappa, kappa_power_measure
+from .measures import AtomicMeasure, _check_kappa, kappa_power_measure
 from .decide import NuRepresentation, decide_root, verify_representation
 
 __all__ = [
@@ -139,15 +140,19 @@ APPROX_BITS = 64  # precision of the approx of an irrational radical in JSON
 
 
 def radical_to_dict(r: Radical) -> dict:
-    exact = r.to_rational()
+    return _radical_dict(r.coeff, r.radicand, r.index, r.to_rational())
+
+
+def _radical_dict(coeff: Fraction, radicand: Fraction, index: int, exact) -> dict:
+    """The JSON form of coeff * radicand**(1/index), whose value is exact, None if irrational."""
     out = {
-        "coeff": format_rational(r.coeff),
-        "radicand": format_rational(r.radicand),
-        "index": r.index,
+        "coeff": format_rational(coeff),
+        "radicand": format_rational(radicand),
+        "index": index,
         "rational": format_rational(exact) if exact is not None else None,
     }
     if exact is None:
-        approx = r.approx(APPROX_BITS)
+        approx = bigfloat_root(coeff ** index * radicand, index, APPROX_BITS)
         out["approx"] = {"decimal": approx.decimal(), "precision_bits": APPROX_BITS}
     return out
 
@@ -174,20 +179,9 @@ class TripleParams:
     iota_s: Optional[int]
     iota_s_star: Optional[int]
 
-    def to_dict(self, render: Callable[[Radical], dict] = radical_to_dict) -> dict:
-        return {
-            "theta1": format_rational(self.theta1),
-            "theta2": format_rational(self.theta2),
-            "theta3": format_rational(self.theta3),
-            "kappa": self.kappa,
-            "alpha": render(self.alpha),
-            "beta": render(self.beta),
-            "gamma": render(self.gamma),
-            "alpha_dag": render(self.alpha_dag),
-            "beta_dag": render(self.beta_dag),
-            "iota_s": self.iota_s,
-            "iota_s_star": self.iota_s_star,
-        }
+    def to_dict(self) -> dict:
+        """The JSON form: one key per field, in field order."""
+        return {f.name: json_value(getattr(self, f.name)) for f in fields(self)}
 
 
 def _validate_triple(theta1, theta2, theta3, strict: bool = False):
@@ -198,21 +192,17 @@ def _validate_triple(theta1, theta2, theta3, strict: bool = False):
         raise UsageError("need 0 <= theta1 < theta2 <= theta3")
 
 
-def _triple(
-    theta1: Fraction, theta2: Fraction, theta3: Fraction, kappa: int, endpoints=None
-) -> TripleParams:
+def _triple(theta1: Fraction, theta2: Fraction, theta3: Fraction, kappa: int) -> TripleParams:
     """TripleParams for theta3 > 0 without validation, so theta2 > theta3 (a
-    hole above sup supp mu) is allowed; endpoints, when given, are the
-    (alpha, beta, gamma, alpha_dag, beta_dag) of the triple."""
-    iotas = _iotas(theta1, theta2, theta3) if 0 < theta1 and theta2 < theta3 else (None, None)
-    if endpoints is None:
-        if theta1 == 0:
-            alpha = beta_dag = Radical.zero(kappa)
-        else:
-            alpha = Radical(theta1 / theta3, theta3, kappa)
-            beta_dag = Radical.root(theta1, kappa)
-        beta, gamma = Radical.root(theta2, kappa), Radical.root(theta3, kappa)
-        endpoints = alpha, beta, gamma, Radical(theta2 / theta3, theta3, kappa), beta_dag
+    hole above sup supp mu) is allowed."""
+    if theta1 == 0:
+        alpha = beta_dag = Radical.zero(kappa)
+    else:
+        alpha = Radical(theta1 / theta3, theta3, kappa)
+        beta_dag = Radical.root(theta1, kappa)
+    beta, gamma = Radical.root(theta2, kappa), Radical.root(theta3, kappa)
+    endpoints = alpha, beta, gamma, Radical(theta2 / theta3, theta3, kappa), beta_dag
+    iotas = _defined_iotas(theta1, theta2, theta3)
     return TripleParams(theta1, theta2, theta3, kappa, *endpoints, *iotas)
 
 
@@ -264,8 +254,13 @@ def _iota_s_star(theta1: Fraction, theta2: Fraction, theta3: Fraction) -> int:
 
 
 def _iotas(theta1: Fraction, theta2: Fraction, theta3: Fraction) -> tuple[int, int]:
-    iota_s = 1 + floor_log_ratio(theta3 / theta2, theta3 / theta1)
-    return iota_s, _iota_s_star(theta1, theta2, theta3)
+    ratio = theta3 / theta2
+    return 1 + floor_log_ratio(ratio, theta3 / theta1), 1 + floor_log_ratio(theta2 / theta1, ratio)
+
+
+def _defined_iotas(theta1: Fraction, theta2: Fraction, theta3: Fraction):
+    """_iotas where 0 < theta1 and theta2 < theta3, else (None, None)."""
+    return _iotas(theta1, theta2, theta3) if 0 < theta1 and theta2 < theta3 else (None, None)
 
 
 def iota_relations(theta1, theta2, theta3) -> TheoremReport:
@@ -522,35 +517,35 @@ class RootPair:
 
 def _triples(mu: AtomicMeasure, kappa: int) -> list[dict]:
     """The to_dict() of the TripleParams of every hole of find_holes(mu),
-    with theta3 = sup supp mu.
+    with theta3 = sup supp mu, built from the support points.
 
     Hole i is (x_{i-1}, x_i) over the support points x_0 < x_1 < ...
     (x_{-1} = 0), so alpha_i = alpha_dag_{i-1} and beta_dag_i = beta_{i-1}:
-    each support point x gets one x**(1/kappa) radical and one
-    (x/theta3) * theta3**(1/kappa) radical, shared by the two holes it
-    bounds, and each distinct radical is rendered once.  Radicals compare by
-    value, so the memo is keyed by their fields: equal values such as
-    (1/2)*4**(1/2) and 1**(1/2) still print their own coeff and radicand.
+    each x gets one x**(1/kappa) dict and one (x/theta3) * theta3**(1/kappa)
+    dict, shared by the two holes it bounds.  Each x is tested once for a
+    rational kappa-th root; the scaled radical is rational exactly when
+    theta3's root is.
     """
     points = mu.support
     theta3 = points[-1]
-    roots = [Radical.root(x, kappa) for x in points]
-    scaled = [Radical(x / theta3, theta3, kappa) for x in points]
-    gamma, zero = roots[-1], Radical.zero(kappa)
-    lows = [(Fraction(0), zero, zero), *zip(points, scaled, roots)]
-    rendered: dict = {}
-
-    def render(r: Radical) -> dict:
-        key = (r.coeff, r.radicand, r.index)
-        out = rendered.get(key)
-        if out is None:
-            out = rendered[key] = radical_to_dict(r)
-        return out
-
-    return [
-        _triple(theta1, theta2, theta3, kappa, (alpha, beta, gamma, alpha_dag, beta_dag)).to_dict(render)
-        for (theta1, alpha, beta_dag), theta2, beta, alpha_dag in zip(lows, points, roots, scaled)
-    ]
+    texts = [format_rational(x) for x in points]
+    exact = [perfect_nth_root(x, kappa) for x in points]
+    root3, one, zero = exact[-1], Fraction(1), Fraction(0)
+    roots = [_radical_dict(one, x, kappa, r) for x, r in zip(points, exact)]
+    scaled = [
+        _radical_dict(c, theta3, kappa, None if root3 is None else c * root3)
+        for c in (x / theta3 for x in points[:-1])
+    ] + roots[-1:]  # at x = theta3 the scaled radical is gamma's
+    origin = _radical_dict(zero, one, kappa, zero)
+    lows = [(zero, "0", origin, origin), *zip(points, texts, scaled, roots)]
+    names = [f.name for f in fields(TripleParams)]
+    out = []
+    for low, theta2, text2, beta, alpha_dag in zip(lows, points, texts, roots, scaled):
+        theta1, text1, alpha, beta_dag = low
+        endpoints = (alpha, beta, roots[-1], alpha_dag, beta_dag)
+        iotas = _defined_iotas(theta1, theta2, theta3)
+        out.append(dict(zip(names, (text1, text2, texts[-1], kappa, *endpoints, *iotas))))
+    return out
 
 
 def _endpoint_power(value, kappa: int) -> Fraction:
@@ -900,8 +895,7 @@ def check_root_order_membership(mu: AtomicMeasure, theta1, theta2, kappa_max: in
     2..kappa_max only when iota_s_star = 1.
     """
     theta1, theta2 = _mu_hole(mu, theta1, theta2)
-    if kappa_max not in KAPPA_RANGE:
-        raise UsageError("kappa_max must be in [2, 16]")
+    _check_kappa(kappa_max, "kappa_max must be in [2, 16]")
     theta3 = mu.max_point
     if not (0 < theta1 and theta2 < theta3):
         return TheoremReport(

@@ -89,9 +89,9 @@ class Hole:
             raise UsageError("hole endpoints must satisfy 0 <= lower < upper")
 
 
-def _check_kappa(kappa: int):
-    if kappa not in KAPPA_RANGE:
-        raise UsageError(f"kappa must be in [2, 16], got {kappa}")
+def _check_kappa(kappa: int, message: str | None = None):
+    if type(kappa) is not int or kappa not in KAPPA_RANGE:  # 4.0 in KAPPA_RANGE is true
+        raise UsageError(message or f"kappa must be in [2, 16], got {kappa}")
 
 
 def _multiset_guard(n: int, kappa: int, limit: int):

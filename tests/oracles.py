@@ -5,7 +5,8 @@ independent consistency check of root decisions; the ref_* functions are
 the direct multiset enumerations the pushforward kernel replaced, in
 Fraction arithmetic and with no multiset guard; radical_product,
 radical_quotient and radical_compare are same-index radical arithmetic,
-which the library does only on kappa-th powers.
+which the library does only on kappa-th powers; ref_decimal is the
+Fraction decimal rendering that BigFloat.decimal does on integers.
 """
 
 from __future__ import annotations
@@ -51,6 +52,39 @@ def radical_compare(a: Radical, b: Radical) -> int:
     """-1, 0 or +1 as a <, ==, > b, through index-th powers."""
     assert a.index == b.index
     return (a.power > b.power) - (a.power < b.power)
+
+
+def ref_decimal(q: Fraction, digits: int) -> str:
+    """q to the given number of significant digits, rounded half up, in
+    Fraction arithmetic: "d.ddd" forms for 10**-4 <= |q| < 10**digits, else
+    "d.ddde<exp>", with trailing zeros and a bare point dropped."""
+    if q == 0:
+        return "0"
+    sign = "-" if q < 0 else ""
+    q = abs(q)
+    # decimal exponent e10 with 10**e10 <= q < 10**(e10+1)
+    e10 = len(str(q.numerator)) - len(str(q.denominator))
+    while Fraction(10) ** e10 > q:
+        e10 -= 1
+    while Fraction(10) ** (e10 + 1) <= q:
+        e10 += 1
+    scaled = q * Fraction(10) ** (digits - 1 - e10)
+    n = scaled.numerator // scaled.denominator
+    if 2 * (scaled.numerator - n * scaled.denominator) >= scaled.denominator:
+        n += 1
+    s = str(n)
+    if len(s) > digits:  # rounding carried into a new digit
+        e10 += 1
+        s = s[:digits]
+    if -4 <= e10 < digits:
+        if e10 >= 0:
+            intpart = s[: e10 + 1]
+            fracpart = s[e10 + 1 :].rstrip("0")
+            return sign + intpart + ("." + fracpart if fracpart else "")
+        return sign + ("0." + "0" * (-e10 - 1) + s).rstrip("0")
+    fracpart = s[1:].rstrip("0")
+    mant = s[0] + ("." + fracpart if fracpart else "")
+    return f"{sign}{mant}e{e10}"
 
 
 # ---------------------------------------------------------------------------

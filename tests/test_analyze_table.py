@@ -90,6 +90,34 @@ def test_equal_radicals_keep_their_own_rendering(tmp_path):
     assert doc["triples"] == [triple_params(a, b, 4, 2).to_dict() for a, b in [(0, 1), (1, 2), (2, 4)]]
 
 
+def triples_cases(kappa):
+    """(points, whether theta3 is a perfect kappa-th power): the points are,
+    and are not, perfect powers too, so a point's root and theta3's root can
+    disagree.  {1, 2, 4} holds the equal radicals of the test above."""
+    return [
+        ([1, 2, 4], kappa == 2),
+        ([F(1, 3 ** kappa), 2, 7, 5 ** kappa], True),
+        ([F(2, 3), 1, 3 ** kappa, 2 * 5 ** kappa], False),
+        ([F(2, 3) ** kappa], True),
+        ([F(2, 3)], False),
+    ]
+
+
+@pytest.mark.parametrize("kappa", range(2, 17))
+def test_triples_match_triple_params(kappa):
+    zero = {"coeff": "0", "radicand": "1", "index": kappa, "rational": "0"}
+    for points, perfect in triples_cases(kappa):
+        mu = AtomicMeasure.from_pairs([(x, 1) for x in points])
+        theta3 = mu.max_point
+        got = holes._triples(mu, kappa)
+        want = [triple_params(h.lower, h.upper, theta3, kappa).to_dict() for h in find_holes(mu)]
+        assert json.dumps(got) == json.dumps(want), points  # key order too
+        assert got[0]["alpha"] == got[0]["beta_dag"] == zero
+        # the hole ending at theta3: alpha_dag = (theta3/theta3) * theta3**(1/kappa) = gamma
+        assert got[-1]["alpha_dag"] == got[-1]["gamma"]
+        assert (got[-1]["gamma"]["rational"] is not None) == perfect
+
+
 # A kappa=2 power of 12 atoms: 78 atoms, and the hole (649/17, 100) has
 # iota_s_star 1.  Its order scan pushes at most the 12 atoms the kappa=2
 # decision pushes, so it runs.

@@ -101,6 +101,8 @@ def test_guard_kappa_range():
         decide_root(mu, 1)
     with pytest.raises(UsageError):
         decide_root(mu, 17)
+    with pytest.raises(UsageError, match="kappa must be in"):  # not math's TypeError
+        decide_root(mu, 2.0)
 
 
 def test_guard_multiset_budget(monkeypatch):

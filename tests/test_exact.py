@@ -15,7 +15,7 @@ from momentroot.exact import (
     parse_rational,
     perfect_nth_root,
 )
-from oracles import radical_compare
+from oracles import radical_compare, ref_decimal
 
 positive_fractions = st.fractions(min_value=F(1, 1000), max_value=1000)
 
@@ -139,6 +139,21 @@ def test_floor_log_ratio_rejects():
         floor_log_ratio(F(2), F(1, 2))
 
 
+def test_floor_log_ratio_arguments():
+    # ints and other rationals are accepted, and the domain is checked on
+    # numerator and denominator with the same messages
+    assert floor_log_ratio(2, 8) == 3
+    assert floor_log_ratio(F(3, 2), 2) == 1
+    assert floor_log_ratio(F(7, 2), F(7, 2)) == 1
+    for base in (1, F(1), F(2, 3), F(9, 10)):
+        with pytest.raises(UsageError, match=r"^floor_log_ratio needs base > 1$"):
+            floor_log_ratio(base, 5)
+    for target in (0, F(1, 2), F(99, 100)):
+        with pytest.raises(UsageError, match=r"^floor_log_ratio needs target >= 1$"):
+            floor_log_ratio(2, target)
+    assert floor_log_ratio(2, 1) == 0
+
+
 @given(
     st.fractions(min_value=F(101, 100), max_value=50),
     st.fractions(min_value=1, max_value=10 ** 6),
@@ -219,3 +234,39 @@ def test_bigfloat_decimal_rendering():
     assert BigFloat.from_fraction(F(0), 64).decimal() == "0"
     assert BigFloat.from_fraction(F(-3), 64).decimal(4) == "-3"
     assert BigFloat.from_fraction(F(10 ** 30), 128).decimal(4) == "1e30"
+
+
+def test_decimal_just_above_a_power_of_ten():
+    # 0.1 rounded up to 128 bits lies just above 1/10; its exponent is -1
+    # and its 40th digit rounds up
+    assert bigfloat_root(F(1, 10), 1, 128).decimal(40) == "0.1000000000000000000000000000000000000001"
+    assert bigfloat_root(F(1, 10), 1, 128).decimal(3) == "0.1"
+    assert BigFloat.from_fraction(F(-1, 10), 128).decimal(40) == "-0.1000000000000000000000000000000000000001"
+
+
+def _decimal_matches_reference(bf: BigFloat, digits: int):
+    assert bf.decimal(digits) == ref_decimal(bf.to_fraction(), digits), (bf, digits)
+
+
+@pytest.mark.parametrize("bits", [32, 64, 128])
+def test_decimal_at_powers_of_ten_matches_reference(bits):
+    # 10**k and the values a relative 10**-25 below and above it: at 128
+    # bits they stay apart, at 32 and 64 bits all three round to the dyadic
+    # next to 10**k, which lies below or above it
+    for k in range(-30, 31):
+        for q in (F(10) ** k, F(10) ** k * (1 - F(1, 10 ** 25)), F(10) ** k * (1 + F(1, 10 ** 25))):
+            bf = BigFloat.from_fraction(q, bits)
+            for digits in (1, 2, 5, 10, 19, 20, 40, 60):
+                _decimal_matches_reference(bf, digits)
+            _decimal_matches_reference(bf, max(bits * 301 // 1000, 1))
+
+
+@given(
+    st.fractions(min_value=F(1, 10 ** 12), max_value=10 ** 12),
+    st.integers(min_value=1, max_value=8),
+    st.sampled_from([32, 64, 128]),
+    st.integers(min_value=1, max_value=45),
+)
+@settings(max_examples=300)
+def test_decimal_of_roots_matches_reference(q, k, bits, digits):
+    _decimal_matches_reference(bigfloat_root(q, k, bits), digits)

@@ -707,6 +707,13 @@ def test_order_membership_mixed_orders():
     assert report.data["J"] == [2, 4]
 
 
+def test_order_membership_refuses_a_float_kappa_max():
+    mu = kappa_power_measure(measure((F(1, 2 ** 33), 1), (1, 1), (8, 1)), 4)
+    for kappa_max in (4.0, 1, 17):
+        with pytest.raises(UsageError, match=r"^kappa_max must be in \[2, 16\]$"):
+            check_root_order_membership(mu, F(1, 2 ** 24), 1, kappa_max)
+
+
 # ---------------------------------------------------------------------------
 # zero-counterexample sweep over generated instances
 # ---------------------------------------------------------------------------

@@ -84,6 +84,13 @@ def test_power_measure_single_dirac():
     assert mu == measure((F(5, 3) ** 4, F(7, 2) ** 4))
 
 
+def test_power_measure_refuses_a_float_kappa():
+    # 4.0 in range(2, 17) is true; the refusal is a UsageError, not the
+    # TypeError of math.comb
+    with pytest.raises(UsageError, match=r"^kappa must be in \[2, 16\], got 4.0$"):
+        kappa_power_measure(measure((1, 1), (2, 1)), 4.0)
+
+
 @given(measures(max_atoms=4), st.integers(min_value=2, max_value=4))
 @settings(max_examples=40, deadline=None)
 def test_power_measure_moment_identity(nu, kappa):
