@@ -24,16 +24,22 @@ is no such support point) and S_j the already-known contribution of
 earlier candidates.  A negative rho_j refutes existence outright; zero
 means the candidate is absent.
 
-One pushforward kernel (measures._push_atom) carries the work.  Support
-points are written c_j/D over a common denominator, so every product key is
-an int.  The degree map P_d sends a product of d positive candidates to the
-sum of multinomial(counts) * prod(rho**count) over the multisets reaching
-it, and the maps are updated in place each time a candidate is accepted, so
-S_j is one lookup of K_j in P_kappa.  After peeling, verification walks the
+One pushforward kernel (measures._push_atom) carries the work, and every
+value it holds is an int.  Support points are written c_j/L over their
+common denominator L, so every product key is an int, and the accepted
+weights are written r_j/D over a running common denominator D, so every
+weight pushed is an int.  The degree map P_d sends a product of d positive
+candidates to D**d times the sum of multinomial(counts) * prod(rho**count)
+over the multisets reaching it.  The maps are updated in place each time a
+candidate is accepted, so S_j is one lookup of K_j in P_kappa, and the
+numerator of rho_j over one denominator is a single integer expression
+whose sign decides the step; only a positive rho_j is built as a Fraction.
+When its denominator does not divide D, D is multiplied by the missing
+factor f and every P_d by f**d.  After peeling, verification walks the
 finished P_kappa (every product of the positive candidates) in ascending
-order, compares each key with mu exactly, then checks that every support
-point was reached, so a CertifiedYes is self-checking rather than a
-consequence of trusting the peeling argument.
+order, compares each key with mu exactly by cross-multiplying integers,
+then checks that every support point was reached, so a CertifiedYes is
+self-checking rather than a consequence of trusting the peeling argument.
 """
 
 from __future__ import annotations
@@ -71,6 +77,8 @@ __all__ = [
     "verify_representation",
     "approx_root_moments",
 ]
+
+_ZERO = Fraction(0)  # the rho of every absent candidate
 
 
 class Verdict(enum.Enum):
@@ -174,28 +182,43 @@ def decide_root(mu: AtomicMeasure, kappa: int) -> RootDecision:
     # the kappa-th power of each support point, as a degree-kappa key
     atom_at = {c ** kappa: atom for c, atom in zip(nums, mu.atoms)}
 
-    # ascending peeling; only positive candidates enter the pushforward
+    # ascending peeling; only positive candidates enter the pushforward.
+    # maps[d][key] stands for maps[d][key] / D**d, where D is the common
+    # denominator of the rhos pushed so far and scale = D**kappa; then
+    # rho = (target/base_mass - produced/scale) / kappa = num/(td*bn*scale*kappa).
+    bn, bd = base_mass.numerator, base_mass.denominator
     rhos: list[Fraction] = [Fraction(1)]
     maps = _degree_maps(kappa, [(nums[0], 1)])
     produced = maps[kappa]
     x1_pow = nums[0] ** (kappa - 1)
-    scale = kappa * base_mass
+    rho_den = scale = 1
     for j in range(1, m_count):
         key = x1_pow * nums[j]
         atom = atom_at.get(key)
-        target = atom[1] if atom is not None else 0
-        rho = (target - base_mass * produced.get(key, 0)) / scale
-        if rho < 0:
+        tn, td = (atom[1].numerator, atom[1].denominator) if atom is not None else (0, 1)
+        num = tn * bd * scale - bn * produced.get(key, 0) * td
+        if num < 0:
             return RootDecision(
                 Verdict.CERTIFIED_NO,
                 kappa,
                 certificate=Certificate(CertificateKind.NEGATIVE_RHO, xs[j]),
             )
+        if num == 0:
+            rhos.append(_ZERO)
+            continue
+        rho = Fraction(num, td * bn * scale * kappa)
         rhos.append(rho)
-        if rho > 0:
-            # maps[1] holds one key per atom pushed so far
-            _multiset_guard(len(maps[1]) + 1, kappa, MAX_MULTISETS)
-            _push_atom(maps, nums[j], rho)
+        # maps[1] holds one key per atom pushed so far
+        _multiset_guard(len(maps[1]) + 1, kappa, MAX_MULTISETS)
+        f = rho.denominator // math.gcd(rho.denominator, rho_den)
+        if f != 1:
+            rho_den *= f
+            scale = rho_den ** kappa
+            for d in range(1, kappa + 1):
+                fd, m = f ** d, maps[d]
+                for k, v in m.items():
+                    m[k] = v * fd
+        _push_atom(maps, nums[j], rho.numerator * (rho_den // rho.denominator))
 
     # full verification: every product of the positive candidates against mu
     for key in sorted(produced):
@@ -208,7 +231,8 @@ def decide_root(mu: AtomicMeasure, kappa: int) -> RootDecision:
                     CertificateKind.COVERAGE_VIOLATION, Fraction(key, den ** kappa)
                 ),
             )
-        if base_mass * produced[key] != atom[1]:
+        w = atom[1]
+        if bn * produced[key] * w.denominator != w.numerator * bd * scale:
             return RootDecision(
                 Verdict.CERTIFIED_NO,
                 kappa,
@@ -233,19 +257,25 @@ def decide_root(mu: AtomicMeasure, kappa: int) -> RootDecision:
 def verify_representation(mu: AtomicMeasure, nu: NuRepresentation) -> bool:
     """Check that nu's kappa-fold pushforward reproduces mu exactly.
 
-    It builds the pushforward with the same kernel as decide_root; the
-    test suite checks that kernel against an independent multiset
-    enumeration.
+    It builds the pushforward with the same kernel as decide_root, on int
+    weights: the rhos are cleared of denominators over their lcm R, so the
+    value at a degree-kappa key stands for that value / R**kappa.  The test
+    suite checks that kernel against an independent multiset enumeration.
     """
     positives = nu.positive_entries()
     if not positives:
         return False
-    _multiset_guard(len(positives), nu.kappa, MAX_MULTISETS)
-    powers = [e.power for e in positives]
+    kappa = nu.kappa
+    _multiset_guard(len(positives), kappa, MAX_MULTISETS)
+    powers, rhos = [e.power for e in positives], [e.rho for e in positives]
     den = math.lcm(*(p.denominator for p in powers + list(mu.support)))
-    maps = _degree_maps(nu.kappa, zip(_numerators(powers, den), (e.rho for e in positives)))
-    expected = {c ** nu.kappa: w for c, w in zip(_numerators(mu.support, den), mu.weights)}
-    return {k: nu.base_mass * v for k, v in maps[nu.kappa].items()} == expected
+    rho_den = math.lcm(*(r.denominator for r in rhos))
+    produced = _degree_maps(kappa, zip(_numerators(powers, den), _numerators(rhos, rho_den)))[kappa]
+    expected = {c ** kappa: w for c, w in zip(_numerators(mu.support, den), mu.weights)}
+    bn, bd = nu.base_mass.numerator, nu.base_mass.denominator * rho_den ** kappa
+    return produced.keys() == expected.keys() and all(
+        bn * produced[k] * w.denominator == w.numerator * bd for k, w in expected.items()
+    )
 
 
 def approx_root_moments(

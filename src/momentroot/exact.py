@@ -50,8 +50,11 @@ def parse_rational(text: str, allow_negative: bool = True) -> Fraction:
     m = _RATIONAL_RE.match(text)
     if m is None:
         raise UsageError(f"not a rational literal: {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
+    try:
+        num = int(m.group(1))
+        den = int(m.group(2)) if m.group(2) else 1
+    except ValueError:  # CPython's limit on int() of long digit strings
+        raise UsageError(f"rational literal too long ({len(text)} characters)") from None
     if not allow_negative and num < 0:
         raise UsageError(f"negative value not allowed here: {text!r}")
     return Fraction(num, den)

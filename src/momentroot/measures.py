@@ -52,8 +52,9 @@ class AtomicMeasure:
 
     @classmethod
     def from_pairs(cls, pairs) -> "AtomicMeasure":
-        """Sort (point, weight) pairs; duplicate positions are rejected."""
-        pairs = sorted((Fraction(p), Fraction(w)) for p, w in pairs)
+        """Sort (point, weight) pairs; duplicate positions are rejected.  A
+        Fraction is kept, not copied, so measures can share their atoms."""
+        pairs = sorted((_fraction(p), _fraction(w)) for p, w in pairs)
         for (a, _), (b, _) in zip(pairs, pairs[1:]):
             if a == b:
                 raise UsageError(f"duplicate atom position {a}")
@@ -89,6 +90,10 @@ class Hole:
             raise UsageError("hole endpoints must satisfy 0 <= lower < upper")
 
 
+def _fraction(v) -> Fraction:
+    return v if type(v) is Fraction else Fraction(v)
+
+
 def _check_kappa(kappa: int, message: str | None = None):
     if type(kappa) is not int or kappa not in KAPPA_RANGE:  # 4.0 in KAPPA_RANGE is true
         raise UsageError(message or f"kappa must be in [2, 16], got {kappa}")
@@ -117,7 +122,7 @@ def _degree_maps(kappa: int, atoms=()) -> list[dict]:
     return maps
 
 
-def _push_atom(maps: list[dict], num: int, weight) -> None:
+def _push_atom(maps: list[dict], num: int, weight: int) -> None:
     """Fold one atom into the degree maps in place.
 
     Points are written num/D over one common denominator D, so a product of
@@ -126,8 +131,8 @@ def _push_atom(maps: list[dict], num: int, weight) -> None:
     product, of multinomial(d; counts) * prod(weight**count).  Taking c
     copies of the new atom multiplies a degree-(d-c) multinomial by
     C(d, c); degrees are updated from kappa down, so each reads the lower
-    maps before this atom enters them.  Integer weights keep every value an
-    int.
+    maps before this atom enters them.  Every caller pushes int weights
+    (weights cleared of their denominators), so every value is an int.
     """
     kappa = len(maps) - 1
     powers = [(1, 1)]

@@ -150,6 +150,16 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_literal_beyond_the_int_digit_limit_exits_one(tmp_path, capsys):
+    # CPython refuses int() of more than 4,300 digits; that is a usage error
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"atoms": [{"point": "1" + "0" * 5000, "weight": "1"}]}))
+    assert main(["decide", "--measure", str(path), "--kappa", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: rational literal too long (5001 characters)"]
+
+
 def test_kappa_out_of_range_exits_one(measure_file, capsys):
     assert main(["decide", "--measure", measure_file, "--kappa", "1"]) == 1
     capsys.readouterr()

@@ -15,6 +15,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from momentroot import decide, measures
 from momentroot.decide import Certificate, CertificateKind, decide_root, verify_representation
 from momentroot.exact import GuardExceeded, Radical
 from momentroot.generate import GenParams, pick_kappa, random_atomic_measure, stream
@@ -113,6 +114,55 @@ def test_negative_rho_precedes_an_earlier_stray_product():
     mu = AtomicMeasure.from_pairs([(1, 1), (2, 2), (3, 2), (4, 1), (9, 1), (36, 1)])
     got = assert_same_decision(mu, 2)
     assert got.certificate == Certificate(CertificateKind.NEGATIVE_RHO, F(36))
+
+
+# weights 1/2, 1/3, ..., 1/11 at the points 1..5: every accepted rho has a
+# denominator coprime to those before it, so the running denominator of the
+# peeling maps grows at each accepted candidate
+COPRIME_NU = AtomicMeasure.from_pairs((n, F(1, p)) for n, p in zip(range(1, 6), (2, 3, 5, 7, 11)))
+
+
+@pytest.mark.parametrize("kappa", [2, 3, 4])
+def test_coprime_rho_denominators_match_reference(kappa):
+    mu = kappa_power_measure(COPRIME_NU, kappa)
+    root = None
+    kinds = set()
+    for variant in perturbations(mu, COPRIME_NU, kappa):
+        got = assert_same_decision(variant, kappa)
+        root = root or got.nu
+        kinds.add(got.verdict if got.is_yes else got.certificate.kind)
+        assert verify_representation(variant, root) == ref_verify_representation(variant, root)
+    assert [e.rho.denominator for e in root.positive_entries()] == [1, 3, 5, 7, 11]
+    assert root.to_atomic_measure() == COPRIME_NU
+    assert len(kinds) >= 2  # a yes and at least one kind of no
+
+
+def test_kernel_receives_only_int_weights(monkeypatch):
+    seen = []
+    push = measures._push_atom
+
+    def spy(maps, num, weight):
+        seen.append(type(weight))
+        push(maps, num, weight)
+
+    monkeypatch.setattr(measures, "_push_atom", spy)
+    monkeypatch.setattr(decide, "_push_atom", spy)
+    kappa = 3
+    mu = kappa_power_measure(COPRIME_NU, kappa)
+    for variant in perturbations(mu, COPRIME_NU, kappa):
+        got = decide_root(variant, kappa)
+        if got.is_yes:
+            assert verify_representation(variant, got.nu)
+    assert len(seen) > 3 * len(COPRIME_NU.atoms)
+    assert set(seen) == {int}
+
+
+def test_from_pairs_shares_the_fractions_it_is_given():
+    mu = kappa_power_measure(COPRIME_NU, 2)
+    copy = AtomicMeasure.from_pairs(reversed(mu.atoms))
+    assert copy == mu
+    for (p, w), (q, v) in zip(copy.atoms, mu.atoms):
+        assert p is q and w is v
 
 
 def fields(radicals):

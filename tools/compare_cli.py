@@ -10,7 +10,8 @@ process with stdout captured.  The calls:
   DRAWS generator draws at kappa 2..8 for each of SEEDS and on their
   scale, drop and inject perturbations (tests/test_pushforward_kernel's);
 - analyze --holes --theorems --json on every op of the benchmark's analyze
-  corpus for each of BENCH_SEEDS (the corpus is built with this checkout's
+  corpus, and decide on every op of its decide corpus (up to 466 atoms),
+  for each of BENCH_SEEDS (the corpora are built with this checkout's
   bench/);
 - analyze --holes --theorems --json on the squares of nu = {1, 1 + 10**-e,
   10} for e in GAPS, whose holes next to 1 have a large iota_s_star;
@@ -91,10 +92,13 @@ def generator_calls(workdir: Path) -> list[list[str]]:
 
 
 def bench_calls(workdir: Path) -> list[list[str]]:
-    """The analyze ops of the benchmark corpus, as built by this checkout."""
+    """The analyze and decide ops of the benchmark corpus, as built by this
+    checkout; each decide op's measure is written once per op label."""
     sys.path.insert(0, str(ROOT / "bench"))
     import corpus as corpus_mod
     from run import import_package
+
+    from momentroot.measures import dump_measure
 
     mr = import_package()
     calls = []
@@ -103,6 +107,13 @@ def bench_calls(workdir: Path) -> list[list[str]]:
         seed_dir.mkdir()
         for op in corpus_mod.build(mr, "analyze", seed, seed_dir).ops:
             calls.append(["analyze", "--measure", op.path, "--kappa", str(op.kappa), "--holes", "--theorems", "--json"])
+        written = {}
+        for op in corpus_mod.build(mr, "decide", seed, seed_dir).ops:
+            path = written.get(op.label)
+            if path is None:
+                path = written[op.label] = seed_dir / f"decide{len(written):04d}.json"
+                path.write_text(json.dumps(dump_measure(op.mu)), encoding="utf-8")
+            calls.append(["decide", "--measure", str(path), "--kappa", str(op.kappa)])
     return calls
 
 
