@@ -10,7 +10,6 @@ approximations appear only in reports.
 """
 
 from .exact import (
-    BigFloat,
     GuardExceeded,
     Radical,
     UsageError,
@@ -70,7 +69,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AtomicMeasure",
-    "BigFloat",
     "Certificate",
     "CertificateKind",
     "FeasibilityWitness",

@@ -50,12 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exact import (
-    BigFloat,
-    Radical,
-    UsageError,
-    perfect_nth_root,
-)
+from .exact import UsageError, bigfloat_root, perfect_nth_root
 from .measures import (
     AtomicMeasure,
     MAX_MULTISETS,
@@ -280,13 +275,14 @@ def verify_representation(mu: AtomicMeasure, nu: NuRepresentation) -> bool:
 
 def approx_root_moments(
     decision: RootDecision, n: int, precision: int = 256
-) -> BigFloat:
+) -> Fraction:
     """Dyadic approximation of the n-th root moment b_n = a_n**(1/kappa).
 
     b_n = sum_j rho_j * (base_mass * power_j**n)**(1/kappa); each term is
     approximated to precision plus guard bits and the exact dyadic sum is
-    rounded once at the end, so the result is within one ulp (and exact
-    whenever every term is rational and representable).
+    rounded once at the end to a precision-bit mantissa, so the result is
+    within one ulp (and exact whenever every term is rational and
+    representable).
     """
     if not decision.is_yes:
         raise UsageError("approx_root_moments needs a CertifiedYes decision")
@@ -297,6 +293,6 @@ def approx_root_moments(
     guard = max(len(terms).bit_length() + 2, 4)
     total = Fraction(0)
     for e in terms:
-        term = Radical(e.rho, nu.base_mass * e.power ** n, nu.kappa)
-        total += term.approx(precision + guard).to_fraction()
-    return BigFloat.from_fraction(total, precision)
+        term_power = e.rho ** nu.kappa * nu.base_mass * e.power ** n
+        total += bigfloat_root(term_power, nu.kappa, precision + guard)
+    return bigfloat_root(total, 1, precision)

@@ -1,9 +1,10 @@
 """Exact scalar arithmetic: rationals, radicals of the form q * r**(1/k),
-exact floor-of-log-ratio, and dyadic floating approximations.
+exact floor-of-log-ratio, and correctly rounded dyadic approximations.
 
 Every certified verdict in this package reduces to integer arithmetic in
-this module.  The BigFloat type is for reporting only and never feeds back
-into a certified result.
+this module.  An approximation (bigfloat_root) is a correctly rounded
+dyadic Fraction, used for reporting only; it never feeds back into a
+certified result.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ __all__ = [
     "perfect_nth_root",
     "Radical",
     "floor_log_ratio",
-    "BigFloat",
     "bigfloat_root",
     "DEFAULT_PRECISION",
 ]
@@ -62,9 +62,13 @@ def parse_rational(text: str, allow_negative: bool = True) -> Fraction:
 
 def format_rational(q: Fraction) -> str:
     """Inverse of parse_rational: "p" when integral, else "p/q"."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:  # CPython's limit on str() of long integers
+        bits = max(q.numerator.bit_length(), q.denominator.bit_length())
+        raise UsageError(f"rational too long to print (a {bits}-bit integer)") from None
 
 
 def int_nth_root(n: int, k: int) -> int:
@@ -171,11 +175,6 @@ class Radical:
     def __hash__(self):
         return hash((self.index, self.power))
 
-    def approx(self, precision: int = DEFAULT_PRECISION) -> "BigFloat":
-        if self.coeff == 0:
-            return BigFloat(0, 0, 0, precision)
-        return bigfloat_root(self.power, self.index, precision)
-
     def __repr__(self):
         if self.coeff == 0:
             return "Radical(0)"
@@ -233,60 +232,10 @@ def floor_log_ratio(base: Fraction, target: Fraction) -> int:
         pm, qm = pn, qn
 
 
-@dataclass(frozen=True)
-class BigFloat:
-    """A dyadic approximation sign * mantissa * 2**exponent.
-
-    Nonzero values keep a normalized mantissa with exactly ``precision``
-    bits.  Construction rounds to nearest, ties to even; conversions back
-    to Fraction are exact, so downstream arithmetic on approximations can
-    stay rational.
-    """
-
-    sign: int
-    mantissa: int
-    exponent: int
-    precision: int
-
-    def to_fraction(self) -> Fraction:
-        if self.sign == 0:
-            return Fraction(0)
-        v = Fraction(self.mantissa)
-        if self.exponent >= 0:
-            v *= 1 << self.exponent
-        else:
-            v /= 1 << -self.exponent
-        return self.sign * v
-
-    def __float__(self) -> float:
-        try:
-            return self.sign * math.ldexp(self.mantissa, self.exponent)
-        except OverflowError:
-            return self.sign * math.inf
-
-    def decimal(self, digits: int | None = None) -> str:
-        """Decimal rendering with the given number of significant digits."""
-        if digits is None:
-            digits = max(self.precision * 301 // 1000, 1)
-        if self.sign == 0:
-            return "0"
-        num, den = self.mantissa << max(self.exponent, 0), 1 << max(-self.exponent, 0)
-        return ("-" if self.sign < 0 else "") + _decimal_str(num, den, digits)
-
-    @classmethod
-    def from_fraction(cls, q, precision: int = DEFAULT_PRECISION) -> "BigFloat":
-        q = Fraction(q)
-        if q == 0:
-            return cls(0, 0, 0, precision)
-        if q < 0:
-            pos = bigfloat_root(-q, 1, precision)
-            return cls(-1, pos.mantissa, pos.exponent, precision)
-        return bigfloat_root(q, 1, precision)
-
-
-def _decimal_str(num: int, den: int, digits: int) -> str:
-    """num/den > 0 to the given number of significant digits, rounded half
-    up; integer arithmetic throughout."""
+def _decimal_str(q: Fraction, digits: int) -> str:
+    """q > 0 to the given number of significant digits, rounded half up;
+    integer arithmetic throughout."""
+    num, den = q.numerator, q.denominator
 
     def scaled(e: int) -> tuple[int, int]:  # num/den * 10**e
         return num * 10 ** max(e, 0), den * 10 ** max(-e, 0)
@@ -315,12 +264,13 @@ def _decimal_str(num: int, den: int, digits: int) -> str:
     return body if fixed else f"{body}e{e10}"
 
 
-def bigfloat_root(q: Fraction, k: int, precision: int) -> BigFloat:
-    """Correctly rounded (nearest, ties even) q**(1/k) for rational q > 0.
+def bigfloat_root(q: Fraction, k: int, precision: int) -> Fraction:
+    """q**(1/k) for rational q > 0, rounded to nearest (ties to even) with a
+    precision-bit mantissa, as an exact dyadic Fraction.
 
-    Works on plain integers: floor(q**(1/k) * 2**t) is pinned down by exact
-    power comparisons, then the final rounding decision compares q against
-    the k-th power of the candidate midpoint, which is again exact.
+    Works on plain integers: floor(q**(1/k) * 2**t) is an integer k-th
+    root, then the rounding decision compares q against the k-th power of
+    the candidate midpoint, which is again exact.
     """
     q = Fraction(q)
     if q <= 0:
@@ -330,23 +280,14 @@ def bigfloat_root(q: Fraction, k: int, precision: int) -> BigFloat:
     if precision < 32:
         raise UsageError("precision must be at least 32 bits")
     num, den = q.numerator, q.denominator
-    # initial scale guess from bit lengths: log2(q)/k + t should be ~precision+2
+    # q > 2**(e-1) for e = num.bit_length() - den.bit_length(), so this t
+    # gives q**(1/k) * 2**t > 2**(precision+1): m has >= precision+2 bits
     t = precision + 2 - (num.bit_length() - den.bit_length()) // k
-    while True:
-        if t >= 0:
-            a_num, a_den = num << (k * t), den
-        else:
-            a_num, a_den = num, den << (k * -t)
-        m = int_nth_root(a_num // a_den, k)
-        while (m + 1) ** k * a_den <= a_num:
-            m += 1
-        while m > 0 and m ** k * a_den > a_num:
-            m -= 1
-        bits = m.bit_length()
-        if bits >= precision + 2:
-            break
-        t += precision + 2 - bits
-    drop = bits - precision
+    if t >= 0:
+        m = int_nth_root((num << (k * t)) // den, k)
+    else:
+        m = int_nth_root(num // (den << (k * -t)), k)
+    drop = m.bit_length() - precision
     m0 = m >> drop
     # round to nearest: compare q against ((2*m0+1) * 2**(drop-1-t)) ** k
     mid = (2 * m0 + 1) ** k
@@ -359,7 +300,6 @@ def bigfloat_root(q: Fraction, k: int, precision: int) -> BigFloat:
     if lhs > rhs or (lhs == rhs and m0 % 2 == 1):
         m0 += 1
     exponent = drop - t
-    if m0 == 1 << precision:
-        m0 >>= 1
-        exponent += 1
-    return BigFloat(1, m0, exponent, precision)
+    if exponent >= 0:
+        return Fraction(m0 << exponent)
+    return Fraction(m0, 1 << -exponent)

@@ -79,7 +79,7 @@ def fixture_four_point_hole():
 
     d = decide_root(mu, 2)
     assert d.is_yes and verify_representation(mu, d.nu)
-    assert approx_root_moments(d, 1).to_fraction() == F(9, 2)
+    assert approx_root_moments(d, 1) == F(9, 2)
     assert class_membership(mu) == (9, 4)
 
 

@@ -32,6 +32,7 @@ from .exact import (
     GuardExceeded,
     Radical,
     UsageError,
+    _decimal_str,
     bigfloat_root,
     floor_log_ratio,
     format_rational,
@@ -153,7 +154,8 @@ def _radical_dict(coeff: Fraction, radicand: Fraction, index: int, exact) -> dic
     }
     if exact is None:
         approx = bigfloat_root(coeff ** index * radicand, index, APPROX_BITS)
-        out["approx"] = {"decimal": approx.decimal(), "precision_bits": APPROX_BITS}
+        decimal = _decimal_str(approx, APPROX_BITS * 301 // 1000)  # 19 digits, as many as 64 bits carry
+        out["approx"] = {"decimal": decimal, "precision_bits": APPROX_BITS}
     return out
 
 
@@ -406,10 +408,7 @@ def kappa_dependence_scan(
     )
 
     # (i)/(ii): limits, restated as monotone approach and checked numerically
-    alpha_dag_vals = [
-        bigfloat_root(_scaled_power(theta2, theta3, k), k, precision).to_fraction()
-        for k in kappas
-    ]
+    alpha_dag_vals = [bigfloat_root(_scaled_power(theta2, theta3, k), k, precision) for k in kappas]
     target = theta2 / theta3
     dist_a = [abs(v - target) for v in alpha_dag_vals]
     claims.append(
@@ -423,7 +422,7 @@ def kappa_dependence_scan(
     )
     beta_dag_vals = None
     if theta1 > 0:
-        beta_dag_vals = [bigfloat_root(theta1, k, precision).to_fraction() for k in kappas]
+        beta_dag_vals = [bigfloat_root(theta1, k, precision) for k in kappas]
         dist_b = [abs(v - 1) for v in beta_dag_vals]
         holds_b = all(b <= a for a, b in zip(dist_b, dist_b[1:]))
     else:

@@ -6,7 +6,7 @@ the direct multiset enumerations the pushforward kernel replaced, in
 Fraction arithmetic and with no multiset guard; radical_product,
 radical_quotient and radical_compare are same-index radical arithmetic,
 which the library does only on kappa-th powers; ref_decimal is the
-Fraction decimal rendering that BigFloat.decimal does on integers.
+Fraction decimal rendering that exact._decimal_str does on integers.
 """
 
 from __future__ import annotations

@@ -160,6 +160,51 @@ def test_literal_beyond_the_int_digit_limit_exits_one(tmp_path, capsys):
     assert captured.err.splitlines() == ["error: rational literal too long (5001 characters)"]
 
 
+def test_result_beyond_the_int_digit_limit_exits_one(tmp_path, capsys):
+    # every literal parses, but the coverage violation sits at 10**4402,
+    # which CPython refuses to print in decimal: that is a usage error too
+    atoms = {"1": "1", "1" + "0" * 1100: "2", "1" + "0" * 1101: "2", "1" + "0" * 2200: "1", "1" + "0" * 2202: "1"}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"atoms": [{"point": p, "weight": w} for p, w in atoms.items()]}))
+    assert main(["decide", "--measure", str(path), "--kappa", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: rational too long to print (a 14624-bit integer)"]
+
+
+def test_analyze_text_of_a_no_instance(tmp_path, capsys):
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps({"atoms": [{"point": "1", "weight": "1"}, {"point": "2", "weight": "1"}]}))
+    assert main(["analyze", "--measure", str(path), "--kappa", "2", "--theorems"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "kappa = 2",
+        "support: 1 2",
+        "decision: certified_no",
+        "  certificate: mass_mismatch at 2",
+        "hole (0, 1) (leading)",
+        "hole (1, 2)",
+        "no certified root; hole checkers skipped",
+    ]
+
+
+def test_analyze_theorems_exits_two_on_a_violation(tmp_path, capsys, monkeypatch):
+    from momentroot import holes
+
+    def violated(pair, theta1, theta2):
+        return holes.TheoremReport("stub", (holes.Claim("always", (), "never holds", False),))
+
+    monkeypatch.setattr(holes, "check_hole_backward", violated)
+    path = tmp_path / "three.json"
+    atoms = [{"point": "1", "weight": "1"}, {"point": "2", "weight": "2"}, {"point": "4", "weight": "1"}]
+    path.write_text(json.dumps({"atoms": atoms}))
+    argv = ["analyze", "--measure", str(path), "--kappa", "2", "--holes", "--theorems"]
+    assert main(argv) == 2
+    assert "theorem check: stub: VIOLATED" in capsys.readouterr().out.splitlines()
+    assert main(argv + ["--json"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert [r["violations"] for r in doc["theorems"] if r["theorem"] == "stub"] == [["always"]] * 3
+
+
 def test_kappa_out_of_range_exits_one(measure_file, capsys):
     assert main(["decide", "--measure", measure_file, "--kappa", "1"]) == 1
     capsys.readouterr()

@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentroot.exact import (
-    BigFloat,
     Radical,
     UsageError,
+    _decimal_str,
     bigfloat_root,
     floor_log_ratio,
     format_rational,
@@ -111,7 +111,7 @@ def test_radical_root_order_matches_rational_order(p, q, kappa):
 def test_radical_total_order_consistent_with_approx(p, q, kappa):
     a, b = Radical.root(p, kappa), Radical.root(q, kappa)
     cmp = radical_compare(a, b)
-    fa, fb = a.approx(64).to_fraction(), b.approx(64).to_fraction()
+    fa, fb = bigfloat_root(a.power, kappa, 64), bigfloat_root(b.power, kappa, 64)
     if cmp < 0:
         assert fa <= fb
     elif cmp > 0:
@@ -169,6 +169,21 @@ def test_floor_log_ratio_exact_powers(base, m):
     assert floor_log_ratio(base, base ** m) == m
 
 
+@pytest.mark.parametrize(
+    "base, target, m",
+    [
+        (F(2), F(2 ** 60 - 1), 59),
+        (F(3), F(3 ** 40 - 1), 39),
+        (F(3, 2), F(3, 2) ** 50 - F(1, 10 ** 30), 49),
+        (F(10), F(10 ** 22 - 1), 21),
+    ],
+)
+def test_floor_log_ratio_steps_down_from_a_high_seed(base, target, m):
+    # just below base**(m+1) the float estimate rounds up to m + 1, and
+    # the exact powering must step it back down
+    assert floor_log_ratio(base, target) == m
+
+
 # ---------------------------------------------------------------------------
 # dyadic approximations
 # ---------------------------------------------------------------------------
@@ -187,19 +202,18 @@ def _bisect_root(q: F, k: int, bits: int) -> F:
 
 
 def test_sqrt_half_against_bisection():
-    approx = Radical.root(F(1, 2), 2).approx(64).to_fraction()
+    approx = bigfloat_root(F(1, 2), 2, 64)
     oracle = _bisect_root(F(1, 2), 2, 90)
     assert abs(approx - oracle) <= F(1, 2 ** 64) * oracle
 
 
 def test_rational_radical_is_exact():
-    bf = Radical.from_rational(F(3, 2), 2).approx(64)
-    assert bf.to_fraction() == F(3, 2)
+    assert bigfloat_root(F(9, 4), 2, 64) == F(3, 2)
 
 
 def test_refinement_consistency():
-    a64 = Radical.root(2, 2).approx(64).to_fraction()
-    a128 = Radical.root(2, 2).approx(128).to_fraction()
+    a64 = bigfloat_root(F(2), 2, 64)
+    a128 = bigfloat_root(F(2), 2, 128)
     assert abs(a64 - a128) <= F(1, 2 ** 63) * a128
 
 
@@ -211,41 +225,42 @@ def test_precision_floor():
 @given(positive_fractions, st.integers(min_value=2, max_value=8))
 @settings(max_examples=60)
 def test_bigfloat_root_error_bound(q, k):
-    bf = bigfloat_root(q, k, 64)
-    v = bf.to_fraction()
+    v = bigfloat_root(q, k, 64)
+    # a dyadic with a mantissa of at most 64 bits
+    den = v.denominator
+    assert den & (den - 1) == 0
+    assert (v.numerator // (v.numerator & -v.numerator)).bit_length() <= 64
     # |v - q^(1/k)| <= ulp/2 means v^k brackets q within a relative 2^-63
     assert (v * (1 + F(1, 2 ** 62))) ** k >= q
     assert (v * (1 - F(1, 2 ** 62))) ** k <= q
 
 
 def test_bigfloat_from_fraction_exact_dyadic():
-    bf = BigFloat.from_fraction(F(9, 2), 64)
-    assert bf.to_fraction() == F(9, 2)
-    assert float(bf) == 4.5
+    # at k = 1 bigfloat_root rounds a rational; a short dyadic stays exact
+    assert bigfloat_root(F(9, 2), 1, 64) == F(9, 2)
 
 
 def test_bigfloat_rounds_ties_to_even():
-    assert BigFloat.from_fraction(F(2 ** 64 + 1), 64).to_fraction() == 2 ** 64
-    assert BigFloat.from_fraction(F(2 ** 64 + 3), 64).to_fraction() == 2 ** 64 + 4
+    assert bigfloat_root(F(2 ** 64 + 1), 1, 64) == 2 ** 64
+    assert bigfloat_root(F(2 ** 64 + 3), 1, 64) == 2 ** 64 + 4
 
 
 def test_bigfloat_decimal_rendering():
-    assert BigFloat.from_fraction(F(1, 2), 64).decimal(5) == "0.5"
-    assert BigFloat.from_fraction(F(0), 64).decimal() == "0"
-    assert BigFloat.from_fraction(F(-3), 64).decimal(4) == "-3"
-    assert BigFloat.from_fraction(F(10 ** 30), 128).decimal(4) == "1e30"
+    assert _decimal_str(F(1, 2), 5) == "0.5"
+    assert _decimal_str(F(3), 4) == "3"
+    assert _decimal_str(bigfloat_root(F(10 ** 30), 1, 128), 4) == "1e30"
 
 
 def test_decimal_just_above_a_power_of_ten():
     # 0.1 rounded up to 128 bits lies just above 1/10; its exponent is -1
     # and its 40th digit rounds up
-    assert bigfloat_root(F(1, 10), 1, 128).decimal(40) == "0.1000000000000000000000000000000000000001"
-    assert bigfloat_root(F(1, 10), 1, 128).decimal(3) == "0.1"
-    assert BigFloat.from_fraction(F(-1, 10), 128).decimal(40) == "-0.1000000000000000000000000000000000000001"
+    tenth = bigfloat_root(F(1, 10), 1, 128)
+    assert _decimal_str(tenth, 40) == "0.1000000000000000000000000000000000000001"
+    assert _decimal_str(tenth, 3) == "0.1"
 
 
-def _decimal_matches_reference(bf: BigFloat, digits: int):
-    assert bf.decimal(digits) == ref_decimal(bf.to_fraction(), digits), (bf, digits)
+def _decimal_matches_reference(value: F, digits: int):
+    assert _decimal_str(value, digits) == ref_decimal(value, digits), (value, digits)
 
 
 @pytest.mark.parametrize("bits", [32, 64, 128])
@@ -255,10 +270,10 @@ def test_decimal_at_powers_of_ten_matches_reference(bits):
     # next to 10**k, which lies below or above it
     for k in range(-30, 31):
         for q in (F(10) ** k, F(10) ** k * (1 - F(1, 10 ** 25)), F(10) ** k * (1 + F(1, 10 ** 25))):
-            bf = BigFloat.from_fraction(q, bits)
+            value = bigfloat_root(q, 1, bits)
             for digits in (1, 2, 5, 10, 19, 20, 40, 60):
-                _decimal_matches_reference(bf, digits)
-            _decimal_matches_reference(bf, max(bits * 301 // 1000, 1))
+                _decimal_matches_reference(value, digits)
+            _decimal_matches_reference(value, max(bits * 301 // 1000, 1))
 
 
 @given(

@@ -707,6 +707,15 @@ def test_order_membership_mixed_orders():
     assert report.data["J"] == [2, 4]
 
 
+def test_order_membership_not_applicable_without_working_orders():
+    # delta_1 + delta_3 + delta_4 has no kappa-th root for kappa in 2..4
+    mu = measure((1, 1), (3, 1), (4, 1))
+    report = check_root_order_membership(mu, 1, 3, 4)
+    assert not report.applicable
+    assert report.note == "J intersected with [2, 4] is empty"
+    assert report.data == {"iota_s_star": 1}
+
+
 def test_order_membership_refuses_a_float_kappa_max():
     mu = kappa_power_measure(measure((F(1, 2 ** 33), 1), (1, 1), (8, 1)), 4)
     for kappa_max in (4.0, 1, 17):

@@ -13,8 +13,9 @@ process with stdout captured.  The calls:
   corpus, and decide on every op of its decide corpus (up to 466 atoms),
   for each of BENCH_SEEDS (the corpora are built with this checkout's
   bench/);
-- analyze --holes --theorems --json on the squares of nu = {1, 1 + 10**-e,
-  10} for e in GAPS, whose holes next to 1 have a large iota_s_star;
+- analyze --holes --theorems --json, analyze --holes --json and analyze
+  --holes in text form on the squares of nu = {1, 1 + 10**-e, 10} for e
+  in GAPS, whose holes next to 1 have a large iota_s_star;
 - params on generator triples at kappa 2..8, table --json, and fixtures;
 - fuzz, every suite, on SEEDS (FUZZ_TRIALS trials of the theorems suite),
   and roundtrip and theorems again with --jobs 2, so the process-pool path
@@ -125,7 +126,8 @@ def narrow_gap_calls(workdir: Path) -> list[list[str]]:
         nu = AtomicMeasure.from_pairs([(1, 1), (1 + Fraction(1, 10 ** e), 1), (10, 1)])
         path = workdir / f"gap{e}.json"
         path.write_text(json.dumps(dump_measure(kappa_power_measure(nu, 2))), encoding="utf-8")
-        calls.append(["analyze", "--measure", str(path), "--kappa", "2", "--holes", "--theorems", "--json"])
+        base = ["analyze", "--measure", str(path), "--kappa", "2", "--holes"]
+        calls += [base + ["--theorems", "--json"], base + ["--json"], base]
     return calls
 
 
