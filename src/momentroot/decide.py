@@ -38,8 +38,9 @@ When its denominator does not divide D, D is multiplied by the missing
 factor f and every P_d by f**d.  After peeling, verification walks the
 finished P_kappa (every product of the positive candidates) in ascending
 order, compares each key with mu exactly by cross-multiplying integers,
-then checks that every support point was reached, so a CertifiedYes is
-self-checking rather than a consequence of trusting the peeling argument.
+then checks that every support point was reached (the comparison that
+verify_representation shares), so a CertifiedYes is self-checking rather
+than a consequence of trusting the peeling argument.
 """
 
 from __future__ import annotations
@@ -216,30 +217,9 @@ def decide_root(mu: AtomicMeasure, kappa: int) -> RootDecision:
         _push_atom(maps, nums[j], rho.numerator * (rho_den // rho.denominator))
 
     # full verification: every product of the positive candidates against mu
-    for key in sorted(produced):
-        atom = atom_at.get(key)
-        if atom is None:
-            return RootDecision(
-                Verdict.CERTIFIED_NO,
-                kappa,
-                certificate=Certificate(
-                    CertificateKind.COVERAGE_VIOLATION, Fraction(key, den ** kappa)
-                ),
-            )
-        w = atom[1]
-        if bn * produced[key] * w.denominator != w.numerator * bd * scale:
-            return RootDecision(
-                Verdict.CERTIFIED_NO,
-                kappa,
-                certificate=Certificate(CertificateKind.MASS_MISMATCH, atom[0]),
-            )
-    for key, (x, _) in atom_at.items():
-        if key not in produced:
-            return RootDecision(
-                Verdict.CERTIFIED_NO,
-                kappa,
-                certificate=Certificate(CertificateKind.MASS_MISMATCH, x),
-            )
+    certificate = _mismatch(produced, atom_at, bn, bd * scale, den, kappa)
+    if certificate is not None:
+        return RootDecision(Verdict.CERTIFIED_NO, kappa, certificate=certificate)
 
     nu = NuRepresentation(
         base_mass=base_mass,
@@ -247,6 +227,27 @@ def decide_root(mu: AtomicMeasure, kappa: int) -> RootDecision:
         kappa=kappa,
     )
     return RootDecision(Verdict.CERTIFIED_YES, kappa, nu=nu)
+
+
+def _mismatch(produced: dict, atom_at: dict, bn: int, bd: int, den: int, kappa: int) -> Optional[Certificate]:
+    """The first certificate that a finished pushforward misses mu, or None.
+
+    produced sends each product key (over den**kappa) to an int standing for
+    mass bn * value / bd, and atom_at sends the key of each support point to
+    its mu-atom.  In ascending key order a stray key is a COVERAGE_VIOLATION
+    and a wrong mass a MASS_MISMATCH; then an unreached point is a MASS_MISMATCH.
+    """
+    for key in sorted(produced):
+        atom = atom_at.get(key)
+        if atom is None:
+            return Certificate(CertificateKind.COVERAGE_VIOLATION, Fraction(key, den ** kappa))
+        w = atom[1]
+        if bn * produced[key] * w.denominator != w.numerator * bd:
+            return Certificate(CertificateKind.MASS_MISMATCH, atom[0])
+    for key, (x, _) in atom_at.items():
+        if key not in produced:
+            return Certificate(CertificateKind.MASS_MISMATCH, x)
+    return None
 
 
 def verify_representation(mu: AtomicMeasure, nu: NuRepresentation) -> bool:
@@ -266,11 +267,9 @@ def verify_representation(mu: AtomicMeasure, nu: NuRepresentation) -> bool:
     den = math.lcm(*(p.denominator for p in powers + list(mu.support)))
     rho_den = math.lcm(*(r.denominator for r in rhos))
     produced = _degree_maps(kappa, zip(_numerators(powers, den), _numerators(rhos, rho_den)))[kappa]
-    expected = {c ** kappa: w for c, w in zip(_numerators(mu.support, den), mu.weights)}
+    atom_at = {c ** kappa: atom for c, atom in zip(_numerators(mu.support, den), mu.atoms)}
     bn, bd = nu.base_mass.numerator, nu.base_mass.denominator * rho_den ** kappa
-    return produced.keys() == expected.keys() and all(
-        bn * produced[k] * w.denominator == w.numerator * bd for k, w in expected.items()
-    )
+    return _mismatch(produced, atom_at, bn, bd, den, kappa) is None
 
 
 def approx_root_moments(

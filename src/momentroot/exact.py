@@ -41,11 +41,11 @@ class GuardExceeded(UsageError):
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
 
 
-def parse_rational(text: str, allow_negative: bool = True) -> Fraction:
+def parse_rational(text: str) -> Fraction:
     """Parse the "p" / "p/q" text encoding into a Fraction.
 
-    Base-10 integers only; no whitespace, decimals or exponents.  Measure
-    data must pass ``allow_negative=False``.
+    Base-10 integers only; no whitespace, decimals or exponents.  p may be
+    negative: AtomicMeasure checks the sign of a measure's values.
     """
     m = _RATIONAL_RE.match(text)
     if m is None:
@@ -55,8 +55,6 @@ def parse_rational(text: str, allow_negative: bool = True) -> Fraction:
         den = int(m.group(2)) if m.group(2) else 1
     except ValueError:  # CPython's limit on int() of long digit strings
         raise UsageError(f"rational literal too long ({len(text)} characters)") from None
-    if not allow_negative and num < 0:
-        raise UsageError(f"negative value not allowed here: {text!r}")
     return Fraction(num, den)
 
 
@@ -80,16 +78,12 @@ def int_nth_root(n: int, k: int) -> int:
     if k == 2:
         return math.isqrt(n)
     x = 1 << -(-n.bit_length() // k)  # upper bound: 2**ceil(bits/k) >= root
+    # Newton from above falls strictly to the floor (AM-GM keeps it >= floor) and stops there
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
-            break
+            return x
         x = y
-    while x ** k > n:
-        x -= 1
-    while (x + 1) ** k <= n:
-        x += 1
-    return x
 
 
 def perfect_nth_root(q: Fraction, k: int) -> Fraction | None:
@@ -133,15 +127,11 @@ class Radical:
 
     @classmethod
     def from_rational(cls, q, index: int) -> "Radical":
-        q = Fraction(q)
-        return cls(q, Fraction(1), index)
+        return cls(q, 1, index)
 
     @classmethod
     def root(cls, q, index: int) -> "Radical":
         """q ** (1/index) for rational q > 0."""
-        q = Fraction(q)
-        if q <= 0:
-            raise UsageError("root needs a positive radicand")
         return cls(Fraction(1), q, index)
 
     @classmethod
@@ -184,21 +174,12 @@ class Radical:
         )
 
 
-def _log2_int(n: int) -> float:
-    if n.bit_length() <= 900:
-        return math.log2(n)
-    shift = n.bit_length() - 64
-    return math.log2(n >> shift) + shift
-
-
 def _log2_frac(n: int, d: int) -> float:
-    """Float estimate of log2(n/d), accurate also when n/d is close to 1."""
-    if n == d:
-        return 0.0
+    """Float estimate of log2(n/d) for n > d, accurate also when n/d is close to 1."""
     if abs(n.bit_length() - d.bit_length()) <= 8:
         # log1p avoids the catastrophic cancellation of log(n) - log(d)
         return math.log1p((n - d) / d) / math.log(2)
-    return _log2_int(n) - _log2_int(d)
+    return math.log2(n) - math.log2(d)
 
 
 def floor_log_ratio(base: Fraction, target: Fraction) -> int:

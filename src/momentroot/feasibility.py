@@ -63,10 +63,8 @@ def n_minus(M: int) -> int:
     if M < 1:
         raise UsageError("M must be >= 1")
     n = (math.isqrt(8 * M + 1) - 1) // 2
-    while n * (n + 1) < 2 * M:
+    while n * (n + 1) < 2 * M:  # isqrt rounds down, so n only needs to grow
         n += 1
-    while n > 1 and (n - 1) * n >= 2 * M:
-        n -= 1
     return n
 
 
@@ -98,8 +96,6 @@ def product_count(xs) -> int:
 def _build(M: int, N: int) -> list[Fraction]:
     if N == 1:
         return [Fraction(1)]
-    if N == 2:
-        return [Fraction(1), Fraction(2)]
     below = N - 1
     if M <= 3 * below:
         k = M - 2 * N
@@ -112,8 +108,6 @@ def _build(M: int, N: int) -> list[Fraction]:
 def witness(M: int, N: int) -> FeasibilityWitness:
     """Construct a strictly increasing rational tuple of length N with
     exactly M pairwise products; raises InfeasiblePair when none exists."""
-    if M < 1 or N < 1:
-        raise UsageError("M and N must be >= 1")
     if not feasible(M, N):
         lo, hi = 2 * N - 1, N * (N + 1) // 2
         raise InfeasiblePair(
@@ -134,7 +128,5 @@ def class_membership(mu: AtomicMeasure) -> tuple[int, Optional[int]]:
     decision = decide_root(mu, 2)
     if not decision.is_yes:
         return M, None
-    N = decision.nu.support_size()
-    if not feasible(M, N):  # impossible for a certified decision
-        raise RuntimeError(f"inconsistent class membership ({M}, {N})")
-    return M, N
+    # feasible(M, N) holds: supp mu is the set of pairwise products of N points
+    return M, decision.nu.support_size()

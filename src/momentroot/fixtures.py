@@ -2,7 +2,8 @@
 at concrete rational parameter values and checked end to end.
 
 Each fixture raises AssertionError on the first mismatch; run_all collects
-(name, ok, message) rows for the CLI and for pytest.
+(name, ok, message) rows for the CLI and for pytest, and refuses to run
+under python -O, which strips those asserts.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .decide import approx_root_moments, decide_root, verify_representation
+from .exact import UsageError
 from .feasibility import class_membership, n_minus, n_plus, product_count, witness
 from .holes import RootPair, _some_inside, check_root_order_membership, check_hole_forward, check_hole_backward, check_iota_hole_criteria, triple_params
 from .measures import AtomicMeasure, find_holes, kappa_power_measure
@@ -215,6 +217,8 @@ FIXTURES = [
 
 
 def run_all() -> list[tuple[str, bool, str]]:
+    if not __debug__:  # python -O strips the asserts every fixture checks with
+        raise UsageError("the fixtures check with assert statements; run them without python -O")
     rows = []
     for name, fn in FIXTURES:
         try:

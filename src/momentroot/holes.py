@@ -125,11 +125,13 @@ class TheoremReport:
 
 
 def json_value(v):
-    """Lower report payloads to JSON-ready values; rationals become strings."""
+    """Lower report payloads to JSON: rationals become strings, radicals and TripleParams dicts."""
     if isinstance(v, Fraction):
         return format_rational(v)
     if isinstance(v, Radical):
-        return radical_to_dict(v)
+        return _radical_dict(v.coeff, v.radicand, v.index, v.to_rational())
+    if isinstance(v, TripleParams):
+        return v.to_dict()
     if isinstance(v, dict):
         return {str(k) if not isinstance(k, str) else k: json_value(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
@@ -138,10 +140,6 @@ def json_value(v):
 
 
 APPROX_BITS = 64  # precision of the approx of an irrational radical in JSON
-
-
-def radical_to_dict(r: Radical) -> dict:
-    return _radical_dict(r.coeff, r.radicand, r.index, r.to_rational())
 
 
 def _radical_dict(coeff: Fraction, radicand: Fraction, index: int, exact) -> dict:
@@ -248,7 +246,7 @@ def ordering_report(p: TripleParams) -> TheoremReport:
             dag_cmp == -((t2_vs > 0) - (t2_vs < 0)),
         ),
     )
-    return TheoremReport("endpoint ordering", claims, data={"params": p.to_dict()})
+    return TheoremReport("endpoint ordering", claims, data={"params": p})
 
 
 def _iota_s_star(theta1: Fraction, theta2: Fraction, theta3: Fraction) -> int:

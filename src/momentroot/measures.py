@@ -47,18 +47,14 @@ class AtomicMeasure:
             if weight <= 0:
                 raise UsageError(f"atom weight must be > 0, got {weight}")
             if prev is not None and point <= prev:
-                raise UsageError("atom positions must be strictly increasing")
+                raise UsageError(f"atom positions must be distinct and increasing, got {point} after {prev}")
             prev = point
 
     @classmethod
     def from_pairs(cls, pairs) -> "AtomicMeasure":
-        """Sort (point, weight) pairs; duplicate positions are rejected.  A
-        Fraction is kept, not copied, so measures can share their atoms."""
-        pairs = sorted((_fraction(p), _fraction(w)) for p, w in pairs)
-        for (a, _), (b, _) in zip(pairs, pairs[1:]):
-            if a == b:
-                raise UsageError(f"duplicate atom position {a}")
-        return cls(tuple(pairs))
+        """Sort (point, weight) pairs, keeping each Fraction rather than a copy
+        so measures can share atoms; __post_init__ rejects a duplicate point."""
+        return cls(tuple(sorted((_fraction(p), _fraction(w)) for p, w in pairs)))
 
     @property
     def support(self) -> tuple[Fraction, ...]:
@@ -184,7 +180,6 @@ def product_support(points, kappa: int) -> tuple[Radical, ...]:
     measure on the points' index-th powers; each product is returned as a
     rational at index 1 and as the index-th root of its power above it.
     """
-    _check_kappa(kappa)
     points = list(points)
     if not points:
         raise UsageError("product_support needs at least one point")
@@ -195,9 +190,8 @@ def product_support(points, kappa: int) -> tuple[Radical, ...]:
     powers = set()
     for p in points:
         r = p if isinstance(p, Radical) else Radical.from_rational(Fraction(p), index)
-        if r.is_zero():
-            raise UsageError("product_support points must be positive")
         powers.add(r.power)
+    # the measure rejects a zero point and kappa_power_measure a bad kappa
     products = kappa_power_measure(AtomicMeasure.from_pairs((x, 1) for x in powers), kappa).support
     form = Radical.from_rational if index == 1 else Radical.root
     return tuple(form(x, index) for x in products)
@@ -238,8 +232,8 @@ def load_measure(source) -> AtomicMeasure:
     pairs = []
     for entry in raw:
         try:
-            point = parse_rational(entry["point"], allow_negative=False)
-            weight = parse_rational(entry["weight"], allow_negative=False)
+            point = parse_rational(entry["point"])
+            weight = parse_rational(entry["weight"])
         except (TypeError, KeyError):
             raise UsageError("each atom needs 'point' and 'weight' strings") from None
         pairs.append((point, weight))

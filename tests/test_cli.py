@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from momentroot.cli import main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 MEASURE_3_2 = {
     "atoms": [
@@ -138,6 +144,18 @@ def test_fixtures_all_pass(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.count("PASS") >= 9
+
+
+def test_fixtures_refuse_to_run_without_asserts():
+    # python -O strips the asserts the fixtures check with, so every
+    # fixture would pass whatever the code computes
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-O", "-m", "momentroot", "fixtures"], capture_output=True, text=True, env=env
+    )
+    assert run.returncode == 1
+    assert "PASS" not in run.stdout
+    assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith("error: ")
 
 
 def test_usage_errors_exit_one(tmp_path, capsys):

@@ -10,6 +10,8 @@ from momentroot import decide
 from momentroot.decide import (
     Certificate,
     CertificateKind,
+    NuEntry,
+    NuRepresentation,
     Verdict,
     approx_root_moments,
     decide_root,
@@ -284,6 +286,22 @@ def test_approx_root_moments_requires_yes():
     d = decide_root(measure((1, 1), (2, 1)), 2)
     with pytest.raises(UsageError):
         approx_root_moments(d, 0)
+    with pytest.raises(UsageError, match="moment order"):
+        approx_root_moments(decide_root(measure((1, 1)), 2), -1)
+
+
+def test_rational_form_needs_every_atom_rational():
+    # delta_2 at kappa 2: the base mass 1 has a rational square root, the
+    # atom sqrt(2) has none
+    d = decide_root(measure((2, 1)), 2)
+    assert d.is_yes
+    assert d.nu.to_atomic_measure() is None
+
+
+def test_verify_representation_rejects_an_empty_root():
+    mu = measure((1, 1), (4, 1))
+    rep = NuRepresentation(F(1), (NuEntry(F(1), F(0)), NuEntry(F(4), F(0))), 2)
+    assert not verify_representation(mu, rep)
 
 
 def test_refutation_corroborated_by_hankel_oracle():

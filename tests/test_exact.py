@@ -38,11 +38,6 @@ def test_parse_rational_rejects(bad):
         parse_rational(bad)
 
 
-def test_parse_rational_measure_mode():
-    with pytest.raises(UsageError):
-        parse_rational("-1/2", allow_negative=False)
-
-
 @given(st.fractions())
 def test_format_parse_roundtrip(q):
     assert parse_rational(format_rational(q)) == q
@@ -58,6 +53,29 @@ def test_int_nth_root_is_floor(n, k):
     r = int_nth_root(n, k)
     assert r ** k <= n
     assert (r + 1) ** k > n
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: int_nth_root(-1, 2),
+        lambda: int_nth_root(8, 0),
+        lambda: perfect_nth_root(F(0), 2),
+        lambda: Radical(-1, 1, 2),
+        lambda: Radical(1, 0, 2),
+        lambda: Radical(1, 2, 0),
+        lambda: bigfloat_root(F(0), 2, 64),
+        lambda: bigfloat_root(F(2), 0, 64),
+    ],
+)
+def test_primitives_reject_out_of_domain(call):
+    with pytest.raises(UsageError):
+        call()
+
+
+def test_radical_root_checks_its_radicand_once():
+    with pytest.raises(UsageError, match=r"^radical radicand must be > 0$"):
+        Radical.root(F(-1, 2), 3)
 
 
 def test_perfect_nth_root():

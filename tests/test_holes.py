@@ -120,6 +120,13 @@ def test_endpoint_ordering_always_holds(triple, kappa):
     assert report.ok, report.to_dict()
 
 
+def test_ordering_report_renders_its_params_on_demand():
+    p = triple_params(1, 2, 4, 3)
+    report = ordering_report(p)
+    assert report.data["params"] is p
+    assert report.to_dict()["data"]["params"] == p.to_dict()
+
+
 # ---------------------------------------------------------------------------
 # iota relations and witnesses
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from momentroot.exact import Radical, UsageError
 from momentroot.measures import (
     AtomicMeasure,
+    Hole,
     dump_measure,
     find_holes,
     kappa_power_measure,
@@ -47,8 +48,14 @@ def test_measure_validation():
         measure((0, 1))
     with pytest.raises(UsageError):
         measure((1, 0))
-    with pytest.raises(UsageError):
+    with pytest.raises(
+        UsageError, match=r"^atom positions must be distinct and increasing, got 1 after 1$"
+    ):
         measure((1, 1), (1, 2))
+    with pytest.raises(UsageError, match=r"^atom positions must be distinct and increasing"):
+        AtomicMeasure(((F(2), F(1)), (F(1), F(1))))  # built directly, unsorted
+    with pytest.raises(UsageError):
+        Hole(F(2), F(1))
 
 
 def test_moments_two_diracs():
@@ -300,6 +307,8 @@ def test_load_measure_sorts_and_validates(tmp_path):
         {"atoms": [{"point": "-1", "weight": "1"}]},
         {"atoms": [{"point": "0", "weight": "1"}]},
         {"atoms": [{"point": "1", "weight": "1"}, {"point": "1", "weight": "2"}]},
+        {"atoms": [{"point": "1", "weight": "-1"}]},
+        {"atoms": [{"point": "1", "weight": "0"}]},
         {"atoms": [{"point": "1.5", "weight": "1"}]},
     ],
 )

@@ -16,12 +16,15 @@ process with stdout captured.  The calls:
 - analyze --holes --theorems --json, analyze --holes --json and analyze
   --holes in text form on the squares of nu = {1, 1 + 10**-e, 10} for e
   in GAPS, whose holes next to 1 have a large iota_s_star;
+- decide and analyze --holes --theorems --json on malformed measure files
+  (a negative point, a negative weight, a zero point, a duplicate point),
+  whose error lines may be worded differently but must exit alike;
 - params on generator triples at kappa 2..8, table --json, and fixtures;
 - fuzz, every suite, on SEEDS (FUZZ_TRIALS trials of the theorems suite),
   and roundtrip and theorems again with --jobs 2, so the process-pool path
   is compared too; elapsed_seconds is masked.
 
-Prints every call whose exit code or stdout differs, with its first
+Prints every call whose exit code or stdout differs (stderr is not compared), with its first
 differing bytes and, when the exit codes differ, each side's first line of
 stderr (a refusal's message), then one line per command with the number of
 equal and of differing calls; exits 1 if any call differs.  This is a check against an
@@ -131,6 +134,24 @@ def narrow_gap_calls(workdir: Path) -> list[list[str]]:
     return calls
 
 
+MALFORMED = {
+    "negative_point": [("-1", "1"), ("2", "1")],
+    "negative_weight": [("1", "1"), ("2", "-1")],
+    "zero_point": [("0", "1"), ("2", "1")],
+    "duplicate_point": [("2", "1"), ("1", "1"), ("2", "3")],
+}
+
+
+def malformed_calls(workdir: Path) -> list[list[str]]:
+    calls = []
+    for name, atoms in MALFORMED.items():
+        path = workdir / f"{name}.json"
+        path.write_text(json.dumps({"atoms": [{"point": p, "weight": w} for p, w in atoms]}), encoding="utf-8")
+        base = ["--measure", str(path), "--kappa", "2"]
+        calls += [["decide", *base], ["analyze", *base, "--holes", "--theorems", "--json"]]
+    return calls
+
+
 def worker(src: str, jobs: str, out: str) -> int:
     """Run every call of the jobs file with the momentroot under src."""
     sys.path.insert(0, src)
@@ -176,6 +197,7 @@ def main(argv=None) -> int:
         calls = generator_calls(work)
         calls += bench_calls(work)
         calls += narrow_gap_calls(work)
+        calls += malformed_calls(work)
         jobs = work / "jobs.json"
         jobs.write_text(json.dumps(calls))
         procs = {
