@@ -220,6 +220,8 @@ def _cmd_feasible(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    if not 1 <= args.max_m <= 10 ** 5:  # three lists of max_m ints are built
+        raise UsageError("--max-m must be in [1, 100000]")
     ms = list(range(1, args.max_m + 1))
     lows = [n_minus(m) for m in ms]
     highs = [n_plus(m) for m in ms]

@@ -3,12 +3,12 @@ pairwise products: bounds, the feasibility test, and a constructive,
 self-verifying witness builder.
 
 A strictly increasing tuple x_1 < ... < x_N realizes M = card{x_i * x_j}
-iff 2N - 1 <= M <= N(N+1)/2.  The witness construction follows the
-induction behind that bound: a geometric tail when M <= 3(N-1), otherwise
-a recursive witness for (M - N, N - 1) with a small element prepended.
-The free choices (the base point, the geometric ratio, and the "small
-enough" prepended element) are pinned to 1, 2 and x_2**2 / (2 * x_N) so
-witnesses are exact rationals and fully reproducible.
+iff 2N - 1 <= M <= N(N+1)/2.  Witnesses are powers of 2, x_i = 2**a_i,
+built on the integer exponents by the induction behind that bound: the
+geometric 0, k+2, ..., k+N (k = M - 2N) when M <= 3(N-1), otherwise the
+exponents for (M - N, N - 1) with the largest e below them prepended such
+that 2e and every e + a_i miss the sums a_i + a_j, which adds N new sums.
+The span a_N - a_1 is capped at MAX_WITNESS_BITS (GuardExceeded beyond).
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exact import UsageError, format_rational
-from .measures import AtomicMeasure
+from .exact import GuardExceeded, UsageError, format_rational
+from .measures import AtomicMeasure, _numerators
 
 from .decide import decide_root
 
@@ -34,6 +34,8 @@ __all__ = [
     "class_membership",
 ]
 
+MAX_WITNESS_BITS = 4096
+
 
 class InfeasiblePair(UsageError):
     """No N-point set has exactly M pairwise products."""
@@ -43,8 +45,9 @@ class InfeasiblePair(UsageError):
 class FeasibilityWitness:
     """A strictly increasing rational tuple realizing M pairwise products.
 
-    Construction verifies the cardinality by exact enumeration before the
-    value is released, so a witness in hand is always genuine.
+    Construction counts the distinct sums of pairs of exponents (each entry
+    is a power of 2) before the value is released, so a witness in hand is
+    always genuine.
     """
 
     xs: tuple[Fraction, ...]
@@ -89,36 +92,49 @@ def product_count(xs) -> int:
         raise UsageError("entries must be positive")
     if len(set(xs)) != len(xs):
         raise UsageError("entries must be distinct")
-    products = {a * b for i, a in enumerate(xs) for b in xs[i:]}
-    return len(products)
+    cs = _numerators(xs, math.lcm(*(x.denominator for x in xs)))  # x_i = c_i / lcm
+    return len({a * b for i, a in enumerate(cs) for b in cs[i:]})
 
 
-def _build(M: int, N: int) -> list[Fraction]:
-    if N == 1:
-        return [Fraction(1)]
-    below = N - 1
-    if M <= 3 * below:
-        k = M - 2 * N
-        return [Fraction(1)] + [Fraction(2) ** (k + j) for j in range(2, N + 1)]
-    tail = _build(M - N, below)
-    first = tail[0] ** 2 / (2 * tail[-1])
-    return [first] + tail
+def _span_guard(M: int, N: int, span: int) -> None:
+    if span > MAX_WITNESS_BITS:
+        raise GuardExceeded(f"witness for (M={M}, N={N}) needs an exponent span of at least "
+                            f"{span} bits, above MAX_WITNESS_BITS = {MAX_WITNESS_BITS}")
+
+
+def _build(M: int, N: int) -> list[int]:
+    """Increasing exponents a_1 < ... < a_N with exactly M sums a_i + a_j."""
+    _span_guard(M, N, N - 1)  # N distinct integers; this also bounds the walk
+    m, n = M, N
+    while n > 1 and m > 3 * (n - 1):
+        m, n = m - n, n - 1
+    _span_guard(M, N, m - n)
+    exps = [0] + [m - 2 * n + j for j in range(2, n + 1)]
+    sums = {a + b for i, a in enumerate(exps) for b in exps[i:]}
+    while len(exps) < N:
+        e = exps[0] - 1  # 2 * exps[0] - exps[-1] - 1 always qualifies
+        while 2 * e in sums or any(e + a in sums for a in exps):
+            e -= 1
+        _span_guard(M, N, exps[-1] - e)
+        sums.update([2 * e] + [e + a for a in exps])
+        exps.insert(0, e)
+    return exps
 
 
 def witness(M: int, N: int) -> FeasibilityWitness:
-    """Construct a strictly increasing rational tuple of length N with
-    exactly M pairwise products; raises InfeasiblePair when none exists."""
+    """Construct N increasing powers of 2 with exactly M pairwise products;
+    raises InfeasiblePair when none exists, GuardExceeded past the span cap."""
     if not feasible(M, N):
         lo, hi = 2 * N - 1, N * (N + 1) // 2
         raise InfeasiblePair(
             f"(M={M}, N={N}) infeasible: need {lo} <= M <= {hi}"
         )
-    xs = _build(M, N)
-    if any(b <= a for a, b in zip(xs, xs[1:])):
+    exps = _build(M, N)
+    if any(b <= a for a, b in zip(exps, exps[1:])):
         raise RuntimeError(f"witness construction not increasing for ({M}, {N})")
-    if product_count(xs) != M:
+    if len({a + b for i, a in enumerate(exps) for b in exps[i:]}) != M:
         raise RuntimeError(f"witness self-check failed for ({M}, {N})")
-    return FeasibilityWitness(tuple(xs), M)
+    return FeasibilityWitness(tuple(Fraction(2) ** a for a in exps), M)
 
 
 def class_membership(mu: AtomicMeasure) -> tuple[int, Optional[int]]:

@@ -116,6 +116,32 @@ def test_feasible_with_witness(capsys):
     assert "witness" not in doc
 
 
+@pytest.mark.parametrize("m, n", [(120, 15), (465, 30), (6146, 2050)])
+def test_feasible_witness_within_the_span_guard(m, n, capsys):
+    # (6146, 2050) is geometric with exponents exactly MAX_WITNESS_BITS apart
+    assert main(["feasible", str(m), str(n), "--witness"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["witness"]["xs"]) == n
+
+
+@pytest.mark.parametrize("m, n", [(6147, 2050), (8195, 4098), (605550, 1100)])
+def test_feasible_witness_beyond_the_span_guard_exits_one(m, n, capsys):
+    # spans of 4,097 at the base case and from N alone; (605550, 1100) is
+    # 1,097 levels deep and crosses the guard while prepending
+    assert main(["feasible", str(m), str(n), "--witness"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: witness for (M={m}, N={n}) needs an exponent span of at least ")
+
+
+@pytest.mark.parametrize("max_m", ["0", "-3", "100001"])
+def test_table_max_m_out_of_range_exits_one(max_m, capsys):
+    assert main(["table", "--max-m", max_m]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: --max-m must be in [1, 100000]"]
+
+
 def test_table_text(capsys):
     assert main(["table", "--max-m", "15"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -97,13 +97,29 @@ def test_witness_infeasible():
         witness(11, 4)
 
 
-def test_witness_all_feasible_pairs_up_to_n8():
-    for n in range(1, 9):
-        for m in range(2 * n - 1, n * (n + 1) // 2 + 1):
-            w = witness(m, n)
-            assert len(w.xs) == n
-            assert all(b > a for a, b in zip(w.xs, w.xs[1:]))
-            assert product_count(w.xs) == m
+def _sweep_pairs():
+    for n in range(1, 31):
+        yield from ((m, n) for m in range(2 * n - 1, n * (n + 1) // 2 + 1))
+    for n in range(31, 41):
+        yield from ((m, n) for m in (2 * n - 1, 3 * (n - 1), 3 * (n - 1) + 1, n * (n + 1) // 2))
+
+
+def _exponent(power_of_two):
+    return power_of_two.numerator.bit_length() - power_of_two.denominator.bit_length()
+
+
+def test_witness_sweep_up_to_n40():
+    """Every feasible pair with N <= 30, and for N <= 40 the pairs at both
+    ends of the geometric range and of the recursive one: each witness
+    prints, increases and has exactly M products."""
+    widest = 0
+    for m, n in _sweep_pairs():
+        w = witness(m, n)
+        assert len(w.to_dict()["xs"]) == n
+        assert all(b > a for a, b in zip(w.xs, w.xs[1:]))
+        assert product_count(w.xs) == m
+        widest = max(widest, _exponent(w.xs[-1]) - _exponent(w.xs[0]))
+    assert widest <= 2779  # reached at (820, 40)
 
 
 @given(st.integers(min_value=1, max_value=8))

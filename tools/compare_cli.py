@@ -20,6 +20,9 @@ process with stdout captured.  The calls:
   (a negative point, a negative weight, a zero point, a duplicate point),
   whose error lines may be worded differently but must exit alike;
 - params on generator triples at kappa 2..8, table --json, and fixtures;
+- feasible --witness on every pair with N <= 12 at most one level deep
+  (N <= 3 or M <= 4N - 6), whose witnesses the greedy exponent rule builds
+  as the x_2**2/(2*x_N) rule did, and on one infeasible pair;
 - fuzz, every suite, on SEEDS (FUZZ_TRIALS trials of the theorems suite),
   and roundtrip and theorems again with --jobs 2, so the process-pool path
   is compared too; elapsed_seconds is masked.
@@ -134,6 +137,15 @@ def narrow_gap_calls(workdir: Path) -> list[list[str]]:
     return calls
 
 
+def feasible_calls() -> list[list[str]]:
+    calls = [["feasible", "11", "4", "--witness"]]
+    for n in range(1, 13):
+        for m in range(2 * n - 1, n * (n + 1) // 2 + 1):
+            if n <= 3 or m <= 4 * n - 6:
+                calls.append(["feasible", str(m), str(n), "--witness"])
+    return calls
+
+
 MALFORMED = {
     "negative_point": [("-1", "1"), ("2", "1")],
     "negative_weight": [("1", "1"), ("2", "-1")],
@@ -198,6 +210,7 @@ def main(argv=None) -> int:
         calls += bench_calls(work)
         calls += narrow_gap_calls(work)
         calls += malformed_calls(work)
+        calls += feasible_calls()
         jobs = work / "jobs.json"
         jobs.write_text(json.dumps(calls))
         procs = {
