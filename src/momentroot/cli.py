@@ -20,7 +20,7 @@ from .feasibility import feasible, n_minus, n_plus, witness
 from .fixtures import run_all
 from .fuzz import SUITES, run_suite
 from .generate import GenParams
-from .holes import RootPair, _order_scans, _triples, _walk_holes, triple_params
+from .holes import JsonText, RootPair, _order_scans, _triples, _walk_holes, triple_params
 from .measures import dump_measure, find_holes, load_measure
 
 __all__ = ["main"]
@@ -52,52 +52,44 @@ def _dumps(doc) -> str:
     """json.dumps(doc, indent=2), byte for byte.
 
     An indent sends json.dumps to its pure-Python encoder; this walks the
-    types the CLI emits (str-keyed dicts, lists, str, int, bool, None) and
-    quotes strings with json's C encoder.  Any other value goes to
-    json.dumps, re-indented to its depth.
+    types the CLI emits (str-keyed dicts, lists, str, int, bool, None and
+    JsonText) and quotes strings with json's C encoder.  Any other value
+    goes to json.dumps, re-indented to its depth.
     """
     out: list[str] = []
     _encode(doc, "\n", out)
     return "".join(out)
 
 
-def _leaf(value):
-    """The JSON text of a str, int, bool, None or empty list or dict; None
-    for anything else."""
-    kind = type(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is int:
-        return int.__repr__(value)
-    if value is None:
-        return "null"
-    if kind is bool:
-        return "true" if value else "false"
-    if not value and (kind is list or kind is dict):
-        return "[]" if kind is list else "{}"
-    return None
-
-
 def _encode(value, newline: str, out: list[str]) -> None:
-    text = _leaf(value)
-    if text is not None:
-        out.append(text)
-        return
+    """Append value's JSON text at the depth whose line break is newline.
+
+    Re-indenting json.dumps's text or a JsonText by replacing each line
+    break is safe because JSON escapes a line break inside a string.  A
+    nonempty list or dict encodes its str, int, None and bool items in the
+    loop, and recurses only into the other items.
+    """
     kind = type(value)
     inner = newline + "  "
-    if kind is list:
+    if kind is list and value:
         sep = "[" + inner
         for item in value:
-            text = _leaf(item)
-            if text is None:
+            item_kind = type(item)
+            if item_kind is str:
+                out.append(sep + encode_basestring_ascii(item))
+            elif item_kind is int:
+                out.append(sep + int.__repr__(item))
+            elif item is None:
+                out.append(sep + "null")
+            elif item_kind is bool:
+                out.append(sep + ("true" if item else "false"))
+            else:
                 out.append(sep)
                 _encode(item, inner, out)
-            else:
-                out.append(sep + text)
             sep = "," + inner
         out.append(newline + "]")
         return
-    if kind is dict:
+    if kind is dict and value:
         mark = len(out)
         sep = "{" + inner
         for key, item in value.items():
@@ -105,17 +97,29 @@ def _encode(value, newline: str, out: list[str]) -> None:
                 del out[mark:]
                 break
             head = sep + encode_basestring_ascii(key) + ": "
-            text = _leaf(item)
-            if text is None:
+            item_kind = type(item)
+            if item_kind is str:
+                out.append(head + encode_basestring_ascii(item))
+            elif item_kind is int:
+                out.append(head + int.__repr__(item))
+            elif item is None:
+                out.append(head + "null")
+            elif item_kind is bool:
+                out.append(head + ("true" if item else "false"))
+            else:
                 out.append(head)
                 _encode(item, inner, out)
-            else:
-                out.append(head + text)
             sep = "," + inner
         else:
             out.append(newline + "}")
             return
-    out.append(json.dumps(value, indent=2).replace("\n", newline))
+    if kind is JsonText:
+        text = value
+    elif (kind is list or kind is dict) and not value:
+        text = "[]" if kind is list else "{}"
+    else:
+        text = json.dumps(value, indent=2)
+    out.append(text.replace("\n", newline))
 
 
 def _holes_dict(holes) -> list[dict]:

@@ -196,8 +196,16 @@ def floor_log_ratio(base: Fraction, target: Fraction) -> int:
         raise UsageError("floor_log_ratio needs base > 1")
     if u < v:
         raise UsageError("floor_log_ratio needs target >= 1")
+    return _floor_log(p, q, u, v)
+
+
+def _floor_log(p: int, q: int, u: int, v: int) -> int:
+    """floor_log_ratio(p/q, u/v) for integers p > q > 0 and u >= v > 0,
+    which need not be in lowest terms."""
     if p * v > u * q:
         return 0
+    g, h = math.gcd(p, q), math.gcd(u, v)  # powers of lowest terms are smaller
+    p, q, u, v = p // g, q // g, u // h, v // h
     denom = _log2_frac(p, q)
     m = max(int(_log2_frac(u, v) / denom) if denom > 0 else 0, 0)
     pm, qm = p ** m, q ** m

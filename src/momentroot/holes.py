@@ -21,6 +21,7 @@ the fuzz harness.
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -33,8 +34,8 @@ from .exact import (
     Radical,
     UsageError,
     _decimal_str,
+    _floor_log,
     bigfloat_root,
-    floor_log_ratio,
     format_rational,
     perfect_nth_root,
 )
@@ -129,7 +130,10 @@ def json_value(v):
     if isinstance(v, Fraction):
         return format_rational(v)
     if isinstance(v, Radical):
-        return _radical_dict(v.coeff, v.radicand, v.index, v.to_rational())
+        exact = v.to_rational()
+        rational = None if exact is None else format_rational(exact)
+        text = _radical_text(format_rational(v.coeff), format_rational(v.radicand), v.index, rational, v.power)
+        return json.loads(text)
     if isinstance(v, TripleParams):
         return v.to_dict()
     if isinstance(v, dict):
@@ -142,19 +146,28 @@ def json_value(v):
 APPROX_BITS = 64  # precision of the approx of an irrational radical in JSON
 
 
-def _radical_dict(coeff: Fraction, radicand: Fraction, index: int, exact) -> dict:
-    """The JSON form of coeff * radicand**(1/index), whose value is exact, None if irrational."""
-    out = {
-        "coeff": format_rational(coeff),
-        "radicand": format_rational(radicand),
-        "index": index,
-        "rational": format_rational(exact) if exact is not None else None,
-    }
-    if exact is None:
-        approx = bigfloat_root(coeff ** index * radicand, index, APPROX_BITS)
-        decimal = _decimal_str(approx, APPROX_BITS * 301 // 1000)  # 19 digits, as many as 64 bits carry
-        out["approx"] = {"decimal": decimal, "precision_bits": APPROX_BITS}
-    return out
+class JsonText(str):
+    """JSON text as json.dumps(value, indent=2) writes it at depth 0; the CLI's
+    emitter splices it into a document at any depth."""
+
+
+def _radical_text(coeff: str, radicand: str, index: int, rational: str | None, power: Fraction | None) -> str:
+    """The JSON form of the radical coeff * radicand**(1/index), given the
+    texts of its rationals, as text indented for its depth in the triples
+    block.  rational is the text of its value, None if irrational; only
+    then is power, its index-th power, read, for the approx.
+
+    No string in it needs escaping: rationals print as digits, "-" and "/".
+    """
+    head = f'{{\n      "coeff": "{coeff}",\n      "radicand": "{radicand}",\n      "index": {index},'
+    if rational is not None:
+        return f'{head}\n      "rational": "{rational}"\n    }}'
+    approx = bigfloat_root(power, index, APPROX_BITS)
+    decimal = _decimal_str(approx, APPROX_BITS * 301 // 1000)  # 19 digits, as many as 64 bits carry
+    return (
+        f'{head}\n      "rational": null,\n      "approx": {{\n        "decimal": "{decimal}",'
+        f'\n        "precision_bits": {APPROX_BITS}\n      }}\n    }}'
+    )
 
 
 @dataclass(frozen=True)
@@ -202,7 +215,7 @@ def _triple(theta1: Fraction, theta2: Fraction, theta3: Fraction, kappa: int) ->
         beta_dag = Radical.root(theta1, kappa)
     beta, gamma = Radical.root(theta2, kappa), Radical.root(theta3, kappa)
     endpoints = alpha, beta, gamma, Radical(theta2 / theta3, theta3, kappa), beta_dag
-    iotas = _defined_iotas(theta1, theta2, theta3)
+    iotas = _iotas(theta1, theta2, theta3) if 0 < theta1 and theta2 < theta3 else (None, None)
     return TripleParams(theta1, theta2, theta3, kappa, *endpoints, *iotas)
 
 
@@ -250,17 +263,21 @@ def ordering_report(p: TripleParams) -> TheoremReport:
 
 
 def _iota_s_star(theta1: Fraction, theta2: Fraction, theta3: Fraction) -> int:
-    return 1 + floor_log_ratio(theta2 / theta1, theta3 / theta2)
+    """1 + floor(log(theta3/theta2) / log(theta2/theta1)) for 0 < theta1 < theta2 < theta3."""
+    a1, b1 = theta1.numerator, theta1.denominator
+    a2, b2 = theta2.numerator, theta2.denominator
+    return 1 + _floor_log(a2 * b1, b2 * a1, theta3.numerator * b2, theta3.denominator * a2)
 
 
 def _iotas(theta1: Fraction, theta2: Fraction, theta3: Fraction) -> tuple[int, int]:
-    ratio = theta3 / theta2
-    return 1 + floor_log_ratio(ratio, theta3 / theta1), 1 + floor_log_ratio(theta2 / theta1, ratio)
-
-
-def _defined_iotas(theta1: Fraction, theta2: Fraction, theta3: Fraction):
-    """_iotas where 0 < theta1 and theta2 < theta3, else (None, None)."""
-    return _iotas(theta1, theta2, theta3) if 0 < theta1 and theta2 < theta3 else (None, None)
+    """(iota_s, iota_s_star) for 0 < theta1 < theta2 < theta3: iota_s is
+    1 + floor(log(theta3/theta1) / log(theta3/theta2)).  Each ratio goes to
+    _floor_log as an integer cross-product, so nothing is divided."""
+    a1, b1 = theta1.numerator, theta1.denominator
+    a2, b2 = theta2.numerator, theta2.denominator
+    a3, b3 = theta3.numerator, theta3.denominator
+    p, q = a3 * b2, b3 * a2  # theta3/theta2
+    return 1 + _floor_log(p, q, a3 * b1, b3 * a1), 1 + _floor_log(a2 * b1, b2 * a1, p, q)
 
 
 def iota_relations(theta1, theta2, theta3) -> TheoremReport:
@@ -512,37 +529,47 @@ class RootPair:
         object.__setattr__(self, "powers", powers)
 
 
-def _triples(mu: AtomicMeasure, kappa: int) -> list[dict]:
-    """The to_dict() of the TripleParams of every hole of find_holes(mu),
-    with theta3 = sup supp mu, built from the support points.
+def _triples(mu: AtomicMeasure, kappa: int) -> JsonText:
+    """The JSON text of the list of to_dict()s of the TripleParams of every
+    hole of find_holes(mu), with theta3 = sup supp mu, built from the
+    support points.
 
     Hole i is (x_{i-1}, x_i) over the support points x_0 < x_1 < ...
     (x_{-1} = 0), so alpha_i = alpha_dag_{i-1} and beta_dag_i = beta_{i-1}:
-    each x gets one x**(1/kappa) dict and one (x/theta3) * theta3**(1/kappa)
-    dict, shared by the two holes it bounds.  Each x is tested once for a
+    each x gets one x**(1/kappa) text and one (x/theta3) * theta3**(1/kappa)
+    text, shared by the two holes it bounds.  Each x is tested once for a
     rational kappa-th root; the scaled radical is rational exactly when
-    theta3's root is.
+    theta3's root is.  The iotas are defined on the holes strictly inside
+    (0, theta3), which are all but the first and the last.
     """
     points = mu.support
     theta3 = points[-1]
     texts = [format_rational(x) for x in points]
     exact = [perfect_nth_root(x, kappa) for x in points]
-    root3, one, zero = exact[-1], Fraction(1), Fraction(0)
-    roots = [_radical_dict(one, x, kappa, r) for x, r in zip(points, exact)]
-    scaled = [
-        _radical_dict(c, theta3, kappa, None if root3 is None else c * root3)
-        for c in (x / theta3 for x in points[:-1])
-    ] + roots[-1:]  # at x = theta3 the scaled radical is gamma's
-    origin = _radical_dict(zero, one, kappa, zero)
-    lows = [(zero, "0", origin, origin), *zip(points, texts, scaled, roots)]
-    names = [f.name for f in fields(TripleParams)]
-    out = []
-    for low, theta2, text2, beta, alpha_dag in zip(lows, points, texts, roots, scaled):
-        theta1, text1, alpha, beta_dag = low
-        endpoints = (alpha, beta, roots[-1], alpha_dag, beta_dag)
-        iotas = _defined_iotas(theta1, theta2, theta3)
-        out.append(dict(zip(names, (text1, text2, texts[-1], kappa, *endpoints, *iotas))))
-    return out
+    root3, text3 = exact[-1], texts[-1]
+    roots = [
+        _radical_text("1", text, kappa, None if r is None else format_rational(r), x)
+        for x, text, r in zip(points, texts, exact)
+    ]
+    coeffs = [x / theta3 for x in points[:-1]]
+    if root3 is None:
+        scaled = [_radical_text(format_rational(c), text3, kappa, None, c ** kappa * theta3) for c in coeffs]
+    else:
+        scaled = [_radical_text(format_rational(c), text3, kappa, format_rational(c * root3), None) for c in coeffs]
+    scaled.append(roots[-1])  # at x = theta3 the scaled radical is gamma's
+    origin = _radical_text("0", "1", kappa, "0", None)
+    gamma, last = roots[-1], len(points) - 1
+    lows = zip(["0", *texts], [origin, *scaled], [origin, *roots])
+    items = []
+    for i, (theta2, beta, alpha_dag, (theta1, alpha, beta_dag)) in enumerate(zip(texts, roots, scaled, lows)):
+        iota_s, iota_s_star = _iotas(points[i - 1], points[i], theta3) if 0 < i < last else ("null", "null")
+        items.append(
+            f'{{\n    "theta1": "{theta1}",\n    "theta2": "{theta2}",\n    "theta3": "{text3}",'
+            f'\n    "kappa": {kappa},\n    "alpha": {alpha},\n    "beta": {beta},\n    "gamma": {gamma},'
+            f'\n    "alpha_dag": {alpha_dag},\n    "beta_dag": {beta_dag},'
+            f'\n    "iota_s": {iota_s},\n    "iota_s_star": {iota_s_star}\n  }}'
+        )
+    return JsonText("[\n  " + ",\n  ".join(items) + "\n]")
 
 
 def _endpoint_power(value, kappa: int) -> Fraction:

@@ -8,6 +8,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .exact import (
     GuardExceeded,
@@ -40,21 +41,25 @@ class AtomicMeasure:
     def __post_init__(self):
         if not self.atoms:
             raise UsageError("a measure needs at least one atom")
-        prev = None
+        # signs on numerators, order by cross-multiplied ints (denominators
+        # are positive); the first point is compared with 0/1, which it exceeds
+        prev, prev_num, prev_den = None, 0, 1
         for point, weight in self.atoms:
-            if point <= 0:
+            num, den = point.numerator, point.denominator
+            if num <= 0:
                 raise UsageError(f"atom position must be > 0, got {point}")
-            if weight <= 0:
+            if weight.numerator <= 0:
                 raise UsageError(f"atom weight must be > 0, got {weight}")
-            if prev is not None and point <= prev:
+            if num * prev_den <= prev_num * den:
                 raise UsageError(f"atom positions must be distinct and increasing, got {point} after {prev}")
-            prev = point
+            prev, prev_num, prev_den = point, num, den
 
     @classmethod
     def from_pairs(cls, pairs) -> "AtomicMeasure":
-        """Sort (point, weight) pairs, keeping each Fraction rather than a copy
-        so measures can share atoms; __post_init__ rejects a duplicate point."""
-        return cls(tuple(sorted((_fraction(p), _fraction(w)) for p, w in pairs)))
+        """Sort (point, weight) pairs by point, keeping each Fraction rather
+        than a copy so measures can share atoms; __post_init__ rejects a
+        duplicate point."""
+        return cls(tuple(sorted(((_fraction(p), _fraction(w)) for p, w in pairs), key=itemgetter(0))))
 
     @property
     def support(self) -> tuple[Fraction, ...]:

@@ -16,6 +16,7 @@ from momentroot.exact import GuardExceeded, format_rational
 from momentroot.fuzz import _run_chunk
 from momentroot.generate import GenParams, random_atomic_measure
 from momentroot.holes import (
+    JsonText,
     RootPair,
     check_hole_backward,
     check_iota_hole_criteria,
@@ -109,9 +110,11 @@ def test_triples_match_triple_params(kappa):
     for points, perfect in triples_cases(kappa):
         mu = AtomicMeasure.from_pairs([(x, 1) for x in points])
         theta3 = mu.max_point
-        got = holes._triples(mu, kappa)
+        text = holes._triples(mu, kappa)
+        got = json.loads(text)
         want = [triple_params(h.lower, h.upper, theta3, kappa).to_dict() for h in find_holes(mu)]
         assert json.dumps(got) == json.dumps(want), points  # key order too
+        assert text == json.dumps(want, indent=2), points  # and the layout the emitter splices
         assert got[0]["alpha"] == got[0]["beta_dag"] == zero
         # the hole ending at theta3: alpha_dag = (theta3/theta3) * theta3**(1/kappa) = gamma
         assert got[-1]["alpha_dag"] == got[-1]["gamma"]
@@ -182,6 +185,7 @@ def test_walk_enters_each_checker_by_its_public_name(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+SPLICED = JsonText(json.dumps([{"x": "1/2", "y": None, "z": {"w": "two\nlines"}}, []], indent=2))
 EDGE_DOCS = [
     {},
     [],
@@ -197,17 +201,32 @@ EDGE_DOCS = [
     # values the CLI does not emit go to json.dumps at their depth
     {"float": 1.5, "tuple": (1, [2, {"z": (3,)}]), "deep": {"keys": {1: [1, 2], None: {}}}},
     [1.0, (), {2: "two"}, [float("inf")]],
+    {"a": [1, {"b": 2}], "c": None, 4: "four"},  # a non-str key after str keys
+    # JSON text is spliced at its depth, a newline inside one of its strings included
+    SPLICED,
+    {"a": {"b": {"c": SPLICED, "d": [SPLICED]}}, "e": 1},
+    [1, SPLICED, "z", [JsonText("[]")]],
 ]
+
+
+def parsed(doc):
+    """doc with each JsonText replaced by the value it encodes."""
+    if type(doc) is JsonText:
+        return json.loads(doc)
+    if isinstance(doc, dict):
+        return {key: parsed(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [parsed(item) for item in doc]
+    return doc
 
 
 @pytest.mark.parametrize("doc", EDGE_DOCS, ids=range(len(EDGE_DOCS)))
 def test_emitter_matches_json_dumps_on_edge_docs(doc):
-    assert cli._dumps(doc) == json.dumps(doc, indent=2)
+    assert cli._dumps(doc) == json.dumps(parsed(doc), indent=2)
 
 
-def test_emitter_matches_json_dumps_for_every_subcommand(tmp_path, monkeypatch):
-    docs = []
-    monkeypatch.setattr(cli, "_emit", docs.append)
+def test_emitter_matches_json_dumps_for_every_subcommand(tmp_path, monkeypatch, capsys):
+    # the printed text, so that the spliced triples block is compared too
     monkeypatch.setattr(decide, "MAX_MULTISETS", 50)  # so that fuzz skips trials
     nu = AtomicMeasure.from_pairs([(F(1, 3), 1), (1, 2), (F(5, 2), 1)])
     path = tmp_path / "mu.json"
@@ -223,12 +242,13 @@ def test_emitter_matches_json_dumps_for_every_subcommand(tmp_path, monkeypatch):
         ["fuzz", "--suite", "theorems", "--trials", "14", "--seed", "0"],
         ["fuzz", "--suite", "roundtrip", "--trials", "13", "--seed", "0"],
     ]
+    outs = []
     for argv in runs:
         main(argv)
-    assert len(docs) == len(runs)
-    assert docs[-1]["skipped"]  # a fuzz summary with skipped trials
-    for doc in docs:
-        assert cli._dumps(doc) == json.dumps(doc, indent=2)
+        outs.append(capsys.readouterr().out)
+    assert json.loads(outs[0])["triples"] and json.loads(outs[-1])["skipped"]  # a fuzz summary with skipped trials
+    for out in outs:
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_reused_parser_keeps_no_state_between_calls(capsys):

@@ -216,6 +216,18 @@ def test_result_beyond_the_int_digit_limit_exits_one(tmp_path, capsys):
     assert captured.err.splitlines() == ["error: rational too long to print (a 14624-bit integer)"]
 
 
+def test_triples_coefficient_beyond_the_int_digit_limit_exits_one(tmp_path, capsys):
+    # both points print in 3,001 digits, but the coefficient x/theta3 of the
+    # lower point's scaled radical has a 6,001-digit denominator
+    atoms = {"1/" + "7" * 3000 + "1": "1", "3" * 3000 + "1": "1"}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"atoms": [{"point": p, "weight": w} for p, w in atoms.items()]}))
+    assert main(["analyze", "--measure", str(path), "--kappa", "2", "--holes", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: rational too long to print (a 19937-bit integer)"]
+
+
 def test_analyze_text_of_a_no_instance(tmp_path, capsys):
     path = tmp_path / "two.json"
     path.write_text(json.dumps({"atoms": [{"point": "1", "weight": "1"}, {"point": "2", "weight": "1"}]}))

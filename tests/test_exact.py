@@ -8,6 +8,7 @@ from momentroot.exact import (
     Radical,
     UsageError,
     _decimal_str,
+    _floor_log,
     bigfloat_root,
     floor_log_ratio,
     format_rational,
@@ -200,6 +201,44 @@ def test_floor_log_ratio_steps_down_from_a_high_seed(base, target, m):
     # just below base**(m+1) the float estimate rounds up to m + 1, and
     # the exact powering must step it back down
     assert floor_log_ratio(base, target) == m
+
+
+def assert_floor_log_matches(p, q, u, v, k, j):
+    m = _floor_log(p * k, q * k, u * j, v * j)
+    base, target = F(p, q), F(u, v)
+    assert m == floor_log_ratio(base, target)
+    assert base ** m <= target < base ** (m + 1)
+    return m
+
+
+@given(
+    st.fractions(min_value=F(101, 100), max_value=50),
+    st.fractions(min_value=1, max_value=10 ** 9),
+    st.integers(min_value=1, max_value=10 ** 6),
+    st.integers(min_value=1, max_value=10 ** 6),
+)
+@settings(max_examples=300, deadline=None)
+def test_floor_log_on_unreduced_integers(base, target, k, j):
+    # the integer core takes base and target with common factors k and j
+    assert_floor_log_matches(base.numerator, base.denominator, target.numerator, target.denominator, k, j)
+
+
+@given(
+    st.integers(min_value=2, max_value=10 ** 4),
+    st.integers(min_value=1, max_value=10 ** 4),
+    st.integers(min_value=0, max_value=60),
+    st.integers(min_value=1, max_value=1000),
+    st.integers(min_value=1, max_value=1000),
+)
+@settings(max_examples=200, deadline=None)
+def test_floor_log_at_and_around_exact_powers(p, q, m, k, j):
+    # the boundary cases: a target equal to base**m, and 10**-30 either side
+    p += q
+    base = F(p, q)
+    for target, want in ((base ** m, m), (base ** m + F(1, 10 ** 30), m), (base ** m - F(1, 10 ** 30), m - 1)):
+        if target >= 1:
+            got = assert_floor_log_matches(p, q, target.numerator, target.denominator, k, j)
+            assert got == want
 
 
 # ---------------------------------------------------------------------------

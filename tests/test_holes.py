@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentroot.decide import NuRepresentation, decide_root
-from momentroot.exact import GuardExceeded, Radical, UsageError
+from momentroot.exact import GuardExceeded, Radical, UsageError, floor_log_ratio
 from momentroot.generate import GenParams, pick_kappa, random_atomic_measure, stream
 from momentroot.holes import (
     RootPair,
+    _iota_s_star,
+    _iotas,
     _member,
     _point,
     _scaled_power,
@@ -168,6 +170,30 @@ def test_iotas_are_scale_invariant(triple, t):
 @settings(max_examples=150, deadline=None)
 def test_iota_dagger_relations_never_violated(triple, kappa):
     assert iota_dagger_relations(*triple, kappa).ok
+
+
+def fraction_iotas(theta1, theta2, theta3):
+    """(iota_s, iota_s_star) by Fraction division of the thetas."""
+    ratio = theta3 / theta2
+    return 1 + floor_log_ratio(ratio, theta3 / theta1), 1 + floor_log_ratio(theta2 / theta1, ratio)
+
+
+def test_iotas_match_fraction_division():
+    thetas = [F(2) ** i for i in range(7)]
+    triples = list(itertools.combinations(thetas, 3))  # criterion 8's supports
+    # the interior holes of generator draws, and of the squares of
+    # {1, 1 + g, 10}, whose holes next to 1 have a large iota_s_star
+    params = GenParams(seed=0, max_atoms=4, kappa_set=(2,))
+    mus = [kappa_power_measure(random_atomic_measure(params, i), 2 + i % 3) for i in range(80)]
+    mus += [kappa_power_measure(measure((1, 1), (1 + F(1, 10 ** e), 1), (10, 1)), 2) for e in (1, 2, 3)]
+    for mu in mus:
+        points = mu.support
+        triples += [(a, b, points[-1]) for a, b in zip(points, points[1:-1])]
+    assert len(triples) > 400
+    for triple in triples:
+        iotas = _iotas(*triple)
+        assert iotas == fraction_iotas(*triple), triple
+        assert _iota_s_star(*triple) == iotas[1]
 
 
 def test_iota_star_witness_examples():
