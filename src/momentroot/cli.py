@@ -20,7 +20,7 @@ from .feasibility import feasible, n_minus, n_plus, witness
 from .fixtures import run_all
 from .fuzz import SUITES, run_suite
 from .generate import GenParams
-from .holes import JsonText, RootPair, _order_scans, _triples, _walk_holes, triple_params
+from .holes import JsonText, RootPair, _order_scans, _reports_text, _triples, _walk_holes, triple_params
 from .measures import dump_measure, find_holes, load_measure
 
 __all__ = ["main"]
@@ -148,8 +148,9 @@ def _cmd_analyze(args) -> int:
         if args.json:  # the text report prints no triples
             doc["triples"] = _triples(mu, args.kappa)
     exit_code = 0
+    reports = []
     if args.theorems:
-        reports, skipped = [], []
+        skipped = []
         if decision.is_yes:
             pair = RootPair(mu, decision.nu, args.kappa)
             scans, refused = _order_scans(mu, holes, max(args.kappa, 4))
@@ -162,17 +163,18 @@ def _cmd_analyze(args) -> int:
                 exit_code = 2
         else:
             doc["theorems_note"] = "no certified root; hole checkers skipped"
-        doc["theorems"] = [r.to_dict() for r in reports]
+        if args.json:  # the text report reads the reports themselves
+            doc["theorems"] = _reports_text(reports)
         if skipped:
             doc["theorems_skipped"] = skipped
     if args.json:
         _emit(doc)
     else:
-        _print_analysis(doc)
+        _print_analysis(doc, reports)
     return exit_code
 
 
-def _print_analysis(doc):
+def _print_analysis(doc, reports):
     print(f"kappa = {doc['kappa']}")
     print("support:", " ".join(doc["support"]))
     print("decision:", doc["decision"]["status"])
@@ -187,10 +189,10 @@ def _print_analysis(doc):
     for h in doc.get("holes", []):
         tag = " (leading)" if h["leading"] else ""
         print(f"hole ({h['lower']}, {h['upper']}){tag}")
-    for rep in doc.get("theorems", []):
-        status = "ok" if not rep["violations"] else "VIOLATED"
-        extra = "" if rep["applicable"] else " [not applicable]"
-        print(f"theorem check: {rep['theorem']}: {status}{extra}")
+    for rep in reports:
+        status = "ok" if rep.ok else "VIOLATED"
+        extra = "" if rep.applicable else " [not applicable]"
+        print(f"theorem check: {rep.theorem}: {status}{extra}")
     for s in doc.get("theorems_skipped", []):
         print(f"theorem check skipped: hole ({s['lower']}, {s['upper']}): {s['reason']}")
     if "theorems_note" in doc:
@@ -329,11 +331,14 @@ def main(argv=None) -> int:
     args = _parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, FileNotFoundError) as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON input: {exc}", file=sys.stderr)
+        return 1
+    except UnicodeDecodeError as exc:
+        print(f"error: input is not UTF-8 text: {exc}", file=sys.stderr)
         return 1
 
 

@@ -25,6 +25,7 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Optional
 
@@ -83,7 +84,7 @@ class Claim:
 
     @property
     def violated(self) -> bool:
-        return self.hypotheses_hold and self.holds is False
+        return self.holds is False and self.hypotheses_hold
 
     def to_dict(self) -> dict:
         return {
@@ -570,6 +571,66 @@ def _triples(mu: AtomicMeasure, kappa: int) -> JsonText:
             f'\n    "iota_s": {iota_s},\n    "iota_s_star": {iota_s_star}\n  }}'
         )
     return JsonText("[\n  " + ",\n  ".join(items) + "\n]")
+
+
+_LITERAL = {True: "true", False: "false", None: "null"}
+
+
+def _reports_text(reports) -> JsonText:
+    """The JSON text of [r.to_dict() for r in reports], built without the
+    dicts.  Claims and hypotheses have a fixed shape, and their holds
+    values are bools or None, as Claim declares them.  A data value that
+    is a bool, int, Fraction, str or None is written inline; any other
+    goes through json.dumps(json_value(v), indent=2) at its depth.  Keys
+    of data are strs.
+    """
+    quote, literal = encode_basestring_ascii, _LITERAL
+    items = []
+    for r in reports:
+        claims, violations = [], []
+        for c in r.claims:
+            if c.hypotheses:
+                hyps = ",\n          ".join([
+                    f'{{\n            "name": {quote(name)},\n            "holds": {literal[ok]}\n          }}'
+                    for name, ok in c.hypotheses
+                ])
+                hyps = f"[\n          {hyps}\n        ]"
+            else:
+                hyps = "[]"
+            name = quote(c.name)
+            claims.append(
+                f'{{\n        "name": {name},\n        "hypotheses": {hyps},'
+                f'\n        "conclusion": {quote(c.conclusion)},'
+                f'\n        "holds": {literal[c.holds]},\n        "approximate": {literal[c.approximate]}\n      }}'
+            )
+            if c.violated:
+                violations.append(name)
+        claims = "[\n      " + ",\n      ".join(claims) + "\n    ]" if claims else "[]"
+        violations = "[\n      " + ",\n      ".join(violations) + "\n    ]" if violations else "[]"
+        text = (
+            f'{{\n    "theorem": {quote(r.theorem)},\n    "applicable": {literal[r.applicable]},'
+            f'\n    "claims": {claims},\n    "violations": {violations}'
+        )
+        if r.note:
+            text += f',\n    "note": {quote(r.note)}'
+        if r.data:
+            entries = []
+            for key, v in r.data.items():
+                kind = type(v)
+                if kind is bool or v is None:
+                    value = literal[v]
+                elif kind is int:
+                    value = int.__repr__(v)
+                elif kind is Fraction:
+                    value = f'"{format_rational(v)}"'  # digits, "-" and "/" need no escaping
+                elif kind is str:
+                    value = quote(v)
+                else:
+                    value = json.dumps(json_value(v), indent=2).replace("\n", "\n      ")
+                entries.append(f"{quote(key)}: {value}")
+            text += ',\n    "data": {\n      ' + ",\n      ".join(entries) + "\n    }"
+        items.append(text + "\n  }")
+    return JsonText("[\n  " + ",\n  ".join(items) + "\n]" if items else "[]")
 
 
 def _endpoint_power(value, kappa: int) -> Fraction:

@@ -1,5 +1,6 @@
-"""analyze's triples, radical rendering and JSON emitter against
-the direct per-hole computation, and the report of refused order scans."""
+"""analyze's triples, theorem reports, radical rendering and JSON emitter
+against the direct per-hole computation, and the report of refused order
+scans."""
 
 import io
 import json
@@ -16,11 +17,21 @@ from momentroot.exact import GuardExceeded, format_rational
 from momentroot.fuzz import _run_chunk
 from momentroot.generate import GenParams, random_atomic_measure
 from momentroot.holes import (
+    Claim,
     JsonText,
     RootPair,
+    TheoremReport,
     check_hole_backward,
+    check_hole_forward,
     check_iota_hole_criteria,
+    check_lower_support,
     check_root_order_membership,
+    check_top_of_support,
+    iota_dagger_relations,
+    iota_relations,
+    iota_star_witness,
+    kappa_dependence_scan,
+    ordering_report,
     triple_params,
 )
 from momentroot.measures import AtomicMeasure, dump_measure, find_holes, kappa_power_measure
@@ -119,6 +130,61 @@ def test_triples_match_triple_params(kappa):
         # the hole ending at theta3: alpha_dag = (theta3/theta3) * theta3**(1/kappa) = gamma
         assert got[-1]["alpha_dag"] == got[-1]["gamma"]
         assert (got[-1]["gamma"]["rational"] is not None) == perfect
+
+
+def report_cases():
+    """Reports of every checker, whose data hold every kind of value a
+    report carries, and the edge cases of the fixed-shape layout."""
+    nu = AtomicMeasure.from_pairs([(F(1, 3), 1), (1, 2), (F(5, 2), 1)])
+    mu = kappa_power_measure(nu, 3)
+    pair = RootPair(mu, nu, 3)
+    irrational = AtomicMeasure.from_pairs([(2, 1)])  # the square of {2**(1/2)}
+    scanned = kappa_power_measure(AtomicMeasure.from_pairs([(1, 1), (5, 1), (6, 1)]), 4)
+    reports = []
+    for h in find_holes(mu):
+        reports.append(check_hole_backward(pair, h.lower, h.upper))
+        reports.append(check_iota_hole_criteria(pair, h.lower, h.upper))  # the outer holes: inapplicable, a note
+        reports.append(check_top_of_support(pair, h.lower, h.upper, mu.max_point))
+    reports += [
+        ordering_report(triple_params(F(1, 27), 1, F(125, 8), 3)),  # data hold a TripleParams
+        iota_relations(F(1, 9), F(1, 3), 1),
+        iota_dagger_relations(F(1, 9), F(1, 3), 1, 3),
+        check_hole_forward(pair, F(1, 2), F(3, 2)),  # data hold irrational Radicals
+        check_hole_forward(pair, F(1, 2), F(3, 2), canonicalize=True),  # and a dict of Radicals
+        check_lower_support(pair),
+        check_lower_support(RootPair(irrational, decide_root(irrational, 2).nu, 2)),
+        check_root_order_membership(scanned, 216, 625, 4),  # J = [2, 4], an int-keyed membership dict
+        check_root_order_membership(mu, 1, F(25, 12), 4),  # iota_s_star == 3: no claims, a note and data
+        kappa_dependence_scan(*iota_star_witness(3), 6),  # approximate claims, a list of Fractions, a str
+        kappa_dependence_scan(0, F(1, 2), 1, 4),  # iota_s is None
+        TheoremReport(
+            "hand-built \u2014 report",
+            (
+                Claim("violated", (("h1", True), ("h2", True)), "c", False),
+                Claim("unevaluated", (("h", False),), "c", None),
+                Claim('q"\\', (), "c", False, approximate=True),
+            ),
+            note='a "quoted" \\ back\\slash, caf\u00e9 \u2603 and a\nnew line',
+            data={"list": [], "dict": {}, "text": "\u00e9\n"},
+        ),
+    ]
+    assert any(not r.claims and r.note and r.data for r in reports)
+    assert any(c.approximate for r in reports for c in r.claims)
+    assert any(r.violations for r in reports)
+    return reports
+
+
+def test_reports_text_is_json_dumps_of_to_dict():
+    reports = report_cases()
+    for r in reports:
+        assert holes._reports_text([r]) == json.dumps([r.to_dict()], indent=2), r.theorem
+    assert holes._reports_text(reports) == json.dumps([r.to_dict() for r in reports], indent=2)
+    assert holes._reports_text([]) == "[]"
+    # the emitter splices the text at its depth
+    dicts = [r.to_dict() for r in reports]
+    for theorems, want in ((reports, dicts), ([], [])):
+        doc = {"a": [{"theorems": holes._reports_text(theorems), "b": 1}]}
+        assert cli._dumps(doc) == json.dumps({"a": [{"theorems": want, "b": 1}]}, indent=2)
 
 
 # A kappa=2 power of 12 atoms: 78 atoms, and the hole (649/17, 100) has

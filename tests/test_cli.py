@@ -194,6 +194,21 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", [["decide"], ["analyze", "--holes", "--theorems", "--json"]])
+@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+def test_unreadable_measure_file_exits_one(tmp_path, capsys, command, kind):
+    path = tmp_path / "measure.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe" + json.dumps(MEASURE_3_2).encode())
+    assert main([command[0], "--measure", str(path), "--kappa", "2", *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    want = "error: " if kind == "directory" else "error: input is not UTF-8 text: "  # the OS words the first
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith(want)
+
+
 def test_literal_beyond_the_int_digit_limit_exits_one(tmp_path, capsys):
     # CPython refuses int() of more than 4,300 digits; that is a usage error
     path = tmp_path / "long.json"
@@ -255,7 +270,9 @@ def test_analyze_theorems_exits_two_on_a_violation(tmp_path, capsys, monkeypatch
     path.write_text(json.dumps({"atoms": atoms}))
     argv = ["analyze", "--measure", str(path), "--kappa", "2", "--holes", "--theorems"]
     assert main(argv) == 2
-    assert "theorem check: stub: VIOLATED" in capsys.readouterr().out.splitlines()
+    lines = capsys.readouterr().out.splitlines()
+    assert "theorem check: stub: VIOLATED" in lines
+    assert "theorem check: iota hole criteria: ok [not applicable]" in lines  # the leading hole (0, 1)
     assert main(argv + ["--json"]) == 2
     doc = json.loads(capsys.readouterr().out)
     assert [r["violations"] for r in doc["theorems"] if r["theorem"] == "stub"] == [["always"]] * 3

@@ -17,8 +17,9 @@ process with stdout captured.  The calls:
   --holes in text form on the squares of nu = {1, 1 + 10**-e, 10} for e
   in GAPS, whose holes next to 1 have a large iota_s_star;
 - decide and analyze --holes --theorems --json on malformed measure files
-  (a negative point, a negative weight, a zero point, a duplicate point),
-  whose error lines may be worded differently but must exit alike;
+  (a negative point, a negative weight, a zero point, a duplicate point)
+  and on unreadable ones (a directory, a file that is not UTF-8), whose
+  error lines may be worded differently but must exit alike;
 - params on generator triples at kappa 2..8, table --json, and fixtures;
 - feasible --witness on every pair with N <= 12 at most one level deep
   (N <= 3 or M <= 4N - 6), whose witnesses the greedy exponent rule builds
@@ -30,7 +31,9 @@ process with stdout captured.  The calls:
 Prints every call whose exit code or stdout differs (stderr is not compared), with its first
 differing bytes and, when the exit codes differ, each side's first line of
 stderr (a refusal's message), then one line per command with the number of
-equal and of differing calls; exits 1 if any call differs.  This is a check against an
+equal and of differing calls; exits 1 if any call differs.  A call that
+ends in an uncaught exception counts as exit code 1, as it would from the
+command line, with the exception as its stderr line.  This is a check against an
 older version of the code, not a test: nothing in tests/ runs it.
 """
 
@@ -161,6 +164,11 @@ def malformed_calls(workdir: Path) -> list[list[str]]:
         path.write_text(json.dumps({"atoms": [{"point": p, "weight": w} for p, w in atoms]}), encoding="utf-8")
         base = ["--measure", str(path), "--kappa", "2"]
         calls += [["decide", *base], ["analyze", *base, "--holes", "--theorems", "--json"]]
+    (workdir / "directory.json").mkdir()
+    (workdir / "not_utf8.json").write_bytes(b"\xff\xfe" + json.dumps({"atoms": []}).encode())
+    for name in ("directory", "not_utf8"):
+        base = ["--measure", str(workdir / f"{name}.json"), "--kappa", "2"]
+        calls += [["decide", *base], ["analyze", *base, "--holes", "--theorems", "--json"]]
     return calls
 
 
@@ -175,14 +183,17 @@ def worker(src: str, jobs: str, out: str) -> int:
     for argv in json.loads(Path(jobs).read_text()):
         buf, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
+            uncaught = None
             try:
                 code = cli.main(argv)
             except SystemExit as exc:  # argparse refusals
                 code = exc.code
+            except Exception as exc:  # a traceback, which exits 1 from the command line
+                code, uncaught = 1, f"uncaught {type(exc).__name__}: {exc}"
         text = buf.getvalue()
         if argv[0] == "fuzz":
             text = ELAPSED.sub('"elapsed_seconds": _', text)
-        results.append([code, text, err.getvalue().partition("\n")[0]])
+        results.append([code, text, uncaught or err.getvalue().partition("\n")[0]])
     Path(out).write_text(json.dumps(results))
     return 0
 
