@@ -5,6 +5,13 @@ counterexample, 3 decide returned CertifiedNo (a successful run).  JSON
 output renders every mathematically rational number as a rational string;
 dyadic approximations appear only under an "approx" key together with
 their precision in bits.
+
+Each JSON shape has one writer.  A fixed shape (a decision, analyze's
+measure, support, holes, triples and theorems blocks, a triple's
+parameters) is written straight to text by one function; a document is
+a top-level join (_emit) that splices such text one level deep and hands
+every other value to json.dumps(value, indent=2).  The output is
+json.dumps(document, indent=2), byte for byte.
 """
 
 from __future__ import annotations
@@ -20,189 +27,128 @@ from .feasibility import feasible, n_minus, n_plus, witness
 from .fixtures import run_all
 from .fuzz import SUITES, run_suite
 from .generate import GenParams
-from .holes import JsonText, RootPair, _order_scans, _reports_text, _triples, _walk_holes, triple_params
-from .measures import dump_measure, find_holes, load_measure
+from .holes import (JsonText, RootPair, _order_scans, _params_text, _reports_text, _triples, _walk_holes,
+                    triple_params)
+from .measures import _measure_text, find_holes, load_measure
 
 __all__ = ["main"]
 
 
-def decision_to_dict(d: RootDecision) -> dict:
-    out = {"status": d.verdict.value, "kappa": d.kappa}
-    if d.nu is not None:
-        out["nu"] = {
-            "base_mass": format_rational(d.nu.base_mass),
-            "entries": [
-                {"power": format_rational(e.power), "rho": format_rational(e.rho)}
-                for e in d.nu.entries
-            ],
-        }
-    if d.certificate is not None:
-        out["certificate"] = {
-            "kind": d.certificate.kind.value,
-            "location": format_rational(d.certificate.location),
-        }
-    return out
-
-
-def _emit(doc):
-    print(_dumps(doc))
-
-
-def _dumps(doc) -> str:
-    """json.dumps(doc, indent=2), byte for byte.
-
-    An indent sends json.dumps to its pure-Python encoder; this walks the
-    types the CLI emits (str-keyed dicts, lists, str, int, bool, None and
-    JsonText) and quotes strings with json's C encoder.  Any other value
-    goes to json.dumps, re-indented to its depth.
-    """
-    out: list[str] = []
-    _encode(doc, "\n", out)
-    return "".join(out)
-
-
-def _encode(value, newline: str, out: list[str]) -> None:
-    """Append value's JSON text at the depth whose line break is newline.
-
-    Re-indenting json.dumps's text or a JsonText by replacing each line
-    break is safe because JSON escapes a line break inside a string.  A
-    nonempty list or dict encodes its str, int, None and bool items in the
-    loop, and recurses only into the other items.
-    """
-    kind = type(value)
-    inner = newline + "  "
-    if kind is list and value:
-        sep = "[" + inner
-        for item in value:
-            item_kind = type(item)
-            if item_kind is str:
-                out.append(sep + encode_basestring_ascii(item))
-            elif item_kind is int:
-                out.append(sep + int.__repr__(item))
-            elif item is None:
-                out.append(sep + "null")
-            elif item_kind is bool:
-                out.append(sep + ("true" if item else "false"))
-            else:
-                out.append(sep)
-                _encode(item, inner, out)
-            sep = "," + inner
-        out.append(newline + "]")
-        return
-    if kind is dict and value:
-        mark = len(out)
-        sep = "{" + inner
-        for key, item in value.items():
-            if type(key) is not str:
-                del out[mark:]
-                break
-            head = sep + encode_basestring_ascii(key) + ": "
-            item_kind = type(item)
-            if item_kind is str:
-                out.append(head + encode_basestring_ascii(item))
-            elif item_kind is int:
-                out.append(head + int.__repr__(item))
-            elif item is None:
-                out.append(head + "null")
-            elif item_kind is bool:
-                out.append(head + ("true" if item else "false"))
-            else:
-                out.append(head)
-                _encode(item, inner, out)
-            sep = "," + inner
-        else:
-            out.append(newline + "}")
-            return
-    if kind is JsonText:
-        text = value
-    elif (kind is list or kind is dict) and not value:
-        text = "[]" if kind is list else "{}"
-    else:
-        text = json.dumps(value, indent=2)
-    out.append(text.replace("\n", newline))
-
-
-def _holes_dict(holes) -> list[dict]:
-    return [
-        {
-            "lower": format_rational(h.lower),
-            "upper": format_rational(h.upper),
-            "leading": h.leading,
-        }
-        for h in holes
+def _emit(doc: dict) -> None:
+    """Print json.dumps(doc, indent=2) for a doc with str keys: a JsonText
+    value is spliced as it stands, any other value goes to json.dumps.
+    Indenting a value by replacing its line breaks is safe because JSON
+    escapes a line break inside a string."""
+    items = [
+        f"{encode_basestring_ascii(key)}: {value if type(value) is JsonText else json.dumps(value, indent=2)}"
+        for key, value in doc.items()
     ]
+    print(("{\n" + ",\n".join(items)).replace("\n", "\n  ") + "\n}")
+
+
+# The fixed-shape writers below need no escaping: rationals print as
+# digits, "-" and "/", and the enum values as lower-case words and "_".
+
+
+def _decision_text(d: RootDecision) -> JsonText:
+    """The decision: its status and kappa, then nu (a yes) or the
+    certificate (a no)."""
+    head = f'{{\n  "status": "{d.verdict.value}",\n  "kappa": {d.kappa},'
+    if d.nu is None:
+        cert = d.certificate
+        return JsonText(
+            f'{head}\n  "certificate": {{\n    "kind": "{cert.kind.value}",'
+            f'\n    "location": "{format_rational(cert.location)}"\n  }}\n}}'
+        )
+    base_mass = format_rational(d.nu.base_mass)
+    entries = ",\n      ".join([
+        f'{{\n        "power": "{format_rational(e.power)}",\n        "rho": "{format_rational(e.rho)}"\n      }}'
+        for e in d.nu.entries
+    ])
+    return JsonText(
+        f'{head}\n  "nu": {{\n    "base_mass": "{base_mass}",\n    "entries": [\n      {entries}\n    ]\n  }}\n}}'
+    )
+
+
+def _support_text(mu) -> JsonText:
+    return JsonText('[\n  "' + '",\n  "'.join([format_rational(x) for x in mu.support]) + '"\n]')
+
+
+def _holes_text(holes) -> JsonText:
+    return JsonText("[\n  " + ",\n  ".join([
+        f'{{\n    "lower": "{format_rational(h.lower)}",\n    "upper": "{format_rational(h.upper)}",'
+        f'\n    "leading": {"true" if h.leading else "false"}\n  }}'
+        for h in holes
+    ]) + "\n]")
 
 
 def _cmd_analyze(args) -> int:
     mu = load_measure(args.measure)
     decision = decide_root(mu, args.kappa)
-    doc = {
-        "measure": dump_measure(mu),
-        "kappa": args.kappa,
-        "support": [format_rational(x) for x in mu.support],
-        "decision": decision_to_dict(decision),
-    }
-    if args.holes or args.theorems:
-        holes = find_holes(mu)
-        doc["holes"] = _holes_dict(holes)
-        if args.json:  # the text report prints no triples
+    holes = find_holes(mu) if args.holes or args.theorems else []
+    if args.json:
+        doc = {
+            "measure": JsonText(_measure_text(mu)),
+            "kappa": args.kappa,
+            "support": _support_text(mu),
+            "decision": _decision_text(decision),
+        }
+        if holes:  # the text report prints no triples
+            doc["holes"] = _holes_text(holes)
             doc["triples"] = _triples(mu, args.kappa)
-    exit_code = 0
-    reports = []
+    reports, refused = [], []
+    if args.theorems and decision.is_yes:
+        pair = RootPair(mu, decision.nu, args.kappa)
+        scans, refused = _order_scans(mu, holes, max(args.kappa, 4))
+        reports = _walk_holes(pair, holes, scans)
+    note = "no certified root; hole checkers skipped" if args.theorems and not decision.is_yes else None
+    exit_code = 2 if any(not r.ok for r in reports) else 0
+    if not args.json:
+        _print_analysis(args.kappa, mu, decision, holes, reports, refused, note)
+        return exit_code
     if args.theorems:
-        skipped = []
-        if decision.is_yes:
-            pair = RootPair(mu, decision.nu, args.kappa)
-            scans, refused = _order_scans(mu, holes, max(args.kappa, 4))
-            reports = _walk_holes(pair, holes, scans)
-            skipped = [
+        if note:
+            doc["theorems_note"] = note
+        doc["theorems"] = _reports_text(reports)
+        if refused:
+            doc["theorems_skipped"] = [
                 {"lower": format_rational(h.lower), "upper": format_rational(h.upper), "reason": reason}
                 for h, reason in refused
             ]
-            if any(not r.ok for r in reports):
-                exit_code = 2
-        else:
-            doc["theorems_note"] = "no certified root; hole checkers skipped"
-        if args.json:  # the text report reads the reports themselves
-            doc["theorems"] = _reports_text(reports)
-        if skipped:
-            doc["theorems_skipped"] = skipped
-    if args.json:
-        _emit(doc)
-    else:
-        _print_analysis(doc, reports)
+    _emit(doc)
     return exit_code
 
 
-def _print_analysis(doc, reports):
-    print(f"kappa = {doc['kappa']}")
-    print("support:", " ".join(doc["support"]))
-    print("decision:", doc["decision"]["status"])
-    if "certificate" in doc["decision"]:
-        cert = doc["decision"]["certificate"]
-        print(f"  certificate: {cert['kind']} at {cert['location']}")
-    if "nu" in doc["decision"]:
-        entries = doc["decision"]["nu"]["entries"]
-        positive = [e for e in entries if e["rho"] != "0"]
-        print(f"  base_mass = {doc['decision']['nu']['base_mass']}")
-        print("  root support powers:", " ".join(e["power"] for e in positive))
-    for h in doc.get("holes", []):
-        tag = " (leading)" if h["leading"] else ""
-        print(f"hole ({h['lower']}, {h['upper']}){tag}")
+def _print_analysis(kappa, mu, decision, holes, reports, refused, note):
+    """The text report, printed once it is whole."""
+    lines = [f"kappa = {kappa}", "support: " + " ".join([format_rational(x) for x in mu.support])]
+    lines.append(f"decision: {decision.verdict.value}")
+    if decision.certificate is not None:
+        cert = decision.certificate
+        lines.append(f"  certificate: {cert.kind.value} at {format_rational(cert.location)}")
+    if decision.nu is not None:
+        lines.append(f"  base_mass = {format_rational(decision.nu.base_mass)}")
+        powers = [format_rational(e.power) for e in decision.nu.entries if e.rho != 0]
+        lines.append("  root support powers: " + " ".join(powers))
+    for h in holes:
+        tag = " (leading)" if h.leading else ""
+        lines.append(f"hole ({format_rational(h.lower)}, {format_rational(h.upper)}){tag}")
     for rep in reports:
         status = "ok" if rep.ok else "VIOLATED"
         extra = "" if rep.applicable else " [not applicable]"
-        print(f"theorem check: {rep.theorem}: {status}{extra}")
-    for s in doc.get("theorems_skipped", []):
-        print(f"theorem check skipped: hole ({s['lower']}, {s['upper']}): {s['reason']}")
-    if "theorems_note" in doc:
-        print(doc["theorems_note"])
+        lines.append(f"theorem check: {rep.theorem}: {status}{extra}")
+    for h, reason in refused:
+        hole = f"({format_rational(h.lower)}, {format_rational(h.upper)})"
+        lines.append(f"theorem check skipped: hole {hole}: {reason}")
+    if note:
+        lines.append(note)
+    print("\n".join(lines))
 
 
 def _cmd_decide(args) -> int:
     mu = load_measure(args.measure)
     decision = decide_root(mu, args.kappa)
-    _emit(decision_to_dict(decision))
+    print(_decision_text(decision))
     return 0 if decision.is_yes else 3
 
 
@@ -213,7 +159,7 @@ def _cmd_params(args) -> int:
         parse_rational(args.theta3),
         args.kappa,
     )
-    _emit(p.to_dict())
+    print(_params_text(p))
     return 0
 
 

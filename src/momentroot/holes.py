@@ -17,13 +17,18 @@ radicals appear only as report data.
 Checkers return TheoremReports; a report whose hypotheses all hold but
 whose conclusion fails is a counterexample and is treated as a failure by
 the fuzz harness.
+
+The JSON forms of a TripleParams and of a list of TheoremReports have one
+writer each, which writes text straight from the objects: _triple_text
+(for the params command and each entry of analyze's triples block) and
+_reports_text.  to_dict reads that text back with json.loads.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -86,15 +91,6 @@ class Claim:
     def violated(self) -> bool:
         return self.holds is False and self.hypotheses_hold
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "hypotheses": [{"name": n, "holds": h} for n, h in self.hypotheses],
-            "conclusion": self.conclusion,
-            "holds": self.holds,
-            "approximate": self.approximate,
-        }
-
 
 @dataclass
 class TheoremReport:
@@ -113,61 +109,67 @@ class TheoremReport:
         return not self.violations
 
     def to_dict(self) -> dict:
-        out = {
-            "theorem": self.theorem,
-            "applicable": self.applicable,
-            "claims": [c.to_dict() for c in self.claims],
-            "violations": [c.name for c in self.violations],
-        }
-        if self.note:
-            out["note"] = self.note
-        if self.data:
-            out["data"] = {k: json_value(v) for k, v in self.data.items()}
-        return out
+        """The JSON form, read back from the text _reports_text writes."""
+        return json.loads(_reports_text([self]))[0]
 
 
-def json_value(v):
-    """Lower report payloads to JSON: rationals become strings, radicals and TripleParams dicts."""
+def _lowered(v):
+    """json.dumps's default for report data: rationals become strings,
+    radicals and TripleParams dicts."""
     if isinstance(v, Fraction):
         return format_rational(v)
     if isinstance(v, Radical):
-        exact = v.to_rational()
-        rational = None if exact is None else format_rational(exact)
-        text = _radical_text(format_rational(v.coeff), format_rational(v.radicand), v.index, rational, v.power)
-        return json.loads(text)
+        return json.loads(_radical_json(v))
     if isinstance(v, TripleParams):
         return v.to_dict()
-    if isinstance(v, dict):
-        return {str(k) if not isinstance(k, str) else k: json_value(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [json_value(x) for x in v]
-    return v
+    raise TypeError(f"{type(v).__name__} is not a report data value")
 
 
 APPROX_BITS = 64  # precision of the approx of an irrational radical in JSON
 
 
 class JsonText(str):
-    """JSON text as json.dumps(value, indent=2) writes it at depth 0; the CLI's
-    emitter splices it into a document at any depth."""
+    """JSON text as json.dumps(value, indent=2) writes it at depth 0.  The
+    CLI prints it as a document or splices it as the value of a top-level
+    key, one level deep."""
 
 
 def _radical_text(coeff: str, radicand: str, index: int, rational: str | None, power: Fraction | None) -> str:
     """The JSON form of the radical coeff * radicand**(1/index), given the
-    texts of its rationals, as text indented for its depth in the triples
-    block.  rational is the text of its value, None if irrational; only
+    texts of its rationals, as text indented for a field of a triple at
+    depth 0.  rational is the text of its value, None if irrational; only
     then is power, its index-th power, read, for the approx.
 
     No string in it needs escaping: rationals print as digits, "-" and "/".
     """
-    head = f'{{\n      "coeff": "{coeff}",\n      "radicand": "{radicand}",\n      "index": {index},'
+    head = f'{{\n    "coeff": "{coeff}",\n    "radicand": "{radicand}",\n    "index": {index},'
     if rational is not None:
-        return f'{head}\n      "rational": "{rational}"\n    }}'
+        return f'{head}\n    "rational": "{rational}"\n  }}'
     approx = bigfloat_root(power, index, APPROX_BITS)
     decimal = _decimal_str(approx, APPROX_BITS * 301 // 1000)  # 19 digits, as many as 64 bits carry
     return (
-        f'{head}\n      "rational": null,\n      "approx": {{\n        "decimal": "{decimal}",'
-        f'\n        "precision_bits": {APPROX_BITS}\n      }}\n    }}'
+        f'{head}\n    "rational": null,\n    "approx": {{\n      "decimal": "{decimal}",'
+        f'\n      "precision_bits": {APPROX_BITS}\n    }}\n  }}'
+    )
+
+
+def _radical_json(r: Radical) -> str:
+    """_radical_text of the Radical r."""
+    exact = r.to_rational()
+    rational = None if exact is None else format_rational(exact)
+    return _radical_text(format_rational(r.coeff), format_rational(r.radicand), r.index, rational, r.power)
+
+
+def _triple_text(theta1: str, theta2: str, theta3: str, kappa: int, alpha: str, beta: str, gamma: str,
+                 alpha_dag: str, beta_dag: str, iota_s, iota_s_star) -> str:
+    """The JSON form of a TripleParams at depth 0, one key per field in
+    field order, given the texts of its rationals and radicals; an iota is
+    an int or "null"."""
+    return (
+        f'{{\n  "theta1": "{theta1}",\n  "theta2": "{theta2}",\n  "theta3": "{theta3}",'
+        f'\n  "kappa": {kappa},\n  "alpha": {alpha},\n  "beta": {beta},\n  "gamma": {gamma},'
+        f'\n  "alpha_dag": {alpha_dag},\n  "beta_dag": {beta_dag},'
+        f'\n  "iota_s": {iota_s},\n  "iota_s_star": {iota_s_star}\n}}'
     )
 
 
@@ -194,8 +196,16 @@ class TripleParams:
     iota_s_star: Optional[int]
 
     def to_dict(self) -> dict:
-        """The JSON form: one key per field, in field order."""
-        return {f.name: json_value(getattr(self, f.name)) for f in fields(self)}
+        """The JSON form, read back from the text _params_text writes."""
+        return json.loads(_params_text(self))
+
+
+def _params_text(p: TripleParams) -> JsonText:
+    """The JSON text of p: one key per field, in field order."""
+    rationals = [format_rational(x) for x in (p.theta1, p.theta2, p.theta3)]
+    radicals = [_radical_json(r) for r in (p.alpha, p.beta, p.gamma, p.alpha_dag, p.beta_dag)]
+    iotas = ["null" if i is None else i for i in (p.iota_s, p.iota_s_star)]
+    return JsonText(_triple_text(*rationals, p.kappa, *radicals, *iotas))
 
 
 def _validate_triple(theta1, theta2, theta3, strict: bool = False):
@@ -531,9 +541,9 @@ class RootPair:
 
 
 def _triples(mu: AtomicMeasure, kappa: int) -> JsonText:
-    """The JSON text of the list of to_dict()s of the TripleParams of every
-    hole of find_holes(mu), with theta3 = sup supp mu, built from the
-    support points.
+    """The JSON text of the list of the TripleParams of every hole of
+    find_holes(mu), with theta3 = sup supp mu, built from the support
+    points.
 
     Hole i is (x_{i-1}, x_i) over the support points x_0 < x_1 < ...
     (x_{-1} = 0), so alpha_i = alpha_dag_{i-1} and beta_dag_i = beta_{i-1}:
@@ -563,26 +573,21 @@ def _triples(mu: AtomicMeasure, kappa: int) -> JsonText:
     lows = zip(["0", *texts], [origin, *scaled], [origin, *roots])
     items = []
     for i, (theta2, beta, alpha_dag, (theta1, alpha, beta_dag)) in enumerate(zip(texts, roots, scaled, lows)):
-        iota_s, iota_s_star = _iotas(points[i - 1], points[i], theta3) if 0 < i < last else ("null", "null")
-        items.append(
-            f'{{\n    "theta1": "{theta1}",\n    "theta2": "{theta2}",\n    "theta3": "{text3}",'
-            f'\n    "kappa": {kappa},\n    "alpha": {alpha},\n    "beta": {beta},\n    "gamma": {gamma},'
-            f'\n    "alpha_dag": {alpha_dag},\n    "beta_dag": {beta_dag},'
-            f'\n    "iota_s": {iota_s},\n    "iota_s_star": {iota_s_star}\n  }}'
-        )
-    return JsonText("[\n  " + ",\n  ".join(items) + "\n]")
+        iotas = _iotas(points[i - 1], points[i], theta3) if 0 < i < last else ("null", "null")
+        items.append(_triple_text(theta1, theta2, text3, kappa, alpha, beta, gamma, alpha_dag, beta_dag, *iotas))
+    return JsonText(("[\n" + ",\n".join(items)).replace("\n", "\n  ") + "\n]")
 
 
 _LITERAL = {True: "true", False: "false", None: "null"}
 
 
 def _reports_text(reports) -> JsonText:
-    """The JSON text of [r.to_dict() for r in reports], built without the
-    dicts.  Claims and hypotheses have a fixed shape, and their holds
-    values are bools or None, as Claim declares them.  A data value that
+    """The JSON text of the list of reports, the one writer of the report
+    and claim shapes.  Claims and hypotheses have a fixed shape, and their
+    holds values are bools or None, as Claim declares them.  A data value that
     is a bool, int, Fraction, str or None is written inline; any other
-    goes through json.dumps(json_value(v), indent=2) at its depth.  Keys
-    of data are strs.
+    goes through json.dumps(v, indent=2, default=_lowered) at its depth.
+    Keys of data are strs, keys of dicts inside it strs or ints.
     """
     quote, literal = encode_basestring_ascii, _LITERAL
     items = []
@@ -626,7 +631,7 @@ def _reports_text(reports) -> JsonText:
                 elif kind is str:
                     value = quote(v)
                 else:
-                    value = json.dumps(json_value(v), indent=2).replace("\n", "\n      ")
+                    value = json.dumps(v, indent=2, default=_lowered).replace("\n", "\n      ")
                 entries.append(f"{quote(key)}: {value}")
             text += ',\n    "data": {\n      ' + ",\n      ".join(entries) + "\n    }"
         items.append(text + "\n  }")

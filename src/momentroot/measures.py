@@ -221,13 +221,16 @@ def load_measure(source) -> AtomicMeasure:
     unsorted but must be distinct; points and weights are positive
     rational strings.
     """
-    if isinstance(source, dict):
-        doc = source
-    elif hasattr(source, "read"):
-        doc = json.load(source)
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+    try:
+        if isinstance(source, dict):
+            doc = source
+        elif hasattr(source, "read"):
+            doc = json.load(source)
+        else:
+            with open(source, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+    except RecursionError:
+        raise UsageError("measure JSON is nested too deeply to read") from None
     try:
         raw = doc["atoms"]
     except (TypeError, KeyError):
@@ -245,10 +248,16 @@ def load_measure(source) -> AtomicMeasure:
     return AtomicMeasure.from_pairs(pairs)
 
 
+def _measure_text(m: AtomicMeasure) -> str:
+    """m in the measure file format, as json.dumps(..., indent=2) writes it.
+    No string in it needs escaping: rationals print as digits, "-" and "/"."""
+    atoms = ",\n    ".join([
+        f'{{\n      "point": "{format_rational(p)}",\n      "weight": "{format_rational(w)}"\n    }}'
+        for p, w in m.atoms
+    ])
+    return f'{{\n  "atoms": [\n    {atoms}\n  ]\n}}'
+
+
 def dump_measure(m: AtomicMeasure) -> dict:
-    return {
-        "atoms": [
-            {"point": format_rational(p), "weight": format_rational(w)}
-            for p, w in m.atoms
-        ]
-    }
+    """The measure file format, read back from the text _measure_text writes."""
+    return json.loads(_measure_text(m))

@@ -7,6 +7,8 @@ Fraction arithmetic and with no multiset guard; radical_product,
 radical_quotient and radical_compare are same-index radical arithmetic,
 which the library does only on kappa-th powers; ref_decimal is the
 Fraction decimal rendering that exact._decimal_str does on integers.
+The *_dict functions build the JSON forms the CLI prints as dicts, field
+by field, for the tests to compare the library's text writers against.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from momentroot.decide import (
     RootDecision,
     Verdict,
 )
-from momentroot.exact import GuardExceeded, Radical, UsageError
+from momentroot.exact import GuardExceeded, Radical, UsageError, bigfloat_root, format_rational
+from momentroot.holes import Claim, TheoremReport, TripleParams
 from momentroot.measures import MAX_MULTISETS, AtomicMeasure, _multiset_guard
 
 MAX_HORIZON = 10 ** 4
@@ -85,6 +88,102 @@ def ref_decimal(q: Fraction, digits: int) -> str:
     fracpart = s[1:].rstrip("0")
     mant = s[0] + ("." + fracpart if fracpart else "")
     return f"{sign}{mant}e{e10}"
+
+
+# ---------------------------------------------------------------------------
+# JSON forms
+# ---------------------------------------------------------------------------
+
+
+APPROX_BITS = 64
+
+
+def radical_dict(r: Radical) -> dict:
+    """coeff, radicand, index and the exact value as rational strings, or
+    rational None and a 19-digit decimal of the 64-bit approximation."""
+    exact = r.to_rational()
+    out = {
+        "coeff": format_rational(r.coeff),
+        "radicand": format_rational(r.radicand),
+        "index": r.index,
+        "rational": None if exact is None else format_rational(exact),
+    }
+    if exact is None:
+        approx = bigfloat_root(r.power, r.index, APPROX_BITS)
+        out["approx"] = {"decimal": ref_decimal(approx, 19), "precision_bits": APPROX_BITS}
+    return out
+
+
+def triple_dict(p: TripleParams) -> dict:
+    return {
+        "theta1": format_rational(p.theta1),
+        "theta2": format_rational(p.theta2),
+        "theta3": format_rational(p.theta3),
+        "kappa": p.kappa,
+        "alpha": radical_dict(p.alpha),
+        "beta": radical_dict(p.beta),
+        "gamma": radical_dict(p.gamma),
+        "alpha_dag": radical_dict(p.alpha_dag),
+        "beta_dag": radical_dict(p.beta_dag),
+        "iota_s": p.iota_s,
+        "iota_s_star": p.iota_s_star,
+    }
+
+
+def json_value(v):
+    """A report's data value: rationals become strings, radicals and
+    TripleParams dicts, dict keys strings, tuples lists."""
+    if isinstance(v, Fraction):
+        return format_rational(v)
+    if isinstance(v, Radical):
+        return radical_dict(v)
+    if isinstance(v, TripleParams):
+        return triple_dict(v)
+    if isinstance(v, dict):
+        return {k if isinstance(k, str) else str(k): json_value(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [json_value(x) for x in v]
+    return v
+
+
+def claim_dict(c: Claim) -> dict:
+    return {
+        "name": c.name,
+        "hypotheses": [{"name": n, "holds": h} for n, h in c.hypotheses],
+        "conclusion": c.conclusion,
+        "holds": c.holds,
+        "approximate": c.approximate,
+    }
+
+
+def report_dict(r: TheoremReport) -> dict:
+    out = {
+        "theorem": r.theorem,
+        "applicable": r.applicable,
+        "claims": [claim_dict(c) for c in r.claims],
+        "violations": [c.name for c in r.claims if c.holds is False and all(ok for _, ok in c.hypotheses)],
+    }
+    if r.note:
+        out["note"] = r.note
+    if r.data:
+        out["data"] = {k: json_value(v) for k, v in r.data.items()}
+    return out
+
+
+def measure_dict(m: AtomicMeasure) -> dict:
+    return {"atoms": [{"point": format_rational(p), "weight": format_rational(w)} for p, w in m.atoms]}
+
+
+def decision_dict(d: RootDecision) -> dict:
+    out = {"status": d.verdict.value, "kappa": d.kappa}
+    if d.nu is not None:
+        out["nu"] = {
+            "base_mass": format_rational(d.nu.base_mass),
+            "entries": [{"power": format_rational(e.power), "rho": format_rational(e.rho)} for e in d.nu.entries],
+        }
+    if d.certificate is not None:
+        out["certificate"] = {"kind": d.certificate.kind.value, "location": format_rational(d.certificate.location)}
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""analyze's triples, theorem reports, radical rendering and JSON emitter
-against the direct per-hole computation, and the report of refused order
-scans."""
+"""analyze's triples, theorem reports, decision, radical rendering and
+top-level JSON join against the direct per-hole computation and the dict
+forms of tests/oracles.py, and the report of refused order scans."""
 
 import io
 import json
@@ -35,6 +35,7 @@ from momentroot.holes import (
     triple_params,
 )
 from momentroot.measures import AtomicMeasure, dump_measure, find_holes, kappa_power_measure
+from oracles import decision_dict, measure_dict, report_dict, triple_dict
 from test_pushforward_kernel import perturbations
 
 
@@ -52,7 +53,7 @@ def reference_blocks(mu, kappa):
     fresh pair for every checker call and a fresh order scan per hole."""
     theta3 = mu.max_point
     holes = find_holes(mu)
-    triples = [triple_params(h.lower, h.upper, theta3, kappa).to_dict() for h in holes]
+    triples = [triple_dict(triple_params(h.lower, h.upper, theta3, kappa)) for h in holes]
     decision = decide_root(mu, kappa)
     reports, skipped = [], []
     if decision.is_yes:
@@ -65,7 +66,7 @@ def reference_blocks(mu, kappa):
                 except GuardExceeded as exc:
                     bounds = {"lower": format_rational(h.lower), "upper": format_rational(h.upper)}
                     skipped.append({**bounds, "reason": str(exc)})
-    theorems = json.loads(json.dumps([r.to_dict() for r in reports]))
+    theorems = [report_dict(r) for r in reports]
     return triples, theorems, skipped
 
 
@@ -82,6 +83,14 @@ def test_analyze_blocks_match_direct_computation(tmp_path, kappa):
             triples, theorems, skipped = reference_blocks(variant, kappa)
             code, out = analyze(tmp_path, variant, kappa, "--holes", "--theorems", "--json")
             doc = json.loads(out)
+            assert doc["measure"] == measure_dict(variant) and doc["kappa"] == kappa
+            assert doc["support"] == [format_rational(x) for x in variant.support]
+            assert doc["decision"] == decision_dict(decide_root(variant, kappa))
+            holes_dicts = [
+                {"lower": format_rational(h.lower), "upper": format_rational(h.upper), "leading": h.leading}
+                for h in find_holes(variant)
+            ]
+            assert doc["holes"] == holes_dicts
             assert doc["triples"] == triples
             assert doc["theorems"] == theorems
             assert doc.get("theorems_skipped", []) == skipped
@@ -99,7 +108,7 @@ def test_equal_radicals_keep_their_own_rendering(tmp_path):
     assert (hole["theta1"], hole["theta2"]) == ("1", "2")
     assert hole["alpha_dag"] == {"coeff": "1/2", "radicand": "4", "index": 2, "rational": "1"}
     assert hole["beta_dag"] == {"coeff": "1", "radicand": "1", "index": 2, "rational": "1"}
-    assert doc["triples"] == [triple_params(a, b, 4, 2).to_dict() for a, b in [(0, 1), (1, 2), (2, 4)]]
+    assert doc["triples"] == [triple_dict(triple_params(a, b, 4, 2)) for a, b in [(0, 1), (1, 2), (2, 4)]]
 
 
 def triples_cases(kappa):
@@ -123,9 +132,13 @@ def test_triples_match_triple_params(kappa):
         theta3 = mu.max_point
         text = holes._triples(mu, kappa)
         got = json.loads(text)
-        want = [triple_params(h.lower, h.upper, theta3, kappa).to_dict() for h in find_holes(mu)]
+        params = [triple_params(h.lower, h.upper, theta3, kappa) for h in find_holes(mu)]
+        want = [triple_dict(p) for p in params]
         assert json.dumps(got) == json.dumps(want), points  # key order too
-        assert text == json.dumps(want, indent=2), points  # and the layout the emitter splices
+        assert text == json.dumps(want, indent=2), points  # and the layout the top-level join splices
+        for p, d in zip(params, want):  # params prints the same shape at depth 0
+            assert holes._params_text(p) == json.dumps(d, indent=2), points
+            assert p.to_dict() == d
         assert got[0]["alpha"] == got[0]["beta_dag"] == zero
         # the hole ending at theta3: alpha_dag = (theta3/theta3) * theta3**(1/kappa) = gamma
         assert got[-1]["alpha_dag"] == got[-1]["gamma"]
@@ -174,17 +187,49 @@ def report_cases():
     return reports
 
 
+def emitted(doc):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        cli._emit(doc)
+    return buf.getvalue()
+
+
 def test_reports_text_is_json_dumps_of_to_dict():
+    # to_dict reads the text back; the oracle builds the dicts field by field
     reports = report_cases()
-    for r in reports:
-        assert holes._reports_text([r]) == json.dumps([r.to_dict()], indent=2), r.theorem
-    assert holes._reports_text(reports) == json.dumps([r.to_dict() for r in reports], indent=2)
+    dicts = [report_dict(r) for r in reports]
+    for r, d in zip(reports, dicts):
+        assert holes._reports_text([r]) == json.dumps([d], indent=2), r.theorem
+        assert r.to_dict() == d, r.theorem
+    assert holes._reports_text(reports) == json.dumps(dicts, indent=2)
     assert holes._reports_text([]) == "[]"
-    # the emitter splices the text at its depth
-    dicts = [r.to_dict() for r in reports]
+    # the top-level join splices the text one level deep
     for theorems, want in ((reports, dicts), ([], [])):
-        doc = {"a": [{"theorems": holes._reports_text(theorems), "b": 1}]}
-        assert cli._dumps(doc) == json.dumps({"a": [{"theorems": want, "b": 1}]}, indent=2)
+        doc = {"theorems": holes._reports_text(theorems), "b": 1}
+        assert emitted(doc) == json.dumps({"theorems": want, "b": 1}, indent=2) + "\n"
+
+
+def decision_cases():
+    """A yes decision and one no decision of each certificate kind."""
+    measures = {
+        "yes": [(1, 1), (2, 2), (4, 1)],
+        "negative_rho": [(1, 1), (2, 2), (4, F(1, 2)), (8, 2), (16, 1)],
+        "mass_mismatch": [(1, 1), (2, 1)],
+        "coverage_violation": [(1, 1), (2, 2), (3, 2), (4, 1), (9, 1)],
+    }
+    return {name: decide_root(AtomicMeasure.from_pairs(pairs), 2) for name, pairs in measures.items()}
+
+
+def test_decision_text_matches_the_oracle(tmp_path, capsys):
+    cases = decision_cases()
+    assert cases["yes"].is_yes
+    assert all(d.certificate.kind.value == name for name, d in cases.items() if name != "yes")
+    for d in cases.values():
+        assert cli._decision_text(d) == json.dumps(decision_dict(d), indent=2)
+    path = tmp_path / "mu.json"
+    path.write_text(json.dumps(dump_measure(AtomicMeasure.from_pairs([(1, 1), (2, 2), (4, 1)]))))
+    assert main(["decide", "--measure", str(path), "--kappa", "2"]) == 0
+    assert capsys.readouterr().out == json.dumps(decision_dict(cases["yes"]), indent=2) + "\n"
 
 
 # A kappa=2 power of 12 atoms: 78 atoms, and the hole (649/17, 100) has
@@ -247,48 +292,44 @@ def test_walk_enters_each_checker_by_its_public_name(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the JSON emitter
+# the top-level JSON join (cli._emit)
 # ---------------------------------------------------------------------------
 
 
 SPLICED = JsonText(json.dumps([{"x": "1/2", "y": None, "z": {"w": "two\nlines"}}, []], indent=2))
 EDGE_DOCS = [
-    {},
-    [],
-    "",
-    0,
-    None,
-    True,
-    {"a": {}, "b": [], "c": [[], {}, [[]], {"d": {}}]},
-    {"text": "héllo ☃ 𝄞 ÿ  ", "quotes": '"\'\\/', "control": "\x00\x01\n\r\t\x1f\x7f"},
-    {"big": [2 ** 64, 2 ** 64 + 1, -(2 ** 70), 10 ** 40]},
+    {"empty_list": [], "empty_dict": {}},
+    {"\u00e9\n\"key\\": 1},  # a key that needs escaping
+    {"text": "h\u00e9llo \u2603 \U0001d11e \u00ff  "},
+    {"control": "\x00\x01\n\r\t\x1f\x7f"},
+    {"quotes": '"\'\\/', "empty": ""},
+    {"big": [2 ** 64, 2 ** 64 + 1, -(2 ** 70), 10 ** 40], "zero": 0},
     {"flags": [True, False, None], "nested": {"x": [None, {"y": False}]}},
-    {"é\n\"key": 1},
-    # values the CLI does not emit go to json.dumps at their depth
-    {"float": 1.5, "tuple": (1, [2, {"z": (3,)}]), "deep": {"keys": {1: [1, 2], None: {}}}},
-    [1.0, (), {2: "two"}, [float("inf")]],
-    {"a": [1, {"b": 2}], "c": None, 4: "four"},  # a non-str key after str keys
-    # JSON text is spliced at its depth, a newline inside one of its strings included
-    SPLICED,
-    {"a": {"b": {"c": SPLICED, "d": [SPLICED]}}, "e": 1},
-    [1, SPLICED, "z", [JsonText("[]")]],
+    {"deep": {"a": {}, "b": [], "c": [[], {}, [[]], {"d": {}}]}},
+    {"none": None, "true": True, "false": False},
+    # JSON text is spliced one level deep, a line break escaped inside one of
+    # its strings included; deeper, json.dumps writes it as the str it is
+    {"spliced": SPLICED},
+    {"spliced_empty": JsonText("[]"), "after": 1},
+    {"a": SPLICED, "b": [SPLICED], "c": SPLICED},
+    {"before": {"k": "v"}, "spliced": JsonText('{\n  "k": "v\\n"\n}')},
+    # values the CLI does not print from a fixed-shape writer go to json.dumps
+    {"float": 1.5, "elapsed_seconds": 0.125},
+    {"tuple": (1, [2, {"z": (3,)}])},
+    {"int_keys": {1: [1, 2], 2: {}}},
+    {"list_of_dicts": [{"index": 7, "reason": "21 multisets \u2014 guard"}, {}]},
 ]
 
 
 def parsed(doc):
-    """doc with each JsonText replaced by the value it encodes."""
-    if type(doc) is JsonText:
-        return json.loads(doc)
-    if isinstance(doc, dict):
-        return {key: parsed(value) for key, value in doc.items()}
-    if isinstance(doc, (list, tuple)):
-        return [parsed(item) for item in doc]
-    return doc
+    """doc with each JsonText value replaced by the value it encodes."""
+    return {key: json.loads(v) if type(v) is JsonText else v for key, v in doc.items()}
 
 
 @pytest.mark.parametrize("doc", EDGE_DOCS, ids=range(len(EDGE_DOCS)))
 def test_emitter_matches_json_dumps_on_edge_docs(doc):
-    assert cli._dumps(doc) == json.dumps(parsed(doc), indent=2)
+    # the top-level join prints json.dumps(doc, indent=2), JsonText spliced
+    assert emitted(doc) == json.dumps(parsed(doc), indent=2) + "\n"
 
 
 def test_emitter_matches_json_dumps_for_every_subcommand(tmp_path, monkeypatch, capsys):

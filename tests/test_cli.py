@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -165,6 +166,33 @@ def test_fuzz_small(capsys):
     assert doc["ok"] is True and doc["trials"] == 25
 
 
+def test_fuzz_prints_violations_as_the_oracle_does(capsys, monkeypatch):
+    # no generated trial violates a statement, so a checker is stubbed to
+    # return a violated report whose data hold every nested kind of value
+    from momentroot import fuzz
+    from momentroot.exact import Radical
+    from momentroot.holes import Claim, TheoremReport, triple_params
+    from oracles import report_dict
+
+    stub = TheoremReport(
+        "stub",
+        (Claim("always", (("h", True),), "never holds", False), Claim("fine", (), "holds", True)),
+        note="stubbed",
+        data={
+            "params": triple_params(F(1, 2), 1, 9, 2),
+            "radicals": {"alpha": Radical(F(1, 3), 2, 2), "beta": Radical.root(4, 3)},
+            "membership": {2: True, 4: False},
+        },
+    )
+    monkeypatch.setattr(fuzz, "check_lower_support", lambda pair: stub)
+    assert main(["fuzz", "--suite", "theorems", "--trials", "3", "--seed", "0"]) == 2
+    out = capsys.readouterr().out
+    doc = json.loads(out)
+    assert isinstance(doc.pop("elapsed_seconds"), float)
+    assert doc == {"suite": "theorems", "trials": 3, "violations": [report_dict(stub)] * 3, "skipped": [], "ok": False}
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 def test_fixtures_all_pass(capsys):
     assert main(["fixtures"]) == 0
     out = capsys.readouterr().out
@@ -194,19 +222,27 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+UNREADABLE = {
+    "directory": "error: ",  # the OS words the rest
+    "not_utf8": "error: input is not UTF-8 text: ",
+    "nested": "error: measure JSON is nested too deeply to read",  # json.load recurses per level
+}
+
+
 @pytest.mark.parametrize("command", [["decide"], ["analyze", "--holes", "--theorems", "--json"]])
-@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+@pytest.mark.parametrize("kind", UNREADABLE)
 def test_unreadable_measure_file_exits_one(tmp_path, capsys, command, kind):
     path = tmp_path / "measure.json"
     if kind == "directory":
         path.mkdir()
-    else:
+    elif kind == "not_utf8":
         path.write_bytes(b"\xff\xfe" + json.dumps(MEASURE_3_2).encode())
+    else:
+        path.write_text('{"atoms": ' + "[" * 5000 + "]" * 5000 + "}")
     assert main([command[0], "--measure", str(path), "--kappa", "2", *command[1:]]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    want = "error: " if kind == "directory" else "error: input is not UTF-8 text: "  # the OS words the first
-    assert len(captured.err.splitlines()) == 1 and captured.err.startswith(want)
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith(UNREADABLE[kind])
 
 
 def test_literal_beyond_the_int_digit_limit_exits_one(tmp_path, capsys):

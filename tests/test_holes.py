@@ -33,7 +33,7 @@ from momentroot.holes import (
     triple_params,
 )
 from momentroot.measures import AtomicMeasure, Hole, find_holes, kappa_power_measure
-from oracles import mass_open, radical_compare, radical_product, radical_quotient
+from oracles import mass_open, radical_compare, radical_product, radical_quotient, triple_dict
 
 
 def measure(*pairs):
@@ -126,7 +126,7 @@ def test_ordering_report_renders_its_params_on_demand():
     p = triple_params(1, 2, 4, 3)
     report = ordering_report(p)
     assert report.data["params"] is p
-    assert report.to_dict()["data"]["params"] == p.to_dict()
+    assert report.to_dict()["data"]["params"] == p.to_dict() == triple_dict(p)
 
 
 # ---------------------------------------------------------------------------

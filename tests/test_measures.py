@@ -14,7 +14,7 @@ from momentroot.measures import (
     load_measure,
     product_support,
 )
-from oracles import hankel_consistency, hankel_matrix, mass_open, moments
+from oracles import hankel_consistency, hankel_matrix, mass_open, measure_dict, moments
 
 import math
 
@@ -294,6 +294,7 @@ def test_load_measure_sorts_and_validates(tmp_path):
     path = tmp_path / "m.json"
     import json
 
+    assert dump_measure(m) == measure_dict(m)
     path.write_text(json.dumps(dump_measure(m)))
     assert load_measure(path) == m
 

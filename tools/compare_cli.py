@@ -6,9 +6,11 @@ Builds one list of CLI calls and runs it in one subprocess per checkout;
 each subprocess imports momentroot from its own src/ and calls cli.main in
 process with stdout captured.  The calls:
 
-- analyze --holes --theorems --json, the same in text form, and decide, on
-  DRAWS generator draws at kappa 2..8 for each of SEEDS and on their
-  scale, drop and inject perturbations (tests/test_pushforward_kernel's);
+- analyze --holes --theorems --json, the same in text form, analyze --json
+  (no holes key) and decide, on DRAWS generator draws at kappa 2..8 for
+  each of SEEDS and on their scale, drop and inject perturbations
+  (tests/test_pushforward_kernel's), and analyze --theorems --json on those
+  that are certified no (a theorems_note and an empty theorems list);
 - analyze --holes --theorems --json on every op of the benchmark's analyze
   corpus, and decide on every op of its decide corpus (up to 466 atoms),
   for each of BENCH_SEEDS (the corpora are built with this checkout's
@@ -18,9 +20,12 @@ process with stdout captured.  The calls:
   in GAPS, whose holes next to 1 have a large iota_s_star;
 - decide and analyze --holes --theorems --json on malformed measure files
   (a negative point, a negative weight, a zero point, a duplicate point)
-  and on unreadable ones (a directory, a file that is not UTF-8), whose
-  error lines may be worded differently but must exit alike;
-- params on generator triples at kappa 2..8, table --json, and fixtures;
+  and on unreadable ones (a directory, a file that is not UTF-8, 5,000
+  nested arrays), whose error lines may be worded differently but must
+  exit alike;
+- params on generator triples at kappa 2..8 and on triples with theta1 = 0
+  or theta2 = theta3 (zero radicals, null iotas), table --json up to
+  --max-m 100000, and fixtures;
 - feasible --witness on every pair with N <= 12 at most one level deep
   (N <= 3 or M <= 4N - 6), whose witnesses the greedy exponent rule builds
   as the x_2**2/(2*x_N) rule did, and on one infeasible pair;
@@ -65,6 +70,7 @@ def generator_calls(workdir: Path) -> list[list[str]]:
     sys.path.insert(0, str(ROOT / "tests"))
     from test_pushforward_kernel import perturbations
 
+    from momentroot.decide import decide_root
     from momentroot.exact import GuardExceeded, format_rational
     from momentroot.generate import GenParams, random_atomic_measure, random_triple
     from momentroot.measures import dump_measure, kappa_power_measure
@@ -85,18 +91,26 @@ def generator_calls(workdir: Path) -> list[list[str]]:
                     base = ["--measure", str(path), "--kappa", str(kappa)]
                     calls.append(["analyze", *base, "--holes", "--theorems", "--json"])
                     calls.append(["analyze", *base, "--holes", "--theorems"])
+                    calls.append(["analyze", *base, "--json"])
                     calls.append(["decide", *base])
+                    if not decide_root(variant, kappa).is_yes:
+                        calls.append(["analyze", *base, "--theorems", "--json"])
                 t1, t2, t3 = random_triple(params, index)
                 calls.append(
                     ["params", "--theta1", format_rational(t1), "--theta2", format_rational(t2),
                      "--theta3", format_rational(t3), "--kappa", str(kappa)]
                 )
+    for kappa in KAPPAS:
+        for t1, t2, t3 in (("0", "1/2", "3"), ("0", "4", "9"), ("1/3", "2", "2"), ("0", "2", "2")):
+            calls.append(["params", "--theta1", t1, "--theta2", t2, "--theta3", t3, "--kappa", str(kappa)])
+    for seed in SEEDS:
         for suite, trials in (("theorems", FUZZ_TRIALS), ("roundtrip", 100), ("iota", 40), ("feasibility", 40)):
             calls.append(["fuzz", "--suite", suite, "--trials", str(trials), "--seed", str(seed)])
             if suite in ("theorems", "roundtrip"):
                 calls.append(calls[-1] + ["--jobs", "2"])
     calls.append(["table", "--json"])
     calls.append(["table", "--max-m", "40", "--json"])
+    calls.append(["table", "--max-m", "100000", "--json"])
     calls.append(["fixtures"])
     return calls
 
@@ -166,7 +180,8 @@ def malformed_calls(workdir: Path) -> list[list[str]]:
         calls += [["decide", *base], ["analyze", *base, "--holes", "--theorems", "--json"]]
     (workdir / "directory.json").mkdir()
     (workdir / "not_utf8.json").write_bytes(b"\xff\xfe" + json.dumps({"atoms": []}).encode())
-    for name in ("directory", "not_utf8"):
+    (workdir / "nested.json").write_text('{"atoms": ' + "[" * 5000 + "]" * 5000 + "}", encoding="utf-8")
+    for name in ("directory", "not_utf8", "nested"):
         base = ["--measure", str(workdir / f"{name}.json"), "--kappa", "2"]
         calls += [["decide", *base], ["analyze", *base, "--holes", "--theorems", "--json"]]
     return calls
