@@ -188,12 +188,13 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    kappa_top = min(args.kappa_max, 8)
     params = GenParams(
         seed=args.seed,
         max_atoms=args.max_atoms,
         bound=args.bound,
-        kappa_set=tuple(range(2, kappa_top + 1)),
+        # GenParams checks the range; 9 stands for any larger value so that
+        # no huge tuple is built before that check
+        kappa_set=tuple(range(2, min(args.kappa_max, 9) + 1)),
     )
     summary = run_suite(args.suite, params, args.trials, jobs=args.jobs)
     _emit(summary.to_dict())

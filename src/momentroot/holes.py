@@ -208,17 +208,21 @@ def _params_text(p: TripleParams) -> JsonText:
     return JsonText(_triple_text(*rationals, p.kappa, *radicals, *iotas))
 
 
-def _validate_triple(theta1, theta2, theta3, strict: bool = False):
+def _triple_args(theta1, theta2, theta3, strict: bool = False) -> tuple[Fraction, Fraction, Fraction]:
+    """theta1, theta2, theta3 as Fractions, after checking 0 <= theta1 <
+    theta2 <= theta3, or 0 < theta1 < theta2 < theta3 when strict."""
+    theta1, theta2, theta3 = Fraction(theta1), Fraction(theta2), Fraction(theta3)
     if strict:
         if not (0 < theta1 < theta2 < theta3):
             raise UsageError("need 0 < theta1 < theta2 < theta3")
     elif not (0 <= theta1 < theta2 <= theta3):
         raise UsageError("need 0 <= theta1 < theta2 <= theta3")
+    return theta1, theta2, theta3
 
 
-def _triple(theta1: Fraction, theta2: Fraction, theta3: Fraction, kappa: int) -> TripleParams:
-    """TripleParams for theta3 > 0 without validation, so theta2 > theta3 (a
-    hole above sup supp mu) is allowed."""
+def triple_params(theta1, theta2, theta3, kappa: int) -> TripleParams:
+    theta1, theta2, theta3 = _triple_args(theta1, theta2, theta3)
+    _check_kappa(kappa)
     if theta1 == 0:
         alpha = beta_dag = Radical.zero(kappa)
     else:
@@ -228,13 +232,6 @@ def _triple(theta1: Fraction, theta2: Fraction, theta3: Fraction, kappa: int) ->
     endpoints = alpha, beta, gamma, Radical(theta2 / theta3, theta3, kappa), beta_dag
     iotas = _iotas(theta1, theta2, theta3) if 0 < theta1 and theta2 < theta3 else (None, None)
     return TripleParams(theta1, theta2, theta3, kappa, *endpoints, *iotas)
-
-
-def triple_params(theta1, theta2, theta3, kappa: int) -> TripleParams:
-    theta1, theta2, theta3 = Fraction(theta1), Fraction(theta2), Fraction(theta3)
-    _validate_triple(theta1, theta2, theta3)
-    _check_kappa(kappa)
-    return _triple(theta1, theta2, theta3, kappa)
 
 
 def ordering_report(p: TripleParams) -> TheoremReport:
@@ -287,14 +284,12 @@ def _iotas(theta1: Fraction, theta2: Fraction, theta3: Fraction) -> tuple[int, i
     a1, b1 = theta1.numerator, theta1.denominator
     a2, b2 = theta2.numerator, theta2.denominator
     a3, b3 = theta3.numerator, theta3.denominator
-    p, q = a3 * b2, b3 * a2  # theta3/theta2
-    return 1 + _floor_log(p, q, a3 * b1, b3 * a1), 1 + _floor_log(a2 * b1, b2 * a1, p, q)
+    return 1 + _floor_log(a3 * b2, b3 * a2, a3 * b1, b3 * a1), _iota_s_star(theta1, theta2, theta3)
 
 
 def iota_relations(theta1, theta2, theta3) -> TheoremReport:
     """The eight arithmetic relations between iota_s and iota_s_star."""
-    theta1, theta2, theta3 = Fraction(theta1), Fraction(theta2), Fraction(theta3)
-    _validate_triple(theta1, theta2, theta3, strict=True)
+    theta1, theta2, theta3 = _triple_args(theta1, theta2, theta3, strict=True)
     i_s, i_star = _iotas(theta1, theta2, theta3)
     prod_cmp = theta1 * theta3 - theta2 ** 2
     claims = (
@@ -326,8 +321,7 @@ def iota_relations(theta1, theta2, theta3) -> TheoremReport:
 
 def iota_dagger_relations(theta1, theta2, theta3, kappa: int) -> TheoremReport:
     """Exact relations tying the dagger endpoints to the iota parameters."""
-    theta1, theta2, theta3 = Fraction(theta1), Fraction(theta2), Fraction(theta3)
-    _validate_triple(theta1, theta2, theta3, strict=True)
+    theta1, theta2, theta3 = _triple_args(theta1, theta2, theta3, strict=True)
     _check_kappa(kappa)
     i_s, i_star = _iotas(theta1, theta2, theta3)
     dag_equal = theta1 * theta3 ** (kappa - 1) == theta2 ** kappa
@@ -400,8 +394,7 @@ def kappa_dependence_scan(
     checked numerically at the given precision; those claims are labeled
     approximate.
     """
-    theta1, theta2, theta3 = Fraction(theta1), Fraction(theta2), Fraction(theta3)
-    _validate_triple(theta1, theta2, theta3)
+    theta1, theta2, theta3 = _triple_args(theta1, theta2, theta3)
     strict = 0 < theta1 and theta2 < theta3
     iota_s = iota_s_star = None
     if strict:
@@ -834,17 +827,19 @@ def check_hole_backward(pair: RootPair, theta1, theta2) -> TheoremReport:
     )
 
 
+def _exterior(theorem: str) -> TheoremReport:
+    """The report of a checker that reads iota on a hole of supp mu that is
+    not strictly inside (0, sup supp mu)."""
+    return TheoremReport(theorem, applicable=False, note="requires 0 < theta1 < theta2 < sup supp mu")
+
+
 def check_iota_hole_criteria(pair: RootPair, theta1, theta2) -> TheoremReport:
     """iota-based sufficient conditions for (alpha, beta) being a nu-hole,
     for a hole (theta1, theta2) of supp mu with theta3 = sup supp mu."""
     theta1, theta2 = _mu_hole(pair.mu, theta1, theta2)
     kappa, powers, theta3 = pair.kappa, pair.powers, pair.mu.max_point
     if not (0 < theta1 and theta2 < theta3):
-        return TheoremReport(
-            "iota hole criteria",
-            applicable=False,
-            note="requires 0 < theta1 < theta2 < sup supp mu",
-        )
+        return _exterior("iota hole criteria")
     iota_s, iota_s_star = _iotas(theta1, theta2, theta3)
     beta_in_supp = _member(powers, theta2)
     conclusion = not _some_inside(powers, _scaled_power(theta1, theta3, kappa), theta2)
@@ -874,8 +869,7 @@ def check_iota_hole_criteria(pair: RootPair, theta1, theta2) -> TheoremReport:
 
 def check_top_of_support(pair: RootPair, theta1, theta2, theta3) -> TheoremReport:
     """Paired-hole and top-of-support transfer statements."""
-    theta1, theta2, theta3 = Fraction(theta1), Fraction(theta2), Fraction(theta3)
-    _validate_triple(theta1, theta2, theta3)
+    theta1, theta2, theta3 = _triple_args(theta1, theta2, theta3)
     mu, powers = pair.mu, pair.powers
     # the kappa-th powers of beta_dag, beta and gamma are theta1, theta2, theta3
     alpha_k = _scaled_power(theta1, theta3, pair.kappa)
@@ -988,11 +982,7 @@ def check_root_order_membership(mu: AtomicMeasure, theta1, theta2, kappa_max: in
     _check_kappa(kappa_max, "kappa_max must be in [2, 16]")
     theta3 = mu.max_point
     if not (0 < theta1 and theta2 < theta3):
-        return TheoremReport(
-            "membership across root orders",
-            applicable=False,
-            note="requires 0 < theta1 < theta2 < sup supp mu",
-        )
+        return _exterior("membership across root orders")
     iota_s_star = _iota_s_star(theta1, theta2, theta3)
     if iota_s_star != 1:
         return TheoremReport(

@@ -117,17 +117,21 @@ def test_feasible_with_witness(capsys):
     assert "witness" not in doc
 
 
-@pytest.mark.parametrize("m, n", [(120, 15), (465, 30), (6146, 2050)])
+@pytest.mark.parametrize(
+    "m, n", [(120, 15), (465, 30), (6146, 2050)] + [(n * (n + 1) // 2, n) for n in range(41, 47)]
+)
 def test_feasible_witness_within_the_span_guard(m, n, capsys):
-    # (6146, 2050) is geometric with exponents exactly MAX_WITNESS_BITS apart
+    # (6146, 2050) is geometric with exponents exactly MAX_WITNESS_BITS apart;
+    # M = N(N+1)/2 is the deepest pair of each N, and N = 46 the last inside
     assert main(["feasible", str(m), str(n), "--witness"]) == 0
     assert len(json.loads(capsys.readouterr().out)["witness"]["xs"]) == n
 
 
-@pytest.mark.parametrize("m, n", [(6147, 2050), (8195, 4098), (605550, 1100)])
+@pytest.mark.parametrize("m, n", [(6147, 2050), (8195, 4098), (605550, 1100), (1128, 47)])
 def test_feasible_witness_beyond_the_span_guard_exits_one(m, n, capsys):
     # spans of 4,097 at the base case and from N alone; (605550, 1100) is
-    # 1,097 levels deep and crosses the guard while prepending
+    # 1,097 levels deep and crosses the guard while prepending; (1128, 47)
+    # is the deepest pair of the first N beyond it
     assert main(["feasible", str(m), str(n), "--witness"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -317,3 +321,15 @@ def test_analyze_theorems_exits_two_on_a_violation(tmp_path, capsys, monkeypatch
 def test_kappa_out_of_range_exits_one(measure_file, capsys):
     assert main(["decide", "--measure", measure_file, "--kappa", "1"]) == 1
     capsys.readouterr()
+
+
+def test_fuzz_kappa_max_above_eight_exits_one(capsys):
+    # GenParams is the one check of the kappa range: nothing clamps it to 8
+    # first, and a huge value is refused without building its range
+    argv = ["fuzz", "--suite", "iota", "--trials", "2"]
+    for kappa_max in ["12", "1000000000", "10" * 10]:
+        assert main(argv + ["--kappa-max", kappa_max]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: kappa_set entries must lie in [2, 8]\n"
+    assert main(argv + ["--kappa-max", "8"]) == 0
+    assert json.loads(capsys.readouterr().out)["trials"] == 2

@@ -2,6 +2,7 @@ import itertools
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 from functools import partial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,6 @@ from momentroot.holes import (
     _point,
     _scaled_power,
     _some_inside,
-    _triple,
     check_root_order_membership,
     check_top_of_support,
     check_hole_forward,
@@ -113,6 +113,37 @@ def test_triple_params_rejects_bad_order():
         triple_params(1, 1, 9, 2)
     with pytest.raises(UsageError):
         triple_params(1, 2, 4, 17)
+
+
+# the five entries that read a triple, each with its kappa or pair filled in,
+# and whether it needs the strict order 0 < theta1 < theta2 < theta3
+_NU_1_2 = measure((1, 1), (2, 1))
+_PAIR_1_2 = RootPair(kappa_power_measure(_NU_1_2, 2), _NU_1_2, 2)
+TRIPLE_READERS = {
+    "triple_params": (lambda t: triple_params(*t, 2), False),
+    "iota_relations": (lambda t: iota_relations(*t), True),
+    "iota_dagger_relations": (lambda t: iota_dagger_relations(*t, 2), True),
+    "kappa_dependence_scan": (lambda t: kappa_dependence_scan(*t, 4), False),
+    "check_top_of_support": (lambda t: check_top_of_support(_PAIR_1_2, *t), False),
+}
+BAD_TRIPLES = {"theta1 < 0": (-1, 2, 4), "theta1 == theta2": (2, 2, 4), "theta2 > theta3": (1, 4, 2)}
+STRICTLY_BAD_TRIPLES = {"theta1 == 0": (0, 2, 4), "theta2 == theta3": (1, 4, 4)}
+
+
+@pytest.mark.parametrize(
+    "reader, triple",
+    [
+        pytest.param(name, triple, id=f"{name}-{case}")
+        for name, (_, strict) in TRIPLE_READERS.items()
+        for case, triple in (BAD_TRIPLES | STRICTLY_BAD_TRIPLES if strict else BAD_TRIPLES).items()
+    ],
+)
+def test_triple_readers_refuse_with_one_message(reader, triple):
+    call, strict = TRIPLE_READERS[reader]
+    message = "need 0 < theta1 < theta2 < theta3" if strict else "need 0 <= theta1 < theta2 <= theta3"
+    with pytest.raises(UsageError) as info:
+        call(triple)
+    assert str(info.value) == message
 
 
 @given(triples, st.integers(min_value=2, max_value=8))
@@ -578,15 +609,23 @@ def test_hole_backward_rejects_non_hole():
 
 def assert_powers_match_radicals(theta1, theta2, theta3, kappa):
     """The kappa-th powers the mu->nu checkers compare equal the powers of
-    the radicals of the triple (_triple does not validate, so theta2 > theta3
-    is allowed)."""
-    p = _triple(F(theta1), F(theta2), F(theta3), kappa)
-    alpha_k = _scaled_power(p.theta1, p.theta3, kappa)
-    alpha_dag_k = _scaled_power(p.theta2, p.theta3, kappa)
+    alpha, beta, gamma, alpha_dag and beta_dag, built field by field as
+    TripleParams defines them; theta2 > theta3 (a hole above sup supp mu) is
+    allowed.  Returns the five radicals by name."""
+    theta1, theta2, theta3 = F(theta1), F(theta2), F(theta3)
+    p = SimpleNamespace(
+        alpha=Radical(theta1 / theta3, theta3, kappa),
+        beta=Radical.root(theta2, kappa),
+        gamma=Radical.root(theta3, kappa),
+        alpha_dag=Radical(theta2 / theta3, theta3, kappa),
+        beta_dag=Radical.root(theta1, kappa) if theta1 else Radical.zero(kappa),
+    )
+    alpha_k = _scaled_power(theta1, theta3, kappa)
+    alpha_dag_k = _scaled_power(theta2, theta3, kappa)
     assert (alpha_k, alpha_dag_k) == (p.alpha.power, p.alpha_dag.power)
-    assert (p.theta1, p.theta2, p.theta3) == (p.beta_dag.power, p.beta.power, p.gamma.power)
-    assert p.theta3 * alpha_k / p.theta2 == radical_product(p.gamma, radical_quotient(p.alpha, p.beta)).power
-    assert (p.theta1 > alpha_dag_k) - (p.theta1 < alpha_dag_k) == radical_compare(p.beta_dag, p.alpha_dag)
+    assert (theta1, theta2, theta3) == (p.beta_dag.power, p.beta.power, p.gamma.power)
+    assert theta3 * alpha_k / theta2 == radical_product(p.gamma, radical_quotient(p.alpha, p.beta)).power
+    assert (theta1 > alpha_dag_k) - (theta1 < alpha_dag_k) == radical_compare(p.beta_dag, p.alpha_dag)
     return p
 
 
@@ -596,7 +635,11 @@ def test_powers_match_radicals_on_three_atom_grid():
         for kappa in range(2, 9):
             # the holes of {t1, t2, t3}, one above it, and theta3 = theta2
             for triple in ((0, t1, t3), (t1, t2, t3), (t2, t3, t3), (t3, 2 * t3, t3), (t1, t2, t2)):
-                assert_powers_match_radicals(*triple, kappa)
+                p = assert_powers_match_radicals(*triple, kappa)
+                if triple[1] <= triple[2]:  # and triple_params builds the same values
+                    q = triple_params(*triple, kappa)
+                    assert (q.alpha, q.beta, q.gamma, q.alpha_dag, q.beta_dag) == (
+                        p.alpha, p.beta, p.gamma, p.alpha_dag, p.beta_dag)
 
 
 def test_powers_match_radicals_on_generator_draws():
@@ -730,6 +773,23 @@ def test_order_membership_needs_iota_star_one():
     report = check_root_order_membership(mu, F(1, 4), 1, 4)
     assert not report.applicable
     assert report.data["iota_s_star"] == 2
+
+
+def test_exterior_hole_reports():
+    # the leading hole (0, 1) and the top hole (6, 9) of supp mu = {1, 2, 3, 4, 6, 9}
+    nu = measure((1, 1), (2, 1), (3, 1))
+    mu = kappa_power_measure(nu, 2)
+    pair = RootPair(mu, nu, 2)
+    for theta1, theta2 in ((0, 1), (6, 9)):
+        for theorem, report in (
+            ("iota hole criteria", check_iota_hole_criteria(pair, theta1, theta2)),
+            ("membership across root orders", check_root_order_membership(mu, theta1, theta2, 4)),
+        ):
+            assert report.theorem == theorem
+            assert report.applicable is False
+            assert report.note == "requires 0 < theta1 < theta2 < sup supp mu"
+            assert report.claims == ()
+            assert report.data == {}
 
 
 def test_order_membership_mixed_orders():

@@ -23,8 +23,9 @@ process with stdout captured.  The calls:
   and on unreadable ones (a directory, a file that is not UTF-8, 5,000
   nested arrays), whose error lines may be worded differently but must
   exit alike;
-- params on generator triples at kappa 2..8 and on triples with theta1 = 0
-  or theta2 = theta3 (zero radicals, null iotas), table --json up to
+- params on generator triples at kappa 2..8, on triples with theta1 = 0
+  or theta2 = theta3 (zero radicals, null iotas) and on triples out of
+  order (theta1 = theta2, theta2 > theta3, theta1 < 0), table --json up to
   --max-m 100000, and fixtures;
 - feasible --witness on every pair with N <= 12 at most one level deep
   (N <= 3 or M <= 4N - 6), whose witnesses the greedy exponent rule builds
@@ -101,7 +102,9 @@ def generator_calls(workdir: Path) -> list[list[str]]:
                      "--theta3", format_rational(t3), "--kappa", str(kappa)]
                 )
     for kappa in KAPPAS:
-        for t1, t2, t3 in (("0", "1/2", "3"), ("0", "4", "9"), ("1/3", "2", "2"), ("0", "2", "2")):
+        # theta1 = 0 or theta2 = theta3, then triples the reader refuses (exit 1)
+        for t1, t2, t3 in (("0", "1/2", "3"), ("0", "4", "9"), ("1/3", "2", "2"), ("0", "2", "2"),
+                           ("2", "2", "3"), ("1", "3", "2"), ("-1", "2", "3")):
             calls.append(["params", "--theta1", t1, "--theta2", t2, "--theta3", t3, "--kappa", str(kappa)])
     for seed in SEEDS:
         for suite, trials in (("theorems", FUZZ_TRIALS), ("roundtrip", 100), ("iota", 40), ("feasibility", 40)):
