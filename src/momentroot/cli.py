@@ -27,8 +27,8 @@ from .feasibility import feasible, n_minus, n_plus, witness
 from .fixtures import run_all
 from .fuzz import SUITES, run_suite
 from .generate import GenParams
-from .holes import (JsonText, RootPair, _order_scans, _params_text, _reports_text, _triples, _walk_holes,
-                    triple_params)
+from .holes import (JsonText, RootPair, _IntSupport, _order_scans, _params_text, _reports_text, _triples,
+                    _walk_holes, triple_params)
 from .measures import _measure_text, find_holes, load_measure
 
 __all__ = ["main"]
@@ -86,6 +86,7 @@ def _cmd_analyze(args) -> int:
     mu = load_measure(args.measure)
     decision = decide_root(mu, args.kappa)
     holes = find_holes(mu) if args.holes or args.theorems else []
+    table = _IntSupport(mu) if holes else None
     if args.json:
         doc = {
             "measure": JsonText(_measure_text(mu)),
@@ -95,21 +96,22 @@ def _cmd_analyze(args) -> int:
         }
         if holes:  # the text report prints no triples
             doc["holes"] = _holes_text(holes)
-            doc["triples"] = _triples(mu, args.kappa)
+            doc["triples"] = _triples(table, args.kappa)
     reports, refused = [], []
     if args.theorems and decision.is_yes:
         pair = RootPair(mu, decision.nu, args.kappa)
-        scans, refused = _order_scans(mu, holes, max(args.kappa, 4))
-        reports = _walk_holes(pair, holes, scans)
+        scans, refused = _order_scans(table, holes, max(args.kappa, 4))
+        reports = _walk_holes(pair, holes, scans, table)
+    violations = [r.violations for r in reports]  # the one pass over the claims
     note = "no certified root; hole checkers skipped" if args.theorems and not decision.is_yes else None
-    exit_code = 2 if any(not r.ok for r in reports) else 0
+    exit_code = 2 if any(violations) else 0
     if not args.json:
-        _print_analysis(args.kappa, mu, decision, holes, reports, refused, note)
+        _print_analysis(args.kappa, mu, decision, holes, reports, violations, refused, note)
         return exit_code
     if args.theorems:
         if note:
             doc["theorems_note"] = note
-        doc["theorems"] = _reports_text(reports)
+        doc["theorems"] = _reports_text(reports, violations)
         if refused:
             doc["theorems_skipped"] = [
                 {"lower": format_rational(h.lower), "upper": format_rational(h.upper), "reason": reason}
@@ -119,8 +121,9 @@ def _cmd_analyze(args) -> int:
     return exit_code
 
 
-def _print_analysis(kappa, mu, decision, holes, reports, refused, note):
-    """The text report, printed once it is whole."""
+def _print_analysis(kappa, mu, decision, holes, reports, violations, refused, note):
+    """The text report, printed once it is whole; violations holds each
+    report's violated claims."""
     lines = [f"kappa = {kappa}", "support: " + " ".join([format_rational(x) for x in mu.support])]
     lines.append(f"decision: {decision.verdict.value}")
     if decision.certificate is not None:
@@ -133,8 +136,8 @@ def _print_analysis(kappa, mu, decision, holes, reports, refused, note):
     for h in holes:
         tag = " (leading)" if h.leading else ""
         lines.append(f"hole ({format_rational(h.lower)}, {format_rational(h.upper)}){tag}")
-    for rep in reports:
-        status = "ok" if rep.ok else "VIOLATED"
+    for rep, violated in zip(reports, violations):
+        status = "VIOLATED" if violated else "ok"
         extra = "" if rep.applicable else " [not applicable]"
         lines.append(f"theorem check: {rep.theorem}: {status}{extra}")
     for h, reason in refused:
@@ -213,8 +216,17 @@ def _cmd_fixtures(_args) -> int:
     return 2 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise UsageError, so that main
+    prints one error: line and returns 1; argparse would exit with 2, the
+    code of a violation.  Its subparsers are _Parsers too."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="momentroot",
         description="Exact analysis of kappa-th roots of finitely atomic "
         "Stieltjes moment sequences.",
@@ -275,8 +287,8 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
     try:
+        args = _parser.parse_args(argv)
         return args.fn(args)
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

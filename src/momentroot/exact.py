@@ -221,10 +221,10 @@ def _floor_log(p: int, q: int, u: int, v: int) -> int:
         pm, qm = pn, qn
 
 
-def _decimal_str(q: Fraction, digits: int) -> str:
-    """q > 0 to the given number of significant digits, rounded half up;
-    integer arithmetic throughout."""
-    num, den = q.numerator, q.denominator
+def _decimal_str(num: int, den: int, digits: int) -> str:
+    """num/den > 0 to the given number of significant digits, rounded half
+    up; integer arithmetic throughout, and num/den need not be in lowest
+    terms."""
 
     def scaled(e: int) -> tuple[int, int]:  # num/den * 10**e
         return num * 10 ** max(e, 0), den * 10 ** max(-e, 0)
@@ -255,12 +255,7 @@ def _decimal_str(q: Fraction, digits: int) -> str:
 
 def bigfloat_root(q: Fraction, k: int, precision: int) -> Fraction:
     """q**(1/k) for rational q > 0, rounded to nearest (ties to even) with a
-    precision-bit mantissa, as an exact dyadic Fraction.
-
-    Works on plain integers: floor(q**(1/k) * 2**t) is an integer k-th
-    root, then the rounding decision compares q against the k-th power of
-    the candidate midpoint, which is again exact.
-    """
+    precision-bit mantissa, as an exact dyadic Fraction."""
     q = Fraction(q)
     if q <= 0:
         raise UsageError("bigfloat_root needs q > 0")
@@ -268,7 +263,18 @@ def bigfloat_root(q: Fraction, k: int, precision: int) -> Fraction:
         raise UsageError("bigfloat_root needs k >= 1")
     if precision < 32:
         raise UsageError("precision must be at least 32 bits")
-    num, den = q.numerator, q.denominator
+    return Fraction(*_root_dyadic(q.numerator, q.denominator, k, precision))
+
+
+def _root_dyadic(num: int, den: int, k: int, precision: int) -> tuple[int, int]:
+    """bigfloat_root(num/den, k, precision) as a numerator and a power-of-two
+    denominator, not necessarily in lowest terms, for integers num, den > 0
+    (not necessarily in lowest terms either), k >= 1 and precision >= 32.
+
+    floor((num/den)**(1/k) * 2**t) is an integer k-th root, then the
+    rounding decision compares num/den against the k-th power of the
+    candidate midpoint, which is again exact.
+    """
     # q > 2**(e-1) for e = num.bit_length() - den.bit_length(), so this t
     # gives q**(1/k) * 2**t > 2**(precision+1): m has >= precision+2 bits
     t = precision + 2 - (num.bit_length() - den.bit_length()) // k
@@ -290,5 +296,5 @@ def bigfloat_root(q: Fraction, k: int, precision: int) -> Fraction:
         m0 += 1
     exponent = drop - t
     if exponent >= 0:
-        return Fraction(m0 << exponent)
-    return Fraction(m0, 1 << -exponent)
+        return m0 << exponent, 1
+    return m0, 1 << -exponent

@@ -23,6 +23,7 @@ from .holes import (
     Claim,
     RootPair,
     TheoremReport,
+    _IntSupport,
     _order_scans,
     _walk_holes,
     check_top_of_support,
@@ -130,11 +131,11 @@ def _trial_theorems(params: GenParams, index: int) -> list[TheoremReport]:
     reports: list[TheoremReport] = []
 
     reports.append(check_lower_support(pair))
-    holes = find_holes(mu)
-    scans, refused = _order_scans(mu, holes, max(params.kappa_set))
+    holes, table = find_holes(mu), _IntSupport(mu)
+    scans, refused = _order_scans(table, holes, max(params.kappa_set))
     if refused:
         raise GuardExceeded(refused[0][1])
-    reports.extend(_walk_holes(pair, holes, scans))
+    reports.extend(_walk_holes(pair, holes, scans, table))
     # paired consecutive holes exercise the two-hole statement
     interior = holes[1:]
     for first, second in zip(interior, interior[1:]):

@@ -14,6 +14,15 @@ a hole (theta1, theta2) of supp mu are rationals in theta1, theta2 and
 theta3, so the mu->nu checkers decide on those and build no radicals;
 check_hole_forward and ordering_report compare kappa-th powers as well, so
 radicals appear only as report data.
+
+The mu->nu checkers decide on integers.  The hole walk of analyze and of
+the fuzz theorems trial holds supp mu as numerators over one denominator
+(_IntSupport), computes each interior hole's iota_s_star and iota_s once,
+in the iota table that the triples block, the order scans and the walk
+share, and decides each hole's facts once (_hole_facts), which
+check_hole_backward and check_iota_hole_criteria both read.  A call from
+outside the walk checks its hole and decides the same facts over the least
+common denominator of its own values.
 Checkers return TheoremReports; a report whose hypotheses all hold but
 whose conclusion fails is a counterexample and is treated as a failure by
 the fuzz harness.
@@ -27,12 +36,14 @@ _reports_text.  to_dict reads that text back with json.loads.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exact import (
     DEFAULT_PRECISION,
@@ -41,11 +52,12 @@ from .exact import (
     UsageError,
     _decimal_str,
     _floor_log,
+    _root_dyadic,
     bigfloat_root,
     format_rational,
     perfect_nth_root,
 )
-from .measures import AtomicMeasure, _check_kappa, kappa_power_measure
+from .measures import AtomicMeasure, _check_kappa, _numerators, kappa_power_measure
 from .decide import NuRepresentation, decide_root, verify_representation
 
 __all__ = [
@@ -110,7 +122,7 @@ class TheoremReport:
 
     def to_dict(self) -> dict:
         """The JSON form, read back from the text _reports_text writes."""
-        return json.loads(_reports_text([self]))[0]
+        return json.loads(_reports_text([self], [self.violations]))[0]
 
 
 def _lowered(v):
@@ -134,19 +146,20 @@ class JsonText(str):
     key, one level deep."""
 
 
-def _radical_text(coeff: str, radicand: str, index: int, rational: str | None, power: Fraction | None) -> str:
+def _radical_text(coeff: str, radicand: str, index: int, rational: str | None, power: tuple[int, int] = (0, 1)) -> str:
     """The JSON form of the radical coeff * radicand**(1/index), given the
     texts of its rationals, as text indented for a field of a triple at
     depth 0.  rational is the text of its value, None if irrational; only
-    then is power, its index-th power, read, for the approx.
+    then is power read, for the approx: its index-th power as a numerator
+    and a denominator, positive ints not necessarily in lowest terms.
 
     No string in it needs escaping: rationals print as digits, "-" and "/".
     """
     head = f'{{\n    "coeff": "{coeff}",\n    "radicand": "{radicand}",\n    "index": {index},'
     if rational is not None:
         return f'{head}\n    "rational": "{rational}"\n  }}'
-    approx = bigfloat_root(power, index, APPROX_BITS)
-    decimal = _decimal_str(approx, APPROX_BITS * 301 // 1000)  # 19 digits, as many as 64 bits carry
+    num, den = _root_dyadic(*power, index, APPROX_BITS)
+    decimal = _decimal_str(num, den, APPROX_BITS * 301 // 1000)  # 19 digits, as many as 64 bits carry
     return (
         f'{head}\n    "rational": null,\n    "approx": {{\n      "decimal": "{decimal}",'
         f'\n      "precision_bits": {APPROX_BITS}\n    }}\n  }}'
@@ -155,9 +168,11 @@ def _radical_text(coeff: str, radicand: str, index: int, rational: str | None, p
 
 def _radical_json(r: Radical) -> str:
     """_radical_text of the Radical r."""
-    exact = r.to_rational()
-    rational = None if exact is None else format_rational(exact)
-    return _radical_text(format_rational(r.coeff), format_rational(r.radicand), r.index, rational, r.power)
+    coeff, radicand, exact = format_rational(r.coeff), format_rational(r.radicand), r.to_rational()
+    if exact is not None:
+        return _radical_text(coeff, radicand, r.index, format_rational(exact))
+    power = r.power
+    return _radical_text(coeff, radicand, r.index, None, (power.numerator, power.denominator))
 
 
 def _triple_text(theta1: str, theta2: str, theta3: str, kappa: int, alpha: str, beta: str, gamma: str,
@@ -270,21 +285,28 @@ def ordering_report(p: TripleParams) -> TheoremReport:
     return TheoremReport("endpoint ordering", claims, data={"params": p})
 
 
-def _iota_s_star(theta1: Fraction, theta2: Fraction, theta3: Fraction) -> int:
-    """1 + floor(log(theta3/theta2) / log(theta2/theta1)) for 0 < theta1 < theta2 < theta3."""
-    a1, b1 = theta1.numerator, theta1.denominator
-    a2, b2 = theta2.numerator, theta2.denominator
-    return 1 + _floor_log(a2 * b1, b2 * a1, theta3.numerator * b2, theta3.denominator * a2)
+def _iota_s_of(c1: int, c2: int, c3: int) -> int:
+    """iota_s = 1 + floor(log(theta3/theta1) / log(theta3/theta2)) of a
+    triple 0 < theta1 < theta2 < theta3 given as numerators c1 < c2 < c3
+    over one denominator; no ratio is divided."""
+    return 1 + _floor_log(c3, c2, c3, c1)
+
+
+def _iota_s_star_of(c1: int, c2: int, c3: int) -> int:
+    """iota_s_star = 1 + floor(log(theta3/theta2) / log(theta2/theta1)), as
+    _iota_s_of takes its triple."""
+    return 1 + _floor_log(c2, c1, c3, c2)
+
+
+def _over_one_denominator(*values: Fraction) -> list[int]:
+    """The numerators of the values over their least common denominator."""
+    return _numerators(values, math.lcm(*(v.denominator for v in values)))
 
 
 def _iotas(theta1: Fraction, theta2: Fraction, theta3: Fraction) -> tuple[int, int]:
-    """(iota_s, iota_s_star) for 0 < theta1 < theta2 < theta3: iota_s is
-    1 + floor(log(theta3/theta1) / log(theta3/theta2)).  Each ratio goes to
-    _floor_log as an integer cross-product, so nothing is divided."""
-    a1, b1 = theta1.numerator, theta1.denominator
-    a2, b2 = theta2.numerator, theta2.denominator
-    a3, b3 = theta3.numerator, theta3.denominator
-    return 1 + _floor_log(a3 * b2, b3 * a2, a3 * b1, b3 * a1), _iota_s_star(theta1, theta2, theta3)
+    """(iota_s, iota_s_star) for 0 < theta1 < theta2 < theta3."""
+    c1, c2, c3 = _over_one_denominator(theta1, theta2, theta3)
+    return _iota_s_of(c1, c2, c3), _iota_s_star_of(c1, c2, c3)
 
 
 def iota_relations(theta1, theta2, theta3) -> TheoremReport:
@@ -533,40 +555,82 @@ class RootPair:
         object.__setattr__(self, "powers", powers)
 
 
-def _triples(mu: AtomicMeasure, kappa: int) -> JsonText:
+class _IntSupport:
+    """supp mu as integers, for the hole walk: den is the least common
+    denominator of the support points x_0 < ... < x_n and nums their
+    numerators over it, x_i = nums[i]/den.  Hole i of find_holes(mu) is
+    (x_{i-1}, x_i) with x_{-1} = 0, so its endpoints are (nums[i-1],
+    nums[i]) over den (0 for i = 0); it is interior, strictly inside (0,
+    sup supp mu), for 0 < i < n.
+
+    iota_stars and iotas are the columns of the iota table, one entry per
+    hole: iota_s_star, and the pair (iota_s, iota_s_star), on an interior
+    hole, None on the others.  Each is computed once, when it is first
+    read, and iota_stars alone first: the order scans read only
+    iota_s_star, so a fuzz trial whose scan a guard refuses is skipped
+    before any iota_s is computed.
+    """
+
+    def __init__(self, mu: AtomicMeasure):
+        self.mu = mu
+        self.den = math.lcm(*(x.denominator for x in mu.support))
+        self.nums = _numerators(mu.support, self.den)
+
+    @cached_property
+    def iota_stars(self) -> list[Optional[int]]:
+        nums = self.nums
+        top = nums[-1]
+        interior = [_iota_s_star_of(c1, c2, top) for c1, c2 in zip(nums, nums[1:-1])]
+        return [None, *interior, None][: len(nums)]  # one hole per point
+
+    @cached_property
+    def iotas(self) -> list[Optional[tuple[int, int]]]:
+        nums = self.nums
+        top = nums[-1]
+        return [
+            None if star is None else (_iota_s_of(c1, c2, top), star)
+            for c1, c2, star in zip([0, *nums], nums, self.iota_stars)
+        ]
+
+
+def _triples(table: _IntSupport, kappa: int) -> JsonText:
     """The JSON text of the list of the TripleParams of every hole of
     find_holes(mu), with theta3 = sup supp mu, built from the support
-    points.
+    points of the table's mu and its iota table.
 
     Hole i is (x_{i-1}, x_i) over the support points x_0 < x_1 < ...
     (x_{-1} = 0), so alpha_i = alpha_dag_{i-1} and beta_dag_i = beta_{i-1}:
     each x gets one x**(1/kappa) text and one (x/theta3) * theta3**(1/kappa)
     text, shared by the two holes it bounds.  Each x is tested once for a
     rational kappa-th root; the scaled radical is rational exactly when
-    theta3's root is.  The iotas are defined on the holes strictly inside
-    (0, theta3), which are all but the first and the last.
+    theta3's root is, and its kappa-th power is c**kappa / (c3**(kappa-1) *
+    den) for x = c/den and theta3 = c3/den.
     """
-    points = mu.support
-    theta3 = points[-1]
+    points, nums = table.mu.support, table.nums
+    top = nums[-1]
     texts = [format_rational(x) for x in points]
     exact = [perfect_nth_root(x, kappa) for x in points]
     root3, text3 = exact[-1], texts[-1]
     roots = [
-        _radical_text("1", text, kappa, None if r is None else format_rational(r), x)
+        _radical_text("1", text, kappa, None if r is None else format_rational(r), (x.numerator, x.denominator))
         for x, text, r in zip(points, texts, exact)
     ]
-    coeffs = [x / theta3 for x in points[:-1]]
+    coeffs = [Fraction(c, top) for c in nums[:-1]]  # x/theta3, one gcd each
     if root3 is None:
-        scaled = [_radical_text(format_rational(c), text3, kappa, None, c ** kappa * theta3) for c in coeffs]
+        den = top ** (kappa - 1) * table.den
+        scaled = [
+            _radical_text(format_rational(q), text3, kappa, None, (c ** kappa, den))
+            for q, c in zip(coeffs, nums)
+        ]
     else:
-        scaled = [_radical_text(format_rational(c), text3, kappa, format_rational(c * root3), None) for c in coeffs]
+        scaled = [_radical_text(format_rational(q), text3, kappa, format_rational(q * root3)) for q in coeffs]
     scaled.append(roots[-1])  # at x = theta3 the scaled radical is gamma's
-    origin = _radical_text("0", "1", kappa, "0", None)
-    gamma, last = roots[-1], len(points) - 1
+    origin = _radical_text("0", "1", kappa, "0")
+    gamma = roots[-1]
     lows = zip(["0", *texts], [origin, *scaled], [origin, *roots])
     items = []
-    for i, (theta2, beta, alpha_dag, (theta1, alpha, beta_dag)) in enumerate(zip(texts, roots, scaled, lows)):
-        iotas = _iotas(points[i - 1], points[i], theta3) if 0 < i < last else ("null", "null")
+    for theta2, beta, alpha_dag, (theta1, alpha, beta_dag), iotas in zip(texts, roots, scaled, lows, table.iotas):
+        iotas = ("null", "null") if iotas is None else iotas
         items.append(_triple_text(theta1, theta2, text3, kappa, alpha, beta, gamma, alpha_dag, beta_dag, *iotas))
     return JsonText(("[\n" + ",\n".join(items)).replace("\n", "\n  ") + "\n]")
 
@@ -574,18 +638,19 @@ def _triples(mu: AtomicMeasure, kappa: int) -> JsonText:
 _LITERAL = {True: "true", False: "false", None: "null"}
 
 
-def _reports_text(reports) -> JsonText:
+def _reports_text(reports, violations) -> JsonText:
     """The JSON text of the list of reports, the one writer of the report
-    and claim shapes.  Claims and hypotheses have a fixed shape, and their
-    holds values are bools or None, as Claim declares them.  A data value that
+    and claim shapes, given each report's violated claims in violations.
+    Claims and hypotheses have a fixed shape, and their holds values are
+    bools or None, as Claim declares them.  A data value that
     is a bool, int, Fraction, str or None is written inline; any other
     goes through json.dumps(v, indent=2, default=_lowered) at its depth.
     Keys of data are strs, keys of dicts inside it strs or ints.
     """
     quote, literal = encode_basestring_ascii, _LITERAL
     items = []
-    for r in reports:
-        claims, violations = [], []
+    for r, violated in zip(reports, violations):
+        claims = []
         for c in r.claims:
             if c.hypotheses:
                 hyps = ",\n          ".join([
@@ -595,19 +660,16 @@ def _reports_text(reports) -> JsonText:
                 hyps = f"[\n          {hyps}\n        ]"
             else:
                 hyps = "[]"
-            name = quote(c.name)
             claims.append(
-                f'{{\n        "name": {name},\n        "hypotheses": {hyps},'
+                f'{{\n        "name": {quote(c.name)},\n        "hypotheses": {hyps},'
                 f'\n        "conclusion": {quote(c.conclusion)},'
                 f'\n        "holds": {literal[c.holds]},\n        "approximate": {literal[c.approximate]}\n      }}'
             )
-            if c.violated:
-                violations.append(name)
         claims = "[\n      " + ",\n      ".join(claims) + "\n    ]" if claims else "[]"
-        violations = "[\n      " + ",\n      ".join(violations) + "\n    ]" if violations else "[]"
+        names = "[\n      " + ",\n      ".join([quote(c.name) for c in violated]) + "\n    ]" if violated else "[]"
         text = (
             f'{{\n    "theorem": {quote(r.theorem)},\n    "applicable": {literal[r.applicable]},'
-            f'\n    "claims": {claims},\n    "violations": {violations}'
+            f'\n    "claims": {claims},\n    "violations": {names}'
         )
         if r.note:
             text += f',\n    "note": {quote(r.note)}'
@@ -759,33 +821,80 @@ def _scaled_power(x: Fraction, theta3: Fraction, kappa: int) -> Fraction:
     return x ** kappa / theta3 ** (kappa - 1)
 
 
-def check_hole_backward(pair: RootPair, theta1, theta2) -> TheoremReport:
-    """Candidate holes of supp nu induced by a hole (theta1, theta2) of supp mu,
-    with theta3 = sup supp mu; theta2 > theta3 is allowed."""
+class _HoleFacts(NamedTuple):
+    """What check_hole_backward and check_iota_hole_criteria read of a hole
+    (theta1, theta2) of supp mu, theta3 = sup supp mu, decided on integers
+    by _hole_facts."""
+
+    upper_ok: bool  # theta2 <= theta3
+    beta_in_supp: bool
+    bd_vs_ad: int  # the sign of beta_dag - alpha_dag
+    gba_small: bool  # (gamma/beta)*alpha < alpha_dag
+    concl_i: bool  # nu((beta_dag, beta)) == 0
+    concl_ii: bool  # nu((alpha, alpha_dag)) == 0
+    concl_iii: bool  # nu((alpha, beta)) == 0
+    iotas: Optional[tuple[int, int]]  # (iota_s, iota_s_star), or None
+
+
+def _hole_facts(keys: list[int], kappa: int, c1: int, c2: int, c3: int, iotas) -> _HoleFacts:
+    """The facts of the hole (c1/D, c2/D) of supp mu, with theta3 = c3/D,
+    for keys the kappa-th powers of supp nu over D in ascending order (they
+    lie in supp mu, so they are integers over D), passing iotas through.
+
+    The kappa-th powers of beta_dag, beta and gamma are theta1, theta2 and
+    theta3, and those of alpha and alpha_dag are c1**kappa/(s*D) and
+    c2**kappa/(s*D) with s = c3**(kappa-1).  So a key k exceeds alpha**kappa
+    iff k > c1**kappa // s and lies below alpha_dag**kappa iff k*s <
+    c2**kappa; (gamma/beta)*alpha < alpha_dag iff c1**kappa * c3 <
+    c2**(kappa+1); and beta_dag - alpha_dag has the sign of c1*s -
+    c2**kappa.
+    """
+    s = c3 ** (kappa - 1)
+    t1, t2 = c1 ** kappa, c2 ** kappa
+    n = len(keys)
+    i = bisect_right(keys, c1)  # the first key above theta1
+    j = bisect_right(keys, t1 // s)  # the first key above alpha**kappa
+    b = bisect_left(keys, c2, i)
+    diff = c1 * s - t2
+    return _HoleFacts(
+        c2 <= c3,
+        b < n and keys[b] == c2,
+        (diff > 0) - (diff < 0),
+        t1 * c3 < t2 * c2,
+        i == n or keys[i] >= c2,
+        j == n or keys[j] * s >= t2,
+        j == n or keys[j] >= c2,
+        iotas,
+    )
+
+
+def _checked_facts(pair: RootPair, theta1, theta2, with_iotas: bool) -> _HoleFacts:
+    """_hole_facts of (theta1, theta2), after checking it is a hole of supp
+    mu, over the least common denominator of theta1, theta2, theta3 and
+    supp nu's kappa-th powers; the iotas only when asked for and the hole
+    is interior."""
     theta1, theta2 = _mu_hole(pair.mu, theta1, theta2)
-    kappa, powers, theta3 = pair.kappa, pair.powers, pair.mu.max_point
-    # the kappa-th powers of beta_dag, beta and gamma are theta1, theta2, theta3
-    alpha_k = _scaled_power(theta1, theta3, kappa)
-    alpha_dag_k = _scaled_power(theta2, theta3, kappa)
+    theta3 = pair.mu.max_point
+    c1, c2, c3, *keys = _over_one_denominator(theta1, theta2, theta3, *pair.powers)
+    iotas = _iotas(theta1, theta2, theta3) if with_iotas and 0 < c1 and c2 < c3 else None
+    return _hole_facts(keys, pair.kappa, c1, c2, c3, iotas)
 
-    upper_ok = theta2 <= theta3
-    bd_vs_ad = (theta1 > alpha_dag_k) - (theta1 < alpha_dag_k)
-    gba_small = theta3 * alpha_k / theta2 < alpha_dag_k  # ((gamma/beta)*alpha)**kappa
-    beta_in_supp = _member(powers, theta2)
 
-    concl_i = not _some_inside(powers, theta1, theta2)
-    concl_ii = not _some_inside(powers, alpha_k, alpha_dag_k)
-    concl_iii = not _some_inside(powers, alpha_k, theta2)
-
-    hyp_upper = ("theta2 <= sup supp mu", upper_ok)
+def check_hole_backward(pair: RootPair, theta1, theta2, *, _facts: Optional[_HoleFacts] = None) -> TheoremReport:
+    """Candidate holes of supp nu induced by a hole (theta1, theta2) of supp mu,
+    with theta3 = sup supp mu; theta2 > theta3 is allowed.  Only the hole
+    walk passes _facts, the facts of a hole of find_holes(mu)."""
+    f = _checked_facts(pair, theta1, theta2, False) if _facts is None else _facts
+    bd_vs_ad, beta_in_supp = f.bd_vs_ad, f.beta_in_supp
+    hyp_upper = ("theta2 <= sup supp mu", f.upper_ok)
     cond_a = (
         bd_vs_ad < 0
-        or (bd_vs_ad <= 0 and kappa >= 3)
+        or (bd_vs_ad <= 0 and pair.kappa >= 3)
         or (bd_vs_ad == 0 and beta_in_supp)
     )
     claims = (
-        Claim("(i)", (), "nu((beta_dag, beta)) == 0", concl_i),
-        Claim("(ii)", (hyp_upper,), "nu((alpha, alpha_dag)) == 0", concl_ii),
+        Claim("(i)", (), "nu((beta_dag, beta)) == 0", f.concl_i),
+        Claim("(ii)", (hyp_upper,), "nu((alpha, alpha_dag)) == 0", f.concl_ii),
         Claim(
             "(iii-a)",
             (
@@ -797,30 +906,30 @@ def check_hole_backward(pair: RootPair, theta1, theta2) -> TheoremReport:
                 ),
             ),
             "nu((alpha, beta)) == 0",
-            concl_iii,
+            f.concl_iii,
         ),
         Claim(
             "(iii-b)",
             (
                 hyp_upper,
-                ("(gamma/beta)*alpha < alpha_dag", gba_small),
+                ("(gamma/beta)*alpha < alpha_dag", f.gba_small),
                 ("beta in supp nu", beta_in_supp),
             ),
             "nu((alpha, beta)) == 0",
-            concl_iii,
+            f.concl_iii,
         ),
         Claim(
             "dagger remark",
             (hyp_upper, ("beta_dag <= alpha_dag", bd_vs_ad <= 0)),
             "(gamma/beta)*alpha < alpha_dag",
-            gba_small,
+            f.gba_small,
         ),
     )
     return TheoremReport(
         "hole transfer mu->nu",
         claims,
         data={
-            "theta3": theta3,
+            "theta3": pair.mu.max_point,
             "beta_in_support": beta_in_supp,
             "beta_dag_vs_alpha_dag": bd_vs_ad,
         },
@@ -833,16 +942,15 @@ def _exterior(theorem: str) -> TheoremReport:
     return TheoremReport(theorem, applicable=False, note="requires 0 < theta1 < theta2 < sup supp mu")
 
 
-def check_iota_hole_criteria(pair: RootPair, theta1, theta2) -> TheoremReport:
+def check_iota_hole_criteria(pair: RootPair, theta1, theta2, *, _facts: Optional[_HoleFacts] = None) -> TheoremReport:
     """iota-based sufficient conditions for (alpha, beta) being a nu-hole,
-    for a hole (theta1, theta2) of supp mu with theta3 = sup supp mu."""
-    theta1, theta2 = _mu_hole(pair.mu, theta1, theta2)
-    kappa, powers, theta3 = pair.kappa, pair.powers, pair.mu.max_point
-    if not (0 < theta1 and theta2 < theta3):
+    for a hole (theta1, theta2) of supp mu with theta3 = sup supp mu.  Only
+    the hole walk passes _facts, as check_hole_backward takes them."""
+    f = _checked_facts(pair, theta1, theta2, True) if _facts is None else _facts
+    if f.iotas is None:
         return _exterior("iota hole criteria")
-    iota_s, iota_s_star = _iotas(theta1, theta2, theta3)
-    beta_in_supp = _member(powers, theta2)
-    conclusion = not _some_inside(powers, _scaled_power(theta1, theta3, kappa), theta2)
+    (iota_s, iota_s_star), beta_in_supp, conclusion = f.iotas, f.beta_in_supp, f.concl_iii
+    kappa = pair.kappa
     in_supp = ("beta in supp nu", beta_in_supp)
     conditions = (
         ("(i)", (("kappa >= iota_s_star", kappa >= iota_s_star), in_supp)),
@@ -970,20 +1078,25 @@ def check_lower_support(pair: RootPair) -> TheoremReport:
     )
 
 
-def check_root_order_membership(mu: AtomicMeasure, theta1, theta2, kappa_max: int) -> TheoremReport:
+def check_root_order_membership(
+    mu: AtomicMeasure, theta1, theta2, kappa_max: int, *, _iota_s_star: Optional[int] = None
+) -> TheoremReport:
     """Equivalence of theta2-membership across every working root order.
 
     J is the set of kappa in [2, kappa_max] whose root decision is
     CertifiedYes.  Requires iota_s_star = 1; reported as not applicable
     otherwise (and when J is empty).  mu is decided at the orders
-    2..kappa_max only when iota_s_star = 1.
+    2..kappa_max only when iota_s_star = 1.  Only the order scans pass
+    _iota_s_star, that of an interior hole of find_holes(mu).
     """
-    theta1, theta2 = _mu_hole(mu, theta1, theta2)
-    _check_kappa(kappa_max, "kappa_max must be in [2, 16]")
-    theta3 = mu.max_point
-    if not (0 < theta1 and theta2 < theta3):
-        return _exterior("membership across root orders")
-    iota_s_star = _iota_s_star(theta1, theta2, theta3)
+    iota_s_star = _iota_s_star
+    if iota_s_star is None:
+        theta1, theta2 = _mu_hole(mu, theta1, theta2)
+        _check_kappa(kappa_max, "kappa_max must be in [2, 16]")
+        theta3 = mu.max_point
+        if not (0 < theta1 and theta2 < theta3):
+            return _exterior("membership across root orders")
+        iota_s_star = _iota_s_star_of(*_over_one_denominator(theta1, theta2, theta3))
     if iota_s_star != 1:
         return TheoremReport(
             "membership across root orders",
@@ -1028,35 +1141,40 @@ def check_root_order_membership(mu: AtomicMeasure, theta1, theta2, kappa_max: in
     )
 
 
-def _order_scans(mu: AtomicMeasure, holes, kappa_max: int):
+def _order_scans(table: _IntSupport, holes, kappa_max: int):
     """check_root_order_membership on each interior hole of holes, the Holes
-    of find_holes(mu) (None on the others), and (hole, reason) per hole whose
-    scan a guard refused.  A hole is interior when 0 < lower and upper <
-    sup supp mu.  Only iota_s_star == 1 holes decide mu at the orders
-    2..kappa_max, so a caller that skips a refused scan learns of it before
-    any other check."""
-    theta3 = mu.max_point
+    of find_holes(mu) for the table's mu (None on the others), and (hole,
+    reason) per hole whose scan a guard refused.  The scans read the
+    table's iota_s_star column alone, and only iota_s_star == 1 holes
+    decide mu at the orders 2..kappa_max, so a caller that skips a refused
+    scan learns of it before any other check."""
+    mu = table.mu
     scans, refused = [], []
-    for hole in holes:
+    for hole, star in zip(holes, table.iota_stars):
         report = None
-        if 0 < hole.lower and hole.upper < theta3:
+        if star is not None:
             try:
-                report = check_root_order_membership(mu, hole.lower, hole.upper, kappa_max)
+                report = check_root_order_membership(mu, hole.lower, hole.upper, kappa_max, _iota_s_star=star)
             except GuardExceeded as exc:
                 refused.append((hole, str(exc)))
         scans.append(report)
     return scans, refused
 
 
-def _walk_holes(pair: RootPair, holes, scans) -> list[TheoremReport]:
+def _walk_holes(pair: RootPair, holes, scans, table: _IntSupport) -> list[TheoremReport]:
     """The reports of every hole of holes, in order: check_hole_backward,
     check_iota_hole_criteria and the hole's scan from _order_scans, if any.
-    Each checker is entered by its public name, so a wrapper on it sees
-    every hole."""
+    Each hole's facts are decided once, on the table's integers, and read
+    by both checkers.  Each checker is entered by its public name, so a
+    wrapper on it sees every hole."""
+    nums = table.nums
+    keys = _numerators(pair.powers, table.den)
+    kappa, top = pair.kappa, nums[-1]
     reports = []
-    for hole, scan in zip(holes, scans):
-        reports.append(check_hole_backward(pair, hole.lower, hole.upper))
-        reports.append(check_iota_hole_criteria(pair, hole.lower, hole.upper))
+    for hole, scan, c1, c2, iotas in zip(holes, scans, [0, *nums], nums, table.iotas):
+        facts = _hole_facts(keys, kappa, c1, c2, top, iotas)
+        reports.append(check_hole_backward(pair, hole.lower, hole.upper, _facts=facts))
+        reports.append(check_iota_hole_criteria(pair, hole.lower, hole.upper, _facts=facts))
         if scan is not None:
             reports.append(scan)
     return reports

@@ -6,7 +6,10 @@ the direct multiset enumerations the pushforward kernel replaced, in
 Fraction arithmetic and with no multiset guard; radical_product,
 radical_quotient and radical_compare are same-index radical arithmetic,
 which the library does only on kappa-th powers; ref_decimal is the
-Fraction decimal rendering that exact._decimal_str does on integers.
+Fraction decimal rendering that exact._decimal_str does on integers;
+ref_iotas, ref_hole_backward and ref_iota_hole_criteria are the iota
+parameters and the two mu->nu hole checkers in Fraction arithmetic, with
+linear scans where the library bisects integers.
 The *_dict functions build the JSON forms the CLI prints as dicts, field
 by field, for the tests to compare the library's text writers against.
 """
@@ -184,6 +187,113 @@ def decision_dict(d: RootDecision) -> dict:
     if d.certificate is not None:
         out["certificate"] = {"kind": d.certificate.kind.value, "location": format_rational(d.certificate.location)}
     return out
+
+
+# ---------------------------------------------------------------------------
+# the iota parameters and the mu->nu hole checkers, in Fraction arithmetic
+# ---------------------------------------------------------------------------
+
+
+def ref_floor_log(base: Fraction, target: Fraction) -> int:
+    """The largest m >= 0 with base**m <= target, for base > 1, by powering."""
+    m, power = 0, base
+    while power <= target:
+        m, power = m + 1, power * base
+    return m
+
+
+def ref_iotas(theta1, theta2, theta3) -> tuple[int, int]:
+    """(iota_s, iota_s_star) of 0 < theta1 < theta2 < theta3."""
+    theta1, theta2, theta3 = Fraction(theta1), Fraction(theta2), Fraction(theta3)
+    return (
+        1 + ref_floor_log(theta3 / theta2, theta3 / theta1),
+        1 + ref_floor_log(theta2 / theta1, theta3 / theta2),
+    )
+
+
+def _ref_mu_hole(mu: AtomicMeasure, theta1, theta2) -> tuple[Fraction, Fraction]:
+    theta1, theta2 = Fraction(theta1), Fraction(theta2)
+    if not 0 <= theta1 < theta2:
+        raise UsageError("need 0 <= theta1 < theta2")
+    if mass_open(mu, theta1, theta2):
+        raise UsageError("(theta1, theta2) is not a hole of supp mu")
+    return theta1, theta2
+
+
+def _none_inside(values, lo, hi) -> bool:
+    return not any(lo < v < hi for v in values)
+
+
+def ref_hole_backward(pair, theta1, theta2) -> TheoremReport:
+    """check_hole_backward: every decision on the kappa-th powers of the
+    endpoints, alpha**kappa = theta1**kappa / theta3**(kappa-1) and
+    alpha_dag**kappa = theta2**kappa / theta3**(kappa-1), as Fractions."""
+    theta1, theta2 = _ref_mu_hole(pair.mu, theta1, theta2)
+    kappa, powers, theta3 = pair.kappa, pair.powers, pair.mu.max_point
+    alpha_k = theta1 ** kappa / theta3 ** (kappa - 1)
+    alpha_dag_k = theta2 ** kappa / theta3 ** (kappa - 1)
+    upper_ok = theta2 <= theta3
+    bd_vs_ad = (theta1 > alpha_dag_k) - (theta1 < alpha_dag_k)
+    gba_small = theta3 * alpha_k / theta2 < alpha_dag_k
+    beta_in_supp = theta2 in powers
+    concl_iii = _none_inside(powers, alpha_k, theta2)
+    hyp_upper = ("theta2 <= sup supp mu", upper_ok)
+    cond_a = bd_vs_ad < 0 or (bd_vs_ad <= 0 and kappa >= 3) or (bd_vs_ad == 0 and beta_in_supp)
+    claims = (
+        Claim("(i)", (), "nu((beta_dag, beta)) == 0", _none_inside(powers, theta1, theta2)),
+        Claim("(ii)", (hyp_upper,), "nu((alpha, alpha_dag)) == 0", _none_inside(powers, alpha_k, alpha_dag_k)),
+        Claim(
+            "(iii-a)",
+            (
+                hyp_upper,
+                (
+                    "beta_dag < alpha_dag, or beta_dag <= alpha_dag with kappa >= 3, "
+                    "or beta_dag == alpha_dag with beta in supp nu",
+                    cond_a,
+                ),
+            ),
+            "nu((alpha, beta)) == 0",
+            concl_iii,
+        ),
+        Claim(
+            "(iii-b)",
+            (hyp_upper, ("(gamma/beta)*alpha < alpha_dag", gba_small), ("beta in supp nu", beta_in_supp)),
+            "nu((alpha, beta)) == 0",
+            concl_iii,
+        ),
+        Claim(
+            "dagger remark",
+            (hyp_upper, ("beta_dag <= alpha_dag", bd_vs_ad <= 0)),
+            "(gamma/beta)*alpha < alpha_dag",
+            gba_small,
+        ),
+    )
+    data = {"theta3": theta3, "beta_in_support": beta_in_supp, "beta_dag_vs_alpha_dag": bd_vs_ad}
+    return TheoremReport("hole transfer mu->nu", claims, data=data)
+
+
+def ref_iota_hole_criteria(pair, theta1, theta2) -> TheoremReport:
+    """check_iota_hole_criteria, in Fractions as ref_hole_backward."""
+    theta1, theta2 = _ref_mu_hole(pair.mu, theta1, theta2)
+    kappa, powers, theta3 = pair.kappa, pair.powers, pair.mu.max_point
+    if not (0 < theta1 and theta2 < theta3):
+        return TheoremReport(
+            "iota hole criteria", applicable=False, note="requires 0 < theta1 < theta2 < sup supp mu"
+        )
+    iota_s, iota_s_star = ref_iotas(theta1, theta2, theta3)
+    beta_in_supp = theta2 in powers
+    conclusion = _none_inside(powers, theta1 ** kappa / theta3 ** (kappa - 1), theta2)
+    in_supp = ("beta in supp nu", beta_in_supp)
+    conditions = (
+        ("(i)", (("kappa >= iota_s_star", kappa >= iota_s_star), in_supp)),
+        ("(ii)", (("iota_s >= iota_s_star", iota_s >= iota_s_star), in_supp)),
+        ("(iii)", (("iota_s >= 3", iota_s >= 3), in_supp)),
+        ("(iv)", (("iota_s >= 4", iota_s >= 4),)),
+        ("(v)", (("iota_s_star == 1", iota_s_star == 1),)),
+    )
+    claims = tuple(Claim(name, hyps, "nu((alpha, beta)) == 0", conclusion) for name, hyps in conditions)
+    data = {"iota_s": iota_s, "iota_s_star": iota_s_star, "beta_in_support": beta_in_supp, "conclusion": conclusion}
+    return TheoremReport("iota hole criteria", claims, data=data)
 
 
 # ---------------------------------------------------------------------------

@@ -130,7 +130,7 @@ def test_triples_match_triple_params(kappa):
     for points, perfect in triples_cases(kappa):
         mu = AtomicMeasure.from_pairs([(x, 1) for x in points])
         theta3 = mu.max_point
-        text = holes._triples(mu, kappa)
+        text = holes._triples(holes._IntSupport(mu), kappa)
         got = json.loads(text)
         params = [triple_params(h.lower, h.upper, theta3, kappa) for h in find_holes(mu)]
         want = [triple_dict(p) for p in params]
@@ -194,18 +194,22 @@ def emitted(doc):
     return buf.getvalue()
 
 
+def reports_text(reports):
+    return holes._reports_text(reports, [r.violations for r in reports])
+
+
 def test_reports_text_is_json_dumps_of_to_dict():
     # to_dict reads the text back; the oracle builds the dicts field by field
     reports = report_cases()
     dicts = [report_dict(r) for r in reports]
     for r, d in zip(reports, dicts):
-        assert holes._reports_text([r]) == json.dumps([d], indent=2), r.theorem
+        assert reports_text([r]) == json.dumps([d], indent=2), r.theorem
         assert r.to_dict() == d, r.theorem
-    assert holes._reports_text(reports) == json.dumps(dicts, indent=2)
-    assert holes._reports_text([]) == "[]"
+    assert reports_text(reports) == json.dumps(dicts, indent=2)
+    assert reports_text([]) == "[]"
     # the top-level join splices the text one level deep
     for theorems, want in ((reports, dicts), ([], [])):
-        doc = {"theorems": holes._reports_text(theorems), "b": 1}
+        doc = {"theorems": reports_text(theorems), "b": 1}
         assert emitted(doc) == json.dumps({"theorems": want, "b": 1}, indent=2) + "\n"
 
 

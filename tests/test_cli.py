@@ -226,6 +226,34 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+MALFORMED_INVOCATIONS = {
+    "decide without --measure": (["decide", "--kappa", "2"], "error: the following arguments are required: --measure"),
+    "no command": ([], "error: the following arguments are required: command"),
+    "table --max-m x": (["table", "--max-m", "x"], "error: argument --max-m: invalid int value: 'x'"),
+    # argparse reads -1/2 as an option, not as the value of --theta1
+    "params --theta1 -1/2": (
+        ["params", "--theta1", "-1/2", "--theta2", "2", "--theta3", "3", "--kappa", "2"],
+        "error: argument --theta1: expected one argument",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_INVOCATIONS)
+def test_malformed_invocation_exits_one(case, capsys):
+    # a usage error is exit 1, in process too; 2 is kept for a violation
+    argv, message = MALFORMED_INVOCATIONS[case]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message + "\n"
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: momentroot" in capsys.readouterr().out
+
+
 UNREADABLE = {
     "directory": "error: ",  # the OS words the rest
     "not_utf8": "error: input is not UTF-8 text: ",
@@ -301,7 +329,7 @@ def test_analyze_text_of_a_no_instance(tmp_path, capsys):
 def test_analyze_theorems_exits_two_on_a_violation(tmp_path, capsys, monkeypatch):
     from momentroot import holes
 
-    def violated(pair, theta1, theta2):
+    def violated(pair, theta1, theta2, **private):  # the walk passes the hole's facts
         return holes.TheoremReport("stub", (holes.Claim("always", (), "never holds", False),))
 
     monkeypatch.setattr(holes, "check_hole_backward", violated)

@@ -9,6 +9,7 @@ from momentroot.exact import (
     UsageError,
     _decimal_str,
     _floor_log,
+    _root_dyadic,
     bigfloat_root,
     floor_log_ratio,
     format_rational,
@@ -302,22 +303,26 @@ def test_bigfloat_rounds_ties_to_even():
     assert bigfloat_root(F(2 ** 64 + 3), 1, 64) == 2 ** 64 + 4
 
 
+def decimal(q: F, digits: int) -> str:
+    return _decimal_str(q.numerator, q.denominator, digits)
+
+
 def test_bigfloat_decimal_rendering():
-    assert _decimal_str(F(1, 2), 5) == "0.5"
-    assert _decimal_str(F(3), 4) == "3"
-    assert _decimal_str(bigfloat_root(F(10 ** 30), 1, 128), 4) == "1e30"
+    assert decimal(F(1, 2), 5) == "0.5"
+    assert decimal(F(3), 4) == "3"
+    assert decimal(bigfloat_root(F(10 ** 30), 1, 128), 4) == "1e30"
 
 
 def test_decimal_just_above_a_power_of_ten():
     # 0.1 rounded up to 128 bits lies just above 1/10; its exponent is -1
     # and its 40th digit rounds up
     tenth = bigfloat_root(F(1, 10), 1, 128)
-    assert _decimal_str(tenth, 40) == "0.1000000000000000000000000000000000000001"
-    assert _decimal_str(tenth, 3) == "0.1"
+    assert decimal(tenth, 40) == "0.1000000000000000000000000000000000000001"
+    assert decimal(tenth, 3) == "0.1"
 
 
 def _decimal_matches_reference(value: F, digits: int):
-    assert _decimal_str(value, digits) == ref_decimal(value, digits), (value, digits)
+    assert decimal(value, digits) == ref_decimal(value, digits), (value, digits)
 
 
 @pytest.mark.parametrize("bits", [32, 64, 128])
@@ -342,3 +347,20 @@ def test_decimal_at_powers_of_ten_matches_reference(bits):
 @settings(max_examples=300)
 def test_decimal_of_roots_matches_reference(q, k, bits, digits):
     _decimal_matches_reference(bigfloat_root(q, k, bits), digits)
+
+
+@given(
+    st.fractions(min_value=F(1, 10 ** 12), max_value=10 ** 12),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=10 ** 6),
+    st.integers(min_value=1, max_value=45),
+)
+@settings(max_examples=200)
+def test_int_cores_take_pairs_out_of_lowest_terms(q, k, scale, digits):
+    # the triples block hands both cores unreduced numerators and denominators
+    num, den = q.numerator * scale, q.denominator * scale
+    dyadic = _root_dyadic(num, den, k, 64)
+    assert F(*dyadic) == bigfloat_root(q, k, 64)
+    assert dyadic[1] & (dyadic[1] - 1) == 0  # a power of two
+    assert _decimal_str(*dyadic, digits) == decimal(bigfloat_root(q, k, 64), digits)
+    assert _decimal_str(num, den, digits) == ref_decimal(q, digits)

@@ -13,12 +13,14 @@ from momentroot.exact import GuardExceeded, Radical, UsageError, floor_log_ratio
 from momentroot.generate import GenParams, pick_kappa, random_atomic_measure, stream
 from momentroot.holes import (
     RootPair,
-    _iota_s_star,
+    _IntSupport,
     _iotas,
     _member,
+    _order_scans,
     _point,
     _scaled_power,
     _some_inside,
+    _walk_holes,
     check_root_order_membership,
     check_top_of_support,
     check_hole_forward,
@@ -33,7 +35,16 @@ from momentroot.holes import (
     triple_params,
 )
 from momentroot.measures import AtomicMeasure, Hole, find_holes, kappa_power_measure
-from oracles import mass_open, radical_compare, radical_product, radical_quotient, triple_dict
+from oracles import (
+    mass_open,
+    radical_compare,
+    radical_product,
+    radical_quotient,
+    ref_hole_backward,
+    ref_iota_hole_criteria,
+    ref_iotas,
+    triple_dict,
+)
 
 
 def measure(*pairs):
@@ -219,12 +230,13 @@ def test_iotas_match_fraction_division():
     mus += [kappa_power_measure(measure((1, 1), (1 + F(1, 10 ** e), 1), (10, 1)), 2) for e in (1, 2, 3)]
     for mu in mus:
         points = mu.support
-        triples += [(a, b, points[-1]) for a, b in zip(points, points[1:-1])]
+        interior = [(a, b, points[-1]) for a, b in zip(points, points[1:-1])]
+        # the iota table of mu, on its integers, has one row per hole
+        assert _IntSupport(mu).iotas == [None, *[_iotas(*t) for t in interior], None][: len(points)]
+        triples += interior
     assert len(triples) > 400
     for triple in triples:
-        iotas = _iotas(*triple)
-        assert iotas == fraction_iotas(*triple), triple
-        assert _iota_s_star(*triple) == iotas[1]
+        assert _iotas(*triple) == fraction_iotas(*triple), triple
 
 
 def test_iota_star_witness_examples():
@@ -814,6 +826,102 @@ def test_order_membership_refuses_a_float_kappa_max():
     for kappa_max in (4.0, 1, 17):
         with pytest.raises(UsageError, match=r"^kappa_max must be in \[2, 16\]$"):
             check_root_order_membership(mu, F(1, 2 ** 24), 1, kappa_max)
+
+
+# ---------------------------------------------------------------------------
+# the integer hole facts and the iota table, against the Fraction reference
+# ---------------------------------------------------------------------------
+
+
+def geometric(r, kappa):
+    """The kappa-th power of nu = {1, r, ..., r**4}: supp mu is geometric, so
+    the iota ratios are exact powers and alpha**kappa, alpha_dag**kappa and
+    (gamma/beta)*alpha land on support points, where the integer
+    thresholds tie."""
+    return kappa_power_measure(measure(*[(F(r) ** j, j + 1) for j in range(5)]), kappa)
+
+
+def reference_instances():
+    """(mu, nu, kappa): nu over the 3-atom grid {2**i}, generator draws at
+    kappa 2..8 and geometric nu at ratios 2 and 3/2."""
+    out = []
+    thetas = [F(2) ** i for i in range(-3, 4)]
+    for support in itertools.combinations(thetas, 3):
+        nu = measure(*[(t, 1) for t in support])
+        out += [(kappa_power_measure(nu, kappa), nu, kappa) for kappa in (2, 3)]
+    for kappa in range(2, 9):
+        params = GenParams(seed=7, max_atoms=4 if kappa <= 4 else 3, kappa_set=(kappa,))
+        for index in range(6):
+            nu = random_atomic_measure(params, index)
+            out.append((kappa_power_measure(nu, kappa), nu, kappa))
+        for r in (2, F(3, 2)):
+            mu = geometric(r, kappa)
+            out.append((mu, measure(*[(F(r) ** j, j + 1) for j in range(5)]), kappa))
+    return out
+
+
+def test_iota_table_matches_fraction_iotas():
+    compared = 0
+    for mu, _, _ in reference_instances():
+        points, table = mu.support, _IntSupport(mu)
+        interior = [(a, b, points[-1]) for a, b in zip(points, points[1:-1])]
+        want = [None, *[ref_iotas(*t) for t in interior], None][: len(points)]
+        assert table.iotas == want, points
+        assert want == [None, *[_iotas(*t) for t in interior], None][: len(points)]
+        assert table.iota_stars == [None if row is None else row[1] for row in want]
+        compared += len(interior)
+    assert compared > 800
+    # on supp mu = {1, 2, 4, ..., 256} both log-ratios of the hole (64, 128)
+    # are whole, and theta3/theta2 = 2 is a whole power of theta2/theta1 = 2
+    # on the hole (1, 2)
+    iotas = _IntSupport(geometric(2, 2)).iotas
+    assert iotas[7] == ref_iotas(64, 128, 256) == (3, 2)
+    assert iotas[1] == ref_iotas(1, 2, 256) == (2, 8)
+
+
+def test_walk_matches_fraction_reference():
+    compared = 0
+    for mu, nu, kappa in reference_instances():
+        for pair in (RootPair(mu, nu, kappa), RootPair(mu, decide_root(mu, kappa).nu, kappa)):
+            table, holes = _IntSupport(mu), find_holes(mu)
+            scans, refused = _order_scans(table, holes, max(kappa, 4))
+            assert not refused
+            want = []
+            for hole in holes:
+                want.append(ref_hole_backward(pair, hole.lower, hole.upper))
+                want.append(ref_iota_hole_criteria(pair, hole.lower, hole.upper))
+                if 0 < hole.lower and hole.upper < mu.max_point:
+                    scan = check_root_order_membership(mu, hole.lower, hole.upper, max(kappa, 4))
+                    assert scan.data["iota_s_star"] == ref_iotas(hole.lower, hole.upper, mu.max_point)[1]
+                    want.append(scan)
+            assert _walk_holes(pair, holes, scans, table) == want
+            compared += len(want)
+    assert compared > 5000
+
+
+def sub_holes(mu):
+    """Holes of supp mu that are not holes of find_holes(mu): parts of each
+    one with endpoints off the support, and holes above sup supp mu."""
+    top = mu.max_point
+    out = [Hole(top, 2 * top), Hole(top, top + F(1, 7)), Hole(top + 1, 3 * top + 1)]
+    for hole in find_holes(mu):
+        lo, hi = hole.lower, hole.upper
+        third = (hi - lo) / 3
+        out += [Hole(lo, lo + third), Hole(lo + third, hi - third), Hole(hi - third, hi)]
+    return out
+
+
+def test_public_calls_match_fraction_reference():
+    compared = 0
+    for mu, nu, kappa in reference_instances():
+        pair = RootPair(mu, nu, kappa)
+        for hole in [*find_holes(mu), *sub_holes(mu)]:
+            assert check_hole_backward(pair, hole.lower, hole.upper) == ref_hole_backward(pair, hole.lower, hole.upper)
+            assert check_iota_hole_criteria(pair, hole.lower, hole.upper) == ref_iota_hole_criteria(
+                pair, hole.lower, hole.upper
+            )
+            compared += 2
+    assert compared > 9000
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,10 @@ process with stdout captured.  The calls:
 - analyze --holes --theorems --json, analyze --holes --json and analyze
   --holes in text form on the squares of nu = {1, 1 + 10**-e, 10} for e
   in GAPS, whose holes next to 1 have a large iota_s_star;
+- analyze --holes --theorems --json and the same in text form on the
+  kappa-th powers of the geometric nu = {1, r, ..., r**4} for r in RATIOS
+  and kappa 2..8, whose iota ratios are exact powers and whose endpoint
+  powers tie with support points;
 - decide and analyze --holes --theorems --json on malformed measure files
   (a negative point, a negative weight, a zero point, a duplicate point)
   and on unreadable ones (a directory, a file that is not UTF-8, 5,000
@@ -64,6 +68,7 @@ DRAWS = 12  # generator draws per seed and kappa
 BENCH_SEEDS = (0, 1)
 FUZZ_TRIALS = 200  # trials of the theorems suite
 GAPS = (2, 3, 4)  # at e = 5 one call takes seconds
+RATIOS = (2, Fraction(3, 2))
 ELAPSED = re.compile(r'"elapsed_seconds": [-+.\deE]+')
 
 
@@ -157,6 +162,20 @@ def narrow_gap_calls(workdir: Path) -> list[list[str]]:
     return calls
 
 
+def geometric_calls(workdir: Path) -> list[list[str]]:
+    from momentroot.measures import AtomicMeasure, dump_measure, kappa_power_measure
+
+    calls = []
+    for r in RATIOS:
+        nu = AtomicMeasure.from_pairs([(Fraction(r) ** j, j + 1) for j in range(5)])
+        for kappa in KAPPAS:
+            path = workdir / f"geometric{len(calls):03d}.json"
+            path.write_text(json.dumps(dump_measure(kappa_power_measure(nu, kappa))), encoding="utf-8")
+            base = ["analyze", "--measure", str(path), "--kappa", str(kappa), "--holes", "--theorems"]
+            calls += [base + ["--json"], base]
+    return calls
+
+
 def feasible_calls() -> list[list[str]]:
     calls = [["feasible", "11", "4", "--witness"]]
     for n in range(1, 13):
@@ -238,6 +257,7 @@ def main(argv=None) -> int:
         calls = generator_calls(work)
         calls += bench_calls(work)
         calls += narrow_gap_calls(work)
+        calls += geometric_calls(work)
         calls += malformed_calls(work)
         calls += feasible_calls()
         jobs = work / "jobs.json"
