@@ -29,7 +29,7 @@ from .fuzz import SUITES, run_suite
 from .generate import GenParams
 from .holes import (JsonText, RootPair, _IntSupport, _order_scans, _params_text, _reports_text, _triples,
                     _walk_holes, triple_params)
-from .measures import _measure_text, find_holes, load_measure
+from .measures import _measure_text, load_measure
 
 __all__ = ["main"]
 
@@ -70,62 +70,61 @@ def _decision_text(d: RootDecision) -> JsonText:
     )
 
 
-def _support_text(mu) -> JsonText:
-    return JsonText('[\n  "' + '",\n  "'.join([format_rational(x) for x in mu.support]) + '"\n]')
+def _support_text(table: _IntSupport) -> JsonText:
+    return JsonText('[\n  "' + '",\n  "'.join(table.texts) + '"\n]')
 
 
-def _holes_text(holes) -> JsonText:
+def _holes_text(table: _IntSupport) -> JsonText:
+    """The holes of the table: (0, x_0), the leading one, then (x_{i-1}, x_i)."""
+    texts = table.texts
     return JsonText("[\n  " + ",\n  ".join([
-        f'{{\n    "lower": "{format_rational(h.lower)}",\n    "upper": "{format_rational(h.upper)}",'
-        f'\n    "leading": {"true" if h.leading else "false"}\n  }}'
-        for h in holes
+        f'{{\n    "lower": "{lower}",\n    "upper": "{upper}",\n    "leading": {"false" if i else "true"}\n  }}'
+        for i, (lower, upper) in enumerate(zip(["0", *texts], texts))
     ]) + "\n]")
 
 
 def _cmd_analyze(args) -> int:
     mu = load_measure(args.measure)
     decision = decide_root(mu, args.kappa)
-    holes = find_holes(mu) if args.holes or args.theorems else []
-    table = _IntSupport(mu) if holes else None
+    table, holes = _IntSupport(mu), args.holes or args.theorems
     if args.json:
         doc = {
             "measure": JsonText(_measure_text(mu)),
             "kappa": args.kappa,
-            "support": _support_text(mu),
+            "support": _support_text(table),
             "decision": _decision_text(decision),
         }
         if holes:  # the text report prints no triples
-            doc["holes"] = _holes_text(holes)
+            doc["holes"] = _holes_text(table)
             doc["triples"] = _triples(table, args.kappa)
     reports, refused = [], []
     if args.theorems and decision.is_yes:
         pair = RootPair(mu, decision.nu, args.kappa)
-        scans, refused = _order_scans(table, holes, max(args.kappa, 4))
-        reports = _walk_holes(pair, holes, scans, table)
+        scans, refused = _order_scans(table, max(args.kappa, 4))
+        reports = _walk_holes(pair, scans, table)
     violations = [r.violations for r in reports]  # the one pass over the claims
     note = "no certified root; hole checkers skipped" if args.theorems and not decision.is_yes else None
     exit_code = 2 if any(violations) else 0
     if not args.json:
-        _print_analysis(args.kappa, mu, decision, holes, reports, violations, refused, note)
+        _print_analysis(args.kappa, table, decision, holes, reports, violations, refused, note)
         return exit_code
     if args.theorems:
         if note:
             doc["theorems_note"] = note
         doc["theorems"] = _reports_text(reports, violations)
-        if refused:
+        if refused:  # interior holes: i > 0
             doc["theorems_skipped"] = [
-                {"lower": format_rational(h.lower), "upper": format_rational(h.upper), "reason": reason}
-                for h, reason in refused
+                {"lower": table.texts[i - 1], "upper": table.texts[i], "reason": reason} for i, reason in refused
             ]
     _emit(doc)
     return exit_code
 
 
-def _print_analysis(kappa, mu, decision, holes, reports, violations, refused, note):
-    """The text report, printed once it is whole; violations holds each
-    report's violated claims."""
-    lines = [f"kappa = {kappa}", "support: " + " ".join([format_rational(x) for x in mu.support])]
-    lines.append(f"decision: {decision.verdict.value}")
+def _print_analysis(kappa, table, decision, holes, reports, violations, refused, note):
+    """The text report, printed once it is whole; the hole lines when holes
+    is true, and violations holds each report's violated claims."""
+    texts = table.texts
+    lines = [f"kappa = {kappa}", "support: " + " ".join(texts), f"decision: {decision.verdict.value}"]
     if decision.certificate is not None:
         cert = decision.certificate
         lines.append(f"  certificate: {cert.kind.value} at {format_rational(cert.location)}")
@@ -133,16 +132,15 @@ def _print_analysis(kappa, mu, decision, holes, reports, violations, refused, no
         lines.append(f"  base_mass = {format_rational(decision.nu.base_mass)}")
         powers = [format_rational(e.power) for e in decision.nu.entries if e.rho != 0]
         lines.append("  root support powers: " + " ".join(powers))
-    for h in holes:
-        tag = " (leading)" if h.leading else ""
-        lines.append(f"hole ({format_rational(h.lower)}, {format_rational(h.upper)}){tag}")
+    if holes:
+        lines.append(f"hole (0, {texts[0]}) (leading)")
+        lines += [f"hole ({lower}, {upper})" for lower, upper in zip(texts, texts[1:])]
     for rep, violated in zip(reports, violations):
         status = "VIOLATED" if violated else "ok"
         extra = "" if rep.applicable else " [not applicable]"
         lines.append(f"theorem check: {rep.theorem}: {status}{extra}")
-    for h, reason in refused:
-        hole = f"({format_rational(h.lower)}, {format_rational(h.upper)})"
-        lines.append(f"theorem check skipped: hole {hole}: {reason}")
+    for i, reason in refused:
+        lines.append(f"theorem check skipped: hole ({texts[i - 1]}, {texts[i]}): {reason}")
     if note:
         lines.append(note)
     print("\n".join(lines))

@@ -34,7 +34,7 @@ from .holes import (
     iota_relations,
     triple_params,
 )
-from .measures import find_holes, kappa_power_measure, product_support
+from .measures import kappa_power_measure, product_support
 
 __all__ = ["FuzzSummary", "run_suite", "SUITES"]
 
@@ -131,23 +131,22 @@ def _trial_theorems(params: GenParams, index: int) -> list[TheoremReport]:
     reports: list[TheoremReport] = []
 
     reports.append(check_lower_support(pair))
-    holes, table = find_holes(mu), _IntSupport(mu)
-    scans, refused = _order_scans(table, holes, max(params.kappa_set))
+    table = _IntSupport(mu)
+    scans, refused = _order_scans(table, max(params.kappa_set))
     if refused:
         raise GuardExceeded(refused[0][1])
-    reports.extend(_walk_holes(pair, holes, scans, table))
-    # paired consecutive holes exercise the two-hole statement
-    interior = holes[1:]
-    for first, second in zip(interior, interior[1:]):
-        reports.append(check_top_of_support(pair, first.lower, first.upper, second.upper))
+    reports.extend(_walk_holes(pair, scans, table))
+    # consecutive holes (x_{i-1}, x_i), (x_i, x_{i+1}) exercise the two-hole statement
+    points = table.points
+    for theta1, theta2, theta3 in zip(points, points[1:], points[2:]):
+        reports.append(check_top_of_support(pair, theta1, theta2, theta3))
     # top hole with theta2 == theta3 == sup supp mu
-    if len(mu.atoms) >= 2:
-        top = interior[-1]
-        reports.append(check_top_of_support(pair, top.lower, top.upper, top.upper))
+    if len(points) >= 2:
+        reports.append(check_top_of_support(pair, points[-2], points[-1], points[-1]))
     # holes of nu through the nu->mu transfer, plain and canonicalized
-    for hole in find_holes(nu):
-        reports.append(check_hole_forward(pair, hole.lower, hole.upper))
-        reports.append(check_hole_forward(pair, hole.lower, hole.upper, canonicalize=True))
+    for alpha, beta in zip([Fraction(0), *nu.support], nu.support):
+        reports.append(check_hole_forward(pair, alpha, beta))
+        reports.append(check_hole_forward(pair, alpha, beta, canonicalize=True))
     return [r for r in reports if not r.ok]
 
 

@@ -556,12 +556,12 @@ class RootPair:
 
 
 class _IntSupport:
-    """supp mu as integers, for the hole walk: den is the least common
-    denominator of the support points x_0 < ... < x_n and nums their
-    numerators over it, x_i = nums[i]/den.  Hole i of find_holes(mu) is
-    (x_{i-1}, x_i) with x_{-1} = 0, so its endpoints are (nums[i-1],
-    nums[i]) over den (0 for i = 0); it is interior, strictly inside (0,
-    sup supp mu), for 0 < i < n.
+    """supp mu as the hole loops read it: its points x_0 < ... < x_n, the
+    text of each point, and the points as integers, nums[i]/den = x_i over
+    their least common denominator den.  Hole i is (x_{i-1}, x_i) with
+    x_{-1} = 0, hole 0 the leading one, as find_holes(mu) lists them; hole
+    i is interior, strictly inside (0, sup supp mu), for 0 < i < n.  texts
+    is built when first read, with one format_rational call per point.
 
     iota_stars and iotas are the columns of the iota table, one entry per
     hole: iota_s_star, and the pair (iota_s, iota_s_star), on an interior
@@ -573,8 +573,13 @@ class _IntSupport:
 
     def __init__(self, mu: AtomicMeasure):
         self.mu = mu
-        self.den = math.lcm(*(x.denominator for x in mu.support))
-        self.nums = _numerators(mu.support, self.den)
+        self.points = points = mu.support
+        self.den = math.lcm(*(x.denominator for x in points))
+        self.nums = _numerators(points, self.den)
+
+    @cached_property
+    def texts(self) -> list[str]:
+        return [format_rational(x) for x in self.points]
 
     @cached_property
     def iota_stars(self) -> list[Optional[int]]:
@@ -594,21 +599,20 @@ class _IntSupport:
 
 
 def _triples(table: _IntSupport, kappa: int) -> JsonText:
-    """The JSON text of the list of the TripleParams of every hole of
-    find_holes(mu), with theta3 = sup supp mu, built from the support
-    points of the table's mu and its iota table.
+    """The JSON text of the list of the TripleParams of every hole of the
+    table, with theta3 = sup supp mu, built from its points, their texts
+    and its iota table.
 
-    Hole i is (x_{i-1}, x_i) over the support points x_0 < x_1 < ...
-    (x_{-1} = 0), so alpha_i = alpha_dag_{i-1} and beta_dag_i = beta_{i-1}:
+    Hole i is (x_{i-1}, x_i) (x_{-1} = 0), so alpha_i = alpha_dag_{i-1} and
+    beta_dag_i = beta_{i-1}:
     each x gets one x**(1/kappa) text and one (x/theta3) * theta3**(1/kappa)
     text, shared by the two holes it bounds.  Each x is tested once for a
     rational kappa-th root; the scaled radical is rational exactly when
     theta3's root is, and its kappa-th power is c**kappa / (c3**(kappa-1) *
     den) for x = c/den and theta3 = c3/den.
     """
-    points, nums = table.mu.support, table.nums
+    points, texts, nums = table.points, table.texts, table.nums
     top = nums[-1]
-    texts = [format_rational(x) for x in points]
     exact = [perfect_nth_root(x, kappa) for x in points]
     root3, text3 = exact[-1], texts[-1]
     roots = [
@@ -883,7 +887,7 @@ def _checked_facts(pair: RootPair, theta1, theta2, with_iotas: bool) -> _HoleFac
 def check_hole_backward(pair: RootPair, theta1, theta2, *, _facts: Optional[_HoleFacts] = None) -> TheoremReport:
     """Candidate holes of supp nu induced by a hole (theta1, theta2) of supp mu,
     with theta3 = sup supp mu; theta2 > theta3 is allowed.  Only the hole
-    walk passes _facts, the facts of a hole of find_holes(mu)."""
+    walk passes _facts, the facts of a hole of its _IntSupport."""
     f = _checked_facts(pair, theta1, theta2, False) if _facts is None else _facts
     bd_vs_ad, beta_in_supp = f.bd_vs_ad, f.beta_in_supp
     hyp_upper = ("theta2 <= sup supp mu", f.upper_ok)
@@ -1087,7 +1091,7 @@ def check_root_order_membership(
     CertifiedYes.  Requires iota_s_star = 1; reported as not applicable
     otherwise (and when J is empty).  mu is decided at the orders
     2..kappa_max only when iota_s_star = 1.  Only the order scans pass
-    _iota_s_star, that of an interior hole of find_holes(mu).
+    _iota_s_star, that of an interior hole of their _IntSupport.
     """
     iota_s_star = _iota_s_star
     if iota_s_star is None:
@@ -1141,40 +1145,39 @@ def check_root_order_membership(
     )
 
 
-def _order_scans(table: _IntSupport, holes, kappa_max: int):
-    """check_root_order_membership on each interior hole of holes, the Holes
-    of find_holes(mu) for the table's mu (None on the others), and (hole,
-    reason) per hole whose scan a guard refused.  The scans read the
-    table's iota_s_star column alone, and only iota_s_star == 1 holes
-    decide mu at the orders 2..kappa_max, so a caller that skips a refused
-    scan learns of it before any other check."""
-    mu = table.mu
+def _order_scans(table: _IntSupport, kappa_max: int):
+    """check_root_order_membership on each interior hole of the table (None
+    on the others), and (i, reason) per hole i whose scan a guard refused.
+    The scans read the table's iota_s_star column alone, and only
+    iota_s_star == 1 holes decide mu at the orders 2..kappa_max, so a
+    caller that skips a refused scan learns of it before any other check."""
+    mu, points = table.mu, table.points
     scans, refused = [], []
-    for hole, star in zip(holes, table.iota_stars):
+    for i, star in enumerate(table.iota_stars):
         report = None
-        if star is not None:
+        if star is not None:  # 0 < i < n
             try:
-                report = check_root_order_membership(mu, hole.lower, hole.upper, kappa_max, _iota_s_star=star)
+                report = check_root_order_membership(mu, points[i - 1], points[i], kappa_max, _iota_s_star=star)
             except GuardExceeded as exc:
-                refused.append((hole, str(exc)))
+                refused.append((i, str(exc)))
         scans.append(report)
     return scans, refused
 
 
-def _walk_holes(pair: RootPair, holes, scans, table: _IntSupport) -> list[TheoremReport]:
-    """The reports of every hole of holes, in order: check_hole_backward,
-    check_iota_hole_criteria and the hole's scan from _order_scans, if any.
-    Each hole's facts are decided once, on the table's integers, and read
-    by both checkers.  Each checker is entered by its public name, so a
-    wrapper on it sees every hole."""
-    nums = table.nums
+def _walk_holes(pair: RootPair, scans, table: _IntSupport) -> list[TheoremReport]:
+    """The reports of every hole of the table, in order:
+    check_hole_backward, check_iota_hole_criteria and the hole's scan from
+    _order_scans, if any.  Each hole's facts are decided once, on the
+    table's integers, and read by both checkers.  Each checker is entered
+    by its public name, so a wrapper on it sees every hole."""
+    points, nums = table.points, table.nums
     keys = _numerators(pair.powers, table.den)
     kappa, top = pair.kappa, nums[-1]
     reports = []
-    for hole, scan, c1, c2, iotas in zip(holes, scans, [0, *nums], nums, table.iotas):
+    for theta1, theta2, scan, c1, c2, iotas in zip([Fraction(0), *points], points, scans, [0, *nums], nums, table.iotas):
         facts = _hole_facts(keys, kappa, c1, c2, top, iotas)
-        reports.append(check_hole_backward(pair, hole.lower, hole.upper, _facts=facts))
-        reports.append(check_iota_hole_criteria(pair, hole.lower, hole.upper, _facts=facts))
+        reports.append(check_hole_backward(pair, theta1, theta2, _facts=facts))
+        reports.append(check_iota_hole_criteria(pair, theta1, theta2, _facts=facts))
         if scan is not None:
             reports.append(scan)
     return reports

@@ -10,12 +10,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from momentroot import cli, decide, holes
+from momentroot import cli, decide, fuzz, holes, measures
 from momentroot.cli import main
 from momentroot.decide import decide_root
 from momentroot.exact import GuardExceeded, format_rational
 from momentroot.fuzz import _run_chunk
-from momentroot.generate import GenParams, random_atomic_measure
+from momentroot.generate import GenParams, random_atomic_measure, random_root_instance
 from momentroot.holes import (
     Claim,
     JsonText,
@@ -293,6 +293,81 @@ def test_walk_enters_each_checker_by_its_public_name(tmp_path, monkeypatch):
     calls.clear()
     assert _run_chunk("theorems", GenParams(seed=1), 107, 108)[1]
     assert calls["check_root_order_membership"] > 0 and calls["check_hole_backward"] == 0
+
+
+def refuse_holes(monkeypatch):
+    """Make every Hole construction fail, so that a run that prints its
+    output built none."""
+    def refused(self):
+        raise AssertionError("a Hole was built")
+
+    monkeypatch.setattr(measures.Hole, "__post_init__", refused)
+    with pytest.raises(AssertionError):
+        find_holes(AtomicMeasure.from_pairs([(1, 1)]))
+
+
+def test_analyze_builds_no_hole(tmp_path, monkeypatch):
+    # the second measure's hole (216, 625) has its order scan refused
+    nu = AtomicMeasure.from_pairs([(F(1, 3), 1), (1, 2), (F(5, 2), 1)])
+    scanned = kappa_power_measure(AtomicMeasure.from_pairs([(1, 1), (5, 1), (6, 1)]), 4)
+    monkeypatch.setattr(decide, "MAX_MULTISETS", 20)
+    cases = []
+    for mu, kappa in ((kappa_power_measure(nu, 3), 3), (scanned, 4)):
+        # what the Hole-based reference prints, built before the patch
+        triples, theorems, skipped = reference_blocks(mu, kappa)
+        holes_found = find_holes(mu)
+        hole_dicts = [
+            {"lower": format_rational(h.lower), "upper": format_rational(h.upper), "leading": h.leading}
+            for h in holes_found
+        ]
+        lines = [
+            f"hole ({d['lower']}, {d['upper']})" + (" (leading)" if d["leading"] else "") for d in hole_dicts
+        ] + [
+            f"theorem check: {r['theorem']}: {'VIOLATED' if r['violations'] else 'ok'}"
+            + ("" if r["applicable"] else " [not applicable]")
+            for r in theorems
+        ] + [f"theorem check skipped: hole ({d['lower']}, {d['upper']}): {d['reason']}" for d in skipped]
+        support = [format_rational(x) for x in mu.support]
+        cases.append((mu, kappa, support, hole_dicts, triples, theorems, skipped, lines))
+    assert cases[1][6]  # a refused scan is reported
+    refuse_holes(monkeypatch)
+    for mu, kappa, support, hole_dicts, triples, theorems, skipped, lines in cases:
+        code, out = analyze(tmp_path, mu, kappa, "--holes", "--theorems", "--json")
+        doc = json.loads(out)
+        assert code == 0 and doc["support"] == support and doc["holes"] == hole_dicts
+        assert doc["triples"] == triples and doc["theorems"] == theorems
+        assert doc.get("theorems_skipped", []) == skipped
+        code, text = analyze(tmp_path, mu, kappa, "--holes", "--theorems")
+        assert code == 0 and f"support: {' '.join(support)}" in text.splitlines()
+        assert [line for line in text.splitlines() if line.startswith(("hole ", "theorem check"))] == lines
+
+
+def test_theorems_trials_build_no_hole(monkeypatch):
+    # the paired holes and nu's holes each trial checks are those of
+    # find_holes, and the trials return what they return unpatched
+    params, trials = GenParams(seed=0), 40
+    want = _run_chunk("theorems", params, 0, trials)
+    assert want == ([], [])  # no violation, and no trial skipped
+    seen = {"check_top_of_support": [], "check_hole_forward": []}
+    for index in range(trials):
+        nu, kappa = random_root_instance(params, index)
+        mu = kappa_power_measure(nu, kappa)
+        interior = find_holes(mu)[1:]
+        seen["check_top_of_support"] += [(a.lower, a.upper, b.upper) for a, b in zip(interior, interior[1:])]
+        if len(mu.atoms) >= 2:
+            seen["check_top_of_support"].append((interior[-1].lower, interior[-1].upper, interior[-1].upper))
+        for h in find_holes(nu):
+            seen["check_hole_forward"] += [(h.lower, h.upper), (h.lower, h.upper)]
+    calls = {name: [] for name in seen}
+    for name in seen:
+        def recorded(pair, *args, _name=name, _checker=getattr(fuzz, name), **kwargs):
+            calls[_name].append(args)
+            return _checker(pair, *args, **kwargs)
+
+        monkeypatch.setattr(fuzz, name, recorded)
+    refuse_holes(monkeypatch)
+    assert _run_chunk("theorems", params, 0, trials) == want
+    assert calls == seen and all(seen.values())
 
 
 # ---------------------------------------------------------------------------

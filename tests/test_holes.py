@@ -521,6 +521,17 @@ def test_hole_forward_radical_endpoints():
     assert report.data["theta2"].to_rational() == 8
 
 
+def test_hole_forward_refuses_bad_endpoints():
+    pair = root_pair(measure((1, 1), (4, 1)), 2)
+    with pytest.raises(UsageError, match="endpoint radical has index 3, expected 2"):
+        check_hole_forward(pair, Radical.root(2, 3), 2)
+    with pytest.raises(UsageError, match="endpoint radical has index 3, expected 2"):
+        check_hole_forward(pair, 1, Radical.root(9, 3))
+    for alpha, beta in ((F(-1, 2), 2), (1, -2)):
+        with pytest.raises(UsageError, match="endpoints must be nonnegative"):
+            check_hole_forward(pair, alpha, beta)
+
+
 def test_hole_forward_canonicalize_preserves_preconditions():
     nu = measure((1, 1), (4, 1))
     report = check_hole_forward(root_pair(nu, 2), Radical.root(2, 2), Radical.root(8, 2), canonicalize=True)
@@ -617,6 +628,17 @@ def test_hole_backward_rejects_non_hole():
                 check(pair, theta1, theta2)
         with pytest.raises(UsageError):
             check_root_order_membership(mu, theta1, theta2, 4)
+    # nor an interval out of order: theta1 == theta2, theta1 > theta2, theta1 < 0
+    pair = RootPair(kappa_power_measure(two_diracs, 2), two_diracs, 2)
+    checks = (
+        partial(check_hole_backward, pair),
+        partial(check_iota_hole_criteria, pair),
+        partial(check_root_order_membership, pair.mu, kappa_max=4),
+    )
+    for check in checks:
+        for theta1, theta2 in ((2, 2), (4, 2), (-1, 1)):
+            with pytest.raises(UsageError, match=r"need 0 <= theta1 < theta2$"):
+                check(theta1, theta2)
 
 
 def assert_powers_match_radicals(theta1, theta2, theta3, kappa):
@@ -884,7 +906,7 @@ def test_walk_matches_fraction_reference():
     for mu, nu, kappa in reference_instances():
         for pair in (RootPair(mu, nu, kappa), RootPair(mu, decide_root(mu, kappa).nu, kappa)):
             table, holes = _IntSupport(mu), find_holes(mu)
-            scans, refused = _order_scans(table, holes, max(kappa, 4))
+            scans, refused = _order_scans(table, max(kappa, 4))
             assert not refused
             want = []
             for hole in holes:
@@ -894,7 +916,7 @@ def test_walk_matches_fraction_reference():
                     scan = check_root_order_membership(mu, hole.lower, hole.upper, max(kappa, 4))
                     assert scan.data["iota_s_star"] == ref_iotas(hole.lower, hole.upper, mu.max_point)[1]
                     want.append(scan)
-            assert _walk_holes(pair, holes, scans, table) == want
+            assert _walk_holes(pair, scans, table) == want
             compared += len(want)
     assert compared > 5000
 

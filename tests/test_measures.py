@@ -157,6 +157,8 @@ def test_product_support_radical_inputs():
 def test_product_support_mixed_indices_rejected():
     with pytest.raises(UsageError):
         product_support([Radical.root(2, 2), Radical.root(2, 3)], 2)
+    with pytest.raises(UsageError, match="needs at least one point"):
+        product_support([], 2)
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +299,8 @@ def test_load_measure_sorts_and_validates(tmp_path):
     assert dump_measure(m) == measure_dict(m)
     path.write_text(json.dumps(dump_measure(m)))
     assert load_measure(path) == m
+    with open(path, encoding="utf-8") as fh:  # an open file object
+        assert load_measure(fh) == m
 
 
 @pytest.mark.parametrize(

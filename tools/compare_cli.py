@@ -6,9 +6,11 @@ Builds one list of CLI calls and runs it in one subprocess per checkout;
 each subprocess imports momentroot from its own src/ and calls cli.main in
 process with stdout captured.  The calls:
 
-- analyze --holes --theorems --json, the same in text form, analyze --json
-  (no holes key) and decide, on DRAWS generator draws at kappa 2..8 for
-  each of SEEDS and on their scale, drop and inject perturbations
+- analyze --holes --theorems --json, the same in text form, analyze
+  --holes --json and in text form (holes without theorems), analyze
+  --theorems in text form (theorem lines without hole lines), analyze
+  --json (no holes key) and decide, on DRAWS generator draws at kappa 2..8
+  for each of SEEDS and on their scale, drop and inject perturbations
   (tests/test_pushforward_kernel's), and analyze --theorems --json on those
   that are certified no (a theorems_note and an empty theorems list);
 - analyze --holes --theorems --json on every op of the benchmark's analyze
@@ -97,6 +99,9 @@ def generator_calls(workdir: Path) -> list[list[str]]:
                     base = ["--measure", str(path), "--kappa", str(kappa)]
                     calls.append(["analyze", *base, "--holes", "--theorems", "--json"])
                     calls.append(["analyze", *base, "--holes", "--theorems"])
+                    calls.append(["analyze", *base, "--holes", "--json"])
+                    calls.append(["analyze", *base, "--holes"])
+                    calls.append(["analyze", *base, "--theorems"])
                     calls.append(["analyze", *base, "--json"])
                     calls.append(["decide", *base])
                     if not decide_root(variant, kappa).is_yes:
