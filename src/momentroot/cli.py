@@ -8,9 +8,11 @@ their precision in bits.
 
 Each JSON shape has one writer.  A fixed shape (a decision, analyze's
 measure, support, holes, triples and theorems blocks, a triple's
-parameters) is written straight to text by one function; a document is
-a top-level join (_emit) that splices such text one level deep and hands
-every other value to json.dumps(value, indent=2).  The output is
+parameters) is written straight to text by one function, at the depth it
+is printed at: a decision and a measure at the depth their caller asks
+for, the other blocks of analyze as values of top-level keys.  A document
+is a top-level join (_emit) that splices such text (a JsonText) as it
+stands and writes every other value with json.dumps.  The output is
 json.dumps(document, indent=2), byte for byte.
 """
 
@@ -36,51 +38,54 @@ __all__ = ["main"]
 
 def _emit(doc: dict) -> None:
     """Print json.dumps(doc, indent=2) for a doc with str keys: a JsonText
-    value is spliced as it stands, any other value goes to json.dumps.
-    Indenting a value by replacing its line breaks is safe because JSON
-    escapes a line break inside a string."""
-    items = [
-        f"{encode_basestring_ascii(key)}: {value if type(value) is JsonText else json.dumps(value, indent=2)}"
-        for key, value in doc.items()
-    ]
-    print(("{\n" + ",\n".join(items)).replace("\n", "\n  ") + "\n}")
+    value is spliced as it stands, any other value goes to json.dumps as a
+    one-key document, whose key and value lines are those of doc.  The
+    document is joined once, from its pieces."""
+    pieces = []
+    for key, value in doc.items():
+        if type(value) is JsonText:
+            pieces += (",\n  ", encode_basestring_ascii(key), ": ", value)
+        else:
+            pieces += (",\n  ", json.dumps({key: value}, indent=2)[4:-2])  # less "{\n  " and "\n}"
+    pieces[0] = "{\n  "
+    pieces.append("\n}")
+    print("".join(pieces))
 
 
 # The fixed-shape writers below need no escaping: rationals print as
 # digits, "-" and "/", and the enum values as lower-case words and "_".
 
 
-def _decision_text(d: RootDecision) -> JsonText:
-    """The decision: its status and kappa, then nu (a yes) or the
-    certificate (a no)."""
-    head = f'{{\n  "status": "{d.verdict.value}",\n  "kappa": {d.kappa},'
+def _decision_text(d: RootDecision, pad: str = "") -> str:
+    """The decision on a line indented by pad: its status and kappa, then
+    nu (a yes) or the certificate (a no)."""
+    n = "\n" + pad
+    head = f'{{{n}  "status": "{d.verdict.value}",{n}  "kappa": {d.kappa},'
     if d.nu is None:
         cert = d.certificate
-        return JsonText(
-            f'{head}\n  "certificate": {{\n    "kind": "{cert.kind.value}",'
-            f'\n    "location": "{format_rational(cert.location)}"\n  }}\n}}'
+        return (
+            f'{head}{n}  "certificate": {{{n}    "kind": "{cert.kind.value}",'
+            f'{n}    "location": "{format_rational(cert.location)}"{n}  }}{n}}}'
         )
     base_mass = format_rational(d.nu.base_mass)
-    entries = ",\n      ".join([
-        f'{{\n        "power": "{format_rational(e.power)}",\n        "rho": "{format_rational(e.rho)}"\n      }}'
+    entries = f",{n}      ".join([
+        f'{{{n}        "power": "{format_rational(e.power)}",{n}        "rho": "{format_rational(e.rho)}"{n}      }}'
         for e in d.nu.entries
     ])
-    return JsonText(
-        f'{head}\n  "nu": {{\n    "base_mass": "{base_mass}",\n    "entries": [\n      {entries}\n    ]\n  }}\n}}'
-    )
+    return f'{head}{n}  "nu": {{{n}    "base_mass": "{base_mass}",{n}    "entries": [{n}      {entries}{n}    ]{n}  }}{n}}}'
 
 
 def _support_text(table: _IntSupport) -> JsonText:
-    return JsonText('[\n  "' + '",\n  "'.join(table.texts) + '"\n]')
+    return JsonText('[\n    "' + '",\n    "'.join(table.texts) + '"\n  ]')
 
 
 def _holes_text(table: _IntSupport) -> JsonText:
     """The holes of the table: (0, x_0), the leading one, then (x_{i-1}, x_i)."""
     texts = table.texts
-    return JsonText("[\n  " + ",\n  ".join([
-        f'{{\n    "lower": "{lower}",\n    "upper": "{upper}",\n    "leading": {"false" if i else "true"}\n  }}'
+    return JsonText("[\n    " + ",\n    ".join([
+        f'{{\n      "lower": "{lower}",\n      "upper": "{upper}",\n      "leading": {"false" if i else "true"}\n    }}'
         for i, (lower, upper) in enumerate(zip(["0", *texts], texts))
-    ]) + "\n]")
+    ]) + "\n  ]")
 
 
 def _cmd_analyze(args) -> int:
@@ -89,10 +94,10 @@ def _cmd_analyze(args) -> int:
     table, holes = _IntSupport(mu), args.holes or args.theorems
     if args.json:
         doc = {
-            "measure": JsonText(_measure_text(mu)),
+            "measure": JsonText(_measure_text(mu, table.texts, "  ")),
             "kappa": args.kappa,
             "support": _support_text(table),
-            "decision": _decision_text(decision),
+            "decision": JsonText(_decision_text(decision, "  ")),
         }
         if holes:  # the text report prints no triples
             doc["holes"] = _holes_text(table)

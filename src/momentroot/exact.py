@@ -90,11 +90,16 @@ def perfect_nth_root(q: Fraction, k: int) -> Fraction | None:
     """The exact rational k-th root of q > 0, or None if it is irrational."""
     if q <= 0:
         raise UsageError("perfect_nth_root needs q > 0")
-    rn = int_nth_root(q.numerator, k)
-    if rn ** k != q.numerator:
+    return _perfect_root(q.numerator, q.denominator, k)
+
+
+def _perfect_root(num: int, den: int, k: int) -> Fraction | None:
+    """perfect_nth_root of num/den, for coprime num, den > 0."""
+    rn = int_nth_root(num, k)
+    if rn ** k != num:
         return None
-    rd = int_nth_root(q.denominator, k)
-    if rd ** k != q.denominator:
+    rd = int_nth_root(den, k)
+    if rd ** k != den:
         return None
     return Fraction(rn, rd)
 

@@ -22,15 +22,19 @@ in the iota table that the triples block, the order scans and the walk
 share, and decides each hole's facts once (_hole_facts), which
 check_hole_backward and check_iota_hole_criteria both read.  A call from
 outside the walk checks its hole and decides the same facts over the least
-common denominator of its own values.
+common denominator of its own values.  Both checkers build their claims
+through _claim, which builds each distinct Claim once per process: the
+walk's claims take a few dozen values over any number of holes.
 Checkers return TheoremReports; a report whose hypotheses all hold but
 whose conclusion fails is a counterexample and is treated as a failure by
 the fuzz harness.
 
 The JSON forms of a TripleParams and of a list of TheoremReports have one
-writer each, which writes text straight from the objects: _triple_text
-(for the params command and each entry of analyze's triples block) and
-_reports_text.  to_dict reads that text back with json.loads.
+writer each, which writes text straight from the objects at the depth it
+is printed at: _triple_text (at depth 0 for the params command, and for
+each entry of analyze's triples block) and _reports_text (analyze's
+theorems block), which splices each Claim's text, built once per Claim.
+to_dict reads that text back with json.loads.
 """
 
 from __future__ import annotations
@@ -52,10 +56,10 @@ from .exact import (
     UsageError,
     _decimal_str,
     _floor_log,
+    _perfect_root,
     _root_dyadic,
     bigfloat_root,
     format_rational,
-    perfect_nth_root,
 )
 from .measures import AtomicMeasure, _check_kappa, _numerators, kappa_power_measure
 from .decide import NuRepresentation, decide_root, verify_representation
@@ -80,6 +84,9 @@ __all__ = [
 ]
 
 
+_LITERAL = {True: "true", False: "false", None: "null"}
+
+
 @dataclass(frozen=True)
 class Claim:
     """One checked assertion: a hypothesis table plus a conclusion.
@@ -99,9 +106,43 @@ class Claim:
     def hypotheses_hold(self) -> bool:
         return all(ok for _, ok in self.hypotheses)
 
-    @property
+    @cached_property
     def violated(self) -> bool:
         return self.holds is False and self.hypotheses_hold
+
+    @cached_property
+    def _text(self) -> str:
+        """The JSON form of the claim as _reports_text writes it: an element
+        of a report's claims list, at the depth analyze prints it.  Its
+        holds values are bools or None, as the fields declare them."""
+        quote, literal = encode_basestring_ascii, _LITERAL
+        if self.hypotheses:
+            hyps = ",\n            ".join([
+                f'{{\n              "name": {quote(name)},\n              "holds": {literal[ok]}\n            }}'
+                for name, ok in self.hypotheses
+            ])
+            hyps = f"[\n            {hyps}\n          ]"
+        else:
+            hyps = "[]"
+        return (
+            f'{{\n          "name": {quote(self.name)},\n          "hypotheses": {hyps},'
+            f'\n          "conclusion": {quote(self.conclusion)},'
+            f'\n          "holds": {literal[self.holds]},\n          "approximate": {literal[self.approximate]}\n        }}'
+        )
+
+
+_CLAIMS: dict[tuple, Claim] = {}  # each Claim _claim has built, by its fields
+
+
+def _claim(name: str, hypotheses: tuple[tuple[str, bool], ...], conclusion: str, holds: Optional[bool]) -> Claim:
+    """The Claim with these fields, built once per process and then shared,
+    with its violated flag and its JSON text.  Its callers pass literal
+    texts and bools only, so the table stays finite."""
+    key = (name, hypotheses, conclusion, holds)
+    claim = _CLAIMS.get(key)
+    if claim is None:
+        claim = _CLAIMS[key] = Claim(name, hypotheses, conclusion, holds)
+    return claim
 
 
 @dataclass
@@ -141,33 +182,36 @@ APPROX_BITS = 64  # precision of the approx of an irrational radical in JSON
 
 
 class JsonText(str):
-    """JSON text as json.dumps(value, indent=2) writes it at depth 0.  The
-    CLI prints it as a document or splices it as the value of a top-level
-    key, one level deep."""
+    """JSON text as json.dumps(document, indent=2) writes a value of a
+    top-level key: every line after the first indented by two spaces.  The
+    CLI splices it into the document as it stands."""
 
 
-def _radical_text(coeff: str, radicand: str, index: int, rational: str | None, power: tuple[int, int] = (0, 1)) -> str:
+def _radical_text(coeff: str, radicand: str, index: int, rational: str | None, power: tuple[int, int] = (0, 1),
+                  pad: str = "  ") -> str:
     """The JSON form of the radical coeff * radicand**(1/index), given the
-    texts of its rationals, as text indented for a field of a triple at
-    depth 0.  rational is the text of its value, None if irrational; only
-    then is power read, for the approx: its index-th power as a numerator
-    and a denominator, positive ints not necessarily in lowest terms.
+    texts of its rationals, as json.dumps(..., indent=2) writes it on a
+    line indented by pad (by default a field of a triple at depth 0).
+    rational is the text of its value, None if irrational; only then is
+    power read, for the approx: its index-th power as a numerator and a
+    denominator, positive ints not necessarily in lowest terms.
 
     No string in it needs escaping: rationals print as digits, "-" and "/".
     """
-    head = f'{{\n    "coeff": "{coeff}",\n    "radicand": "{radicand}",\n    "index": {index},'
+    n = "\n" + pad
+    head = f'{{{n}  "coeff": "{coeff}",{n}  "radicand": "{radicand}",{n}  "index": {index},'
     if rational is not None:
-        return f'{head}\n    "rational": "{rational}"\n  }}'
+        return f'{head}{n}  "rational": "{rational}"{n}}}'
     num, den = _root_dyadic(*power, index, APPROX_BITS)
     decimal = _decimal_str(num, den, APPROX_BITS * 301 // 1000)  # 19 digits, as many as 64 bits carry
     return (
-        f'{head}\n    "rational": null,\n    "approx": {{\n      "decimal": "{decimal}",'
-        f'\n      "precision_bits": {APPROX_BITS}\n    }}\n  }}'
+        f'{head}{n}  "rational": null,{n}  "approx": {{{n}    "decimal": "{decimal}",'
+        f'{n}    "precision_bits": {APPROX_BITS}{n}  }}{n}}}'
     )
 
 
 def _radical_json(r: Radical) -> str:
-    """_radical_text of the Radical r."""
+    """_radical_text of the Radical r, as a field of a triple at depth 0."""
     coeff, radicand, exact = format_rational(r.coeff), format_rational(r.radicand), r.to_rational()
     if exact is not None:
         return _radical_text(coeff, radicand, r.index, format_rational(exact))
@@ -176,15 +220,16 @@ def _radical_json(r: Radical) -> str:
 
 
 def _triple_text(theta1: str, theta2: str, theta3: str, kappa: int, alpha: str, beta: str, gamma: str,
-                 alpha_dag: str, beta_dag: str, iota_s, iota_s_star) -> str:
-    """The JSON form of a TripleParams at depth 0, one key per field in
-    field order, given the texts of its rationals and radicals; an iota is
-    an int or "null"."""
+                 alpha_dag: str, beta_dag: str, iota_s, iota_s_star, pad: str = "") -> str:
+    """The JSON form of a TripleParams on a line indented by pad, one key
+    per field in field order, given the texts of its rationals and of its
+    radicals (written for that depth); an iota is an int or "null"."""
+    n = "\n" + pad
     return (
-        f'{{\n  "theta1": "{theta1}",\n  "theta2": "{theta2}",\n  "theta3": "{theta3}",'
-        f'\n  "kappa": {kappa},\n  "alpha": {alpha},\n  "beta": {beta},\n  "gamma": {gamma},'
-        f'\n  "alpha_dag": {alpha_dag},\n  "beta_dag": {beta_dag},'
-        f'\n  "iota_s": {iota_s},\n  "iota_s_star": {iota_s_star}\n}}'
+        f'{{{n}  "theta1": "{theta1}",{n}  "theta2": "{theta2}",{n}  "theta3": "{theta3}",'
+        f'{n}  "kappa": {kappa},{n}  "alpha": {alpha},{n}  "beta": {beta},{n}  "gamma": {gamma},'
+        f'{n}  "alpha_dag": {alpha_dag},{n}  "beta_dag": {beta_dag},'
+        f'{n}  "iota_s": {iota_s},{n}  "iota_s_star": {iota_s_star}{n}}}'
     )
 
 
@@ -215,12 +260,12 @@ class TripleParams:
         return json.loads(_params_text(self))
 
 
-def _params_text(p: TripleParams) -> JsonText:
-    """The JSON text of p: one key per field, in field order."""
+def _params_text(p: TripleParams) -> str:
+    """The JSON text of p at depth 0: one key per field, in field order."""
     rationals = [format_rational(x) for x in (p.theta1, p.theta2, p.theta3)]
     radicals = [_radical_json(r) for r in (p.alpha, p.beta, p.gamma, p.alpha_dag, p.beta_dag)]
     iotas = ["null" if i is None else i for i in (p.iota_s, p.iota_s_star)]
-    return JsonText(_triple_text(*rationals, p.kappa, *radicals, *iotas))
+    return _triple_text(*rationals, p.kappa, *radicals, *iotas)
 
 
 def _triple_args(theta1, theta2, theta3, strict: bool = False) -> tuple[Fraction, Fraction, Fraction]:
@@ -601,7 +646,7 @@ class _IntSupport:
 def _triples(table: _IntSupport, kappa: int) -> JsonText:
     """The JSON text of the list of the TripleParams of every hole of the
     table, with theta3 = sup supp mu, built from its points, their texts
-    and its iota table.
+    and its iota table, and written at the depth analyze prints it.
 
     Hole i is (x_{i-1}, x_i) (x_{-1} = 0), so alpha_i = alpha_dag_{i-1} and
     beta_dag_i = beta_{i-1}:
@@ -613,70 +658,57 @@ def _triples(table: _IntSupport, kappa: int) -> JsonText:
     """
     points, texts, nums = table.points, table.texts, table.nums
     top = nums[-1]
-    exact = [perfect_nth_root(x, kappa) for x in points]
+    pad = "      "  # a field of a triple, an element of the block's list
+    exact = [_perfect_root(x.numerator, x.denominator, kappa) for x in points]
     root3, text3 = exact[-1], texts[-1]
     roots = [
-        _radical_text("1", text, kappa, None if r is None else format_rational(r), (x.numerator, x.denominator))
+        _radical_text("1", text, kappa, None if r is None else format_rational(r), (x.numerator, x.denominator), pad)
         for x, text, r in zip(points, texts, exact)
     ]
     coeffs = [Fraction(c, top) for c in nums[:-1]]  # x/theta3, one gcd each
     if root3 is None:
         den = top ** (kappa - 1) * table.den
         scaled = [
-            _radical_text(format_rational(q), text3, kappa, None, (c ** kappa, den))
+            _radical_text(format_rational(q), text3, kappa, None, (c ** kappa, den), pad)
             for q, c in zip(coeffs, nums)
         ]
     else:
-        scaled = [_radical_text(format_rational(q), text3, kappa, format_rational(q * root3)) for q in coeffs]
+        scaled = [
+            _radical_text(format_rational(q), text3, kappa, format_rational(q * root3), pad=pad) for q in coeffs
+        ]
     scaled.append(roots[-1])  # at x = theta3 the scaled radical is gamma's
-    origin = _radical_text("0", "1", kappa, "0")
+    origin = _radical_text("0", "1", kappa, "0", pad=pad)
     gamma = roots[-1]
     lows = zip(["0", *texts], [origin, *scaled], [origin, *roots])
     items = []
     for theta2, beta, alpha_dag, (theta1, alpha, beta_dag), iotas in zip(texts, roots, scaled, lows, table.iotas):
         iotas = ("null", "null") if iotas is None else iotas
-        items.append(_triple_text(theta1, theta2, text3, kappa, alpha, beta, gamma, alpha_dag, beta_dag, *iotas))
-    return JsonText(("[\n" + ",\n".join(items)).replace("\n", "\n  ") + "\n]")
-
-
-_LITERAL = {True: "true", False: "false", None: "null"}
+        items.append(
+            _triple_text(theta1, theta2, text3, kappa, alpha, beta, gamma, alpha_dag, beta_dag, *iotas, pad="    ")
+        )
+    return JsonText("[\n    " + ",\n    ".join(items) + "\n  ]")
 
 
 def _reports_text(reports, violations) -> JsonText:
-    """The JSON text of the list of reports, the one writer of the report
-    and claim shapes, given each report's violated claims in violations.
-    Claims and hypotheses have a fixed shape, and their holds values are
-    bools or None, as Claim declares them.  A data value that
-    is a bool, int, Fraction, str or None is written inline; any other
-    goes through json.dumps(v, indent=2, default=_lowered) at its depth.
-    Keys of data are strs, keys of dicts inside it strs or ints.
+    """The JSON text of the list of reports, written at the depth analyze
+    prints it, given each report's violated claims in violations: the one
+    writer of the report shape.  Each claim's text is its _text, written
+    once per Claim.  A data value that is a bool, int, Fraction, str or
+    None is written inline; any other goes through json.dumps(v, indent=2,
+    default=_lowered), indented to its depth.  Keys of data are strs, keys
+    of dicts inside it strs or ints.
     """
     quote, literal = encode_basestring_ascii, _LITERAL
     items = []
     for r, violated in zip(reports, violations):
-        claims = []
-        for c in r.claims:
-            if c.hypotheses:
-                hyps = ",\n          ".join([
-                    f'{{\n            "name": {quote(name)},\n            "holds": {literal[ok]}\n          }}'
-                    for name, ok in c.hypotheses
-                ])
-                hyps = f"[\n          {hyps}\n        ]"
-            else:
-                hyps = "[]"
-            claims.append(
-                f'{{\n        "name": {quote(c.name)},\n        "hypotheses": {hyps},'
-                f'\n        "conclusion": {quote(c.conclusion)},'
-                f'\n        "holds": {literal[c.holds]},\n        "approximate": {literal[c.approximate]}\n      }}'
-            )
-        claims = "[\n      " + ",\n      ".join(claims) + "\n    ]" if claims else "[]"
-        names = "[\n      " + ",\n      ".join([quote(c.name) for c in violated]) + "\n    ]" if violated else "[]"
+        claims = "[\n        " + ",\n        ".join([c._text for c in r.claims]) + "\n      ]" if r.claims else "[]"
+        names = "[\n        " + ",\n        ".join([quote(c.name) for c in violated]) + "\n      ]" if violated else "[]"
         text = (
-            f'{{\n    "theorem": {quote(r.theorem)},\n    "applicable": {literal[r.applicable]},'
-            f'\n    "claims": {claims},\n    "violations": {names}'
+            f'{{\n      "theorem": {quote(r.theorem)},\n      "applicable": {literal[r.applicable]},'
+            f'\n      "claims": {claims},\n      "violations": {names}'
         )
         if r.note:
-            text += f',\n    "note": {quote(r.note)}'
+            text += f',\n      "note": {quote(r.note)}'
         if r.data:
             entries = []
             for key, v in r.data.items():
@@ -690,11 +722,11 @@ def _reports_text(reports, violations) -> JsonText:
                 elif kind is str:
                     value = quote(v)
                 else:
-                    value = json.dumps(v, indent=2, default=_lowered).replace("\n", "\n      ")
+                    value = json.dumps(v, indent=2, default=_lowered).replace("\n", "\n        ")
                 entries.append(f"{quote(key)}: {value}")
-            text += ',\n    "data": {\n      ' + ",\n      ".join(entries) + "\n    }"
-        items.append(text + "\n  }")
-    return JsonText("[\n  " + ",\n  ".join(items) + "\n]" if items else "[]")
+            text += ',\n      "data": {\n        ' + ",\n        ".join(entries) + "\n      }"
+        items.append(text + "\n    }")
+    return JsonText("[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]")
 
 
 def _endpoint_power(value, kappa: int) -> Fraction:
@@ -887,7 +919,8 @@ def _checked_facts(pair: RootPair, theta1, theta2, with_iotas: bool) -> _HoleFac
 def check_hole_backward(pair: RootPair, theta1, theta2, *, _facts: Optional[_HoleFacts] = None) -> TheoremReport:
     """Candidate holes of supp nu induced by a hole (theta1, theta2) of supp mu,
     with theta3 = sup supp mu; theta2 > theta3 is allowed.  Only the hole
-    walk passes _facts, the facts of a hole of its _IntSupport."""
+    walk passes _facts, the facts of a hole of its _IntSupport.  Its claims
+    come from _claim, so holes with equal facts share them."""
     f = _checked_facts(pair, theta1, theta2, False) if _facts is None else _facts
     bd_vs_ad, beta_in_supp = f.bd_vs_ad, f.beta_in_supp
     hyp_upper = ("theta2 <= sup supp mu", f.upper_ok)
@@ -897,9 +930,9 @@ def check_hole_backward(pair: RootPair, theta1, theta2, *, _facts: Optional[_Hol
         or (bd_vs_ad == 0 and beta_in_supp)
     )
     claims = (
-        Claim("(i)", (), "nu((beta_dag, beta)) == 0", f.concl_i),
-        Claim("(ii)", (hyp_upper,), "nu((alpha, alpha_dag)) == 0", f.concl_ii),
-        Claim(
+        _claim("(i)", (), "nu((beta_dag, beta)) == 0", f.concl_i),
+        _claim("(ii)", (hyp_upper,), "nu((alpha, alpha_dag)) == 0", f.concl_ii),
+        _claim(
             "(iii-a)",
             (
                 hyp_upper,
@@ -912,7 +945,7 @@ def check_hole_backward(pair: RootPair, theta1, theta2, *, _facts: Optional[_Hol
             "nu((alpha, beta)) == 0",
             f.concl_iii,
         ),
-        Claim(
+        _claim(
             "(iii-b)",
             (
                 hyp_upper,
@@ -922,7 +955,7 @@ def check_hole_backward(pair: RootPair, theta1, theta2, *, _facts: Optional[_Hol
             "nu((alpha, beta)) == 0",
             f.concl_iii,
         ),
-        Claim(
+        _claim(
             "dagger remark",
             (hyp_upper, ("beta_dag <= alpha_dag", bd_vs_ad <= 0)),
             "(gamma/beta)*alpha < alpha_dag",
@@ -949,7 +982,8 @@ def _exterior(theorem: str) -> TheoremReport:
 def check_iota_hole_criteria(pair: RootPair, theta1, theta2, *, _facts: Optional[_HoleFacts] = None) -> TheoremReport:
     """iota-based sufficient conditions for (alpha, beta) being a nu-hole,
     for a hole (theta1, theta2) of supp mu with theta3 = sup supp mu.  Only
-    the hole walk passes _facts, as check_hole_backward takes them."""
+    the hole walk passes _facts, as check_hole_backward takes them; its
+    claims come from _claim too."""
     f = _checked_facts(pair, theta1, theta2, True) if _facts is None else _facts
     if f.iotas is None:
         return _exterior("iota hole criteria")
@@ -963,10 +997,7 @@ def check_iota_hole_criteria(pair: RootPair, theta1, theta2, *, _facts: Optional
         ("(iv)", (("iota_s >= 4", iota_s >= 4),)),
         ("(v)", (("iota_s_star == 1", iota_s_star == 1),)),
     )
-    claims = tuple(
-        Claim(name, hyps, "nu((alpha, beta)) == 0", conclusion)
-        for name, hyps in conditions
-    )
+    claims = tuple(_claim(name, hyps, "nu((alpha, beta)) == 0", conclusion) for name, hyps in conditions)
     return TheoremReport(
         "iota hole criteria",
         claims,

@@ -58,8 +58,14 @@ class AtomicMeasure:
     def from_pairs(cls, pairs) -> "AtomicMeasure":
         """Sort (point, weight) pairs by point, keeping each Fraction rather
         than a copy so measures can share atoms; __post_init__ rejects a
-        duplicate point."""
-        return cls(tuple(sorted(((_fraction(p), _fraction(w)) for p, w in pairs), key=itemgetter(0))))
+        duplicate point.  Pairs already in strictly increasing order, as
+        measure files usually list them, are kept as they are, checked on
+        cross-multiplied ints rather than sorted by Fraction comparisons."""
+        atoms = [(_fraction(p), _fraction(w)) for p, w in pairs]
+        points = [(p.numerator, p.denominator) for p, _ in atoms]
+        if not all(a * d < c * b for (a, b), (c, d) in zip(points, points[1:])):
+            atoms.sort(key=itemgetter(0))
+        return cls(tuple(atoms))
 
     @property
     def support(self) -> tuple[Fraction, ...]:
@@ -248,14 +254,19 @@ def load_measure(source) -> AtomicMeasure:
     return AtomicMeasure.from_pairs(pairs)
 
 
-def _measure_text(m: AtomicMeasure) -> str:
-    """m in the measure file format, as json.dumps(..., indent=2) writes it.
-    No string in it needs escaping: rationals print as digits, "-" and "/"."""
-    atoms = ",\n    ".join([
-        f'{{\n      "point": "{format_rational(p)}",\n      "weight": "{format_rational(w)}"\n    }}'
-        for p, w in m.atoms
+def _measure_text(m: AtomicMeasure, texts=None, pad: str = "") -> str:
+    """m in the measure file format, as json.dumps(..., indent=2) writes it
+    on a line indented by pad, given the text of each point in texts
+    (format_rational's, built here when None).  No string in it needs
+    escaping: rationals print as digits, "-" and "/"."""
+    if texts is None:
+        texts = [format_rational(p) for p, _ in m.atoms]
+    n = "\n" + pad
+    atoms = f",{n}    ".join([
+        f'{{{n}      "point": "{text}",{n}      "weight": "{format_rational(w)}"{n}    }}'
+        for text, (_, w) in zip(texts, m.atoms)
     ])
-    return f'{{\n  "atoms": [\n    {atoms}\n  ]\n}}'
+    return f'{{{n}  "atoms": [{n}    {atoms}{n}  ]{n}}}'
 
 
 def dump_measure(m: AtomicMeasure) -> dict:

@@ -39,6 +39,13 @@ from oracles import decision_dict, measure_dict, report_dict, triple_dict
 from test_pushforward_kernel import perturbations
 
 
+def spliced(value) -> str:
+    """json.dumps(value, indent=2) as the value of a top-level key, the
+    form a JsonText holds: every line after the first indented by two
+    spaces (a line break inside a JSON string is escaped)."""
+    return json.dumps(value, indent=2).replace("\n", "\n  ")
+
+
 def analyze(tmp_path, mu, kappa, *flags):
     path = tmp_path / "measure.json"
     path.write_text(json.dumps(dump_measure(mu)))
@@ -135,7 +142,7 @@ def test_triples_match_triple_params(kappa):
         params = [triple_params(h.lower, h.upper, theta3, kappa) for h in find_holes(mu)]
         want = [triple_dict(p) for p in params]
         assert json.dumps(got) == json.dumps(want), points  # key order too
-        assert text == json.dumps(want, indent=2), points  # and the layout the top-level join splices
+        assert text == spliced(want), points  # and the layout the top-level join splices
         for p, d in zip(params, want):  # params prints the same shape at depth 0
             assert holes._params_text(p) == json.dumps(d, indent=2), points
             assert p.to_dict() == d
@@ -203,11 +210,11 @@ def test_reports_text_is_json_dumps_of_to_dict():
     reports = report_cases()
     dicts = [report_dict(r) for r in reports]
     for r, d in zip(reports, dicts):
-        assert reports_text([r]) == json.dumps([d], indent=2), r.theorem
+        assert reports_text([r]) == spliced([d]), r.theorem
         assert r.to_dict() == d, r.theorem
-    assert reports_text(reports) == json.dumps(dicts, indent=2)
+    assert reports_text(reports) == spliced(dicts)
     assert reports_text([]) == "[]"
-    # the top-level join splices the text one level deep
+    # the top-level join splices the text as it stands
     for theorems, want in ((reports, dicts), ([], [])):
         doc = {"theorems": reports_text(theorems), "b": 1}
         assert emitted(doc) == json.dumps({"theorems": want, "b": 1}, indent=2) + "\n"
@@ -295,6 +302,42 @@ def test_walk_enters_each_checker_by_its_public_name(tmp_path, monkeypatch):
     assert calls["check_root_order_membership"] > 0 and calls["check_hole_backward"] == 0
 
 
+# Every claim the walk's two checkers can build: check_hole_backward's five
+# take 2 + 4 + 8 + 16 + 8 values, check_iota_hole_criteria's five 8 + 8 +
+# 8 + 4 + 4, over their hypotheses' and conclusions' bools.
+CLAIM_BOUND = 38 + 32
+
+
+def test_walk_claims_are_built_once_per_process(tmp_path, capsys):
+    wide = [
+        (kappa_power_measure(AtomicMeasure.from_pairs([(F(1, 3), 1), (1, 2), (2, 1), (3, 3), (6, 1)]), 4), 4),
+        (kappa_power_measure(NU_78, 2), 2),
+        (kappa_power_measure(AtomicMeasure.from_pairs([(1, 1), (F(3, 2), 2), (2, 1), (5, 1), (7, 4)]), 3), 3),
+    ]
+    for mu, kappa in wide:
+        assert analyze(tmp_path, mu, kappa, "--holes", "--theorems", "--json")[0] == 0
+    assert main(["fuzz", "--suite", "theorems", "--trials", "20", "--seed", "0"]) == 0
+    capsys.readouterr()
+    assert 0 < len(holes._CLAIMS) <= CLAIM_BOUND
+    # holes with equal facts get the very same Claim objects
+    shared = 0
+    for mu, kappa in wide:
+        pair = RootPair(mu, decide_root(mu, kappa).nu, kappa)
+        first = {}
+        for h in find_holes(mu):
+            facts = holes._checked_facts(pair, h.lower, h.upper, True)
+            claims = check_hole_backward(pair, h.lower, h.upper).claims
+            claims += check_iota_hole_criteria(pair, h.lower, h.upper).claims
+            seen = first.setdefault(facts, claims)
+            assert len(seen) == len(claims) and all(a is b for a, b in zip(seen, claims))
+            shared += seen is not claims
+    assert shared > 0
+    # a Claim with text built at run time, as the fuzz harness builds one, stays out of the table
+    count = len(holes._CLAIMS)
+    claim = fuzz._fail("roundtrip", f"certifies {count}", "decide_root must certify").claims[0]
+    assert len(holes._CLAIMS) == count and all(c is not claim for c in holes._CLAIMS.values())
+
+
 def refuse_holes(monkeypatch):
     """Make every Hole construction fail, so that a run that prints its
     output built none."""
@@ -375,7 +418,7 @@ def test_theorems_trials_build_no_hole(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-SPLICED = JsonText(json.dumps([{"x": "1/2", "y": None, "z": {"w": "two\nlines"}}, []], indent=2))
+SPLICED = JsonText(spliced([{"x": "1/2", "y": None, "z": {"w": "two\nlines"}}, []]))
 EDGE_DOCS = [
     {"empty_list": [], "empty_dict": {}},
     {"\u00e9\n\"key\\": 1},  # a key that needs escaping
@@ -386,12 +429,13 @@ EDGE_DOCS = [
     {"flags": [True, False, None], "nested": {"x": [None, {"y": False}]}},
     {"deep": {"a": {}, "b": [], "c": [[], {}, [[]], {"d": {}}]}},
     {"none": None, "true": True, "false": False},
-    # JSON text is spliced one level deep, a line break escaped inside one of
-    # its strings included; deeper, json.dumps writes it as the str it is
+    # JSON text, written as the value of a top-level key, is spliced as it
+    # stands, a line break escaped inside one of its strings included;
+    # deeper, json.dumps writes it as the str it is
     {"spliced": SPLICED},
     {"spliced_empty": JsonText("[]"), "after": 1},
     {"a": SPLICED, "b": [SPLICED], "c": SPLICED},
-    {"before": {"k": "v"}, "spliced": JsonText('{\n  "k": "v\\n"\n}')},
+    {"before": {"k": "v"}, "spliced": JsonText('{\n    "k": "v\\n"\n  }')},
     # values the CLI does not print from a fixed-shape writer go to json.dumps
     {"float": 1.5, "elapsed_seconds": 0.125},
     {"tuple": (1, [2, {"z": (3,)}])},
@@ -413,13 +457,17 @@ def test_emitter_matches_json_dumps_on_edge_docs(doc):
 
 def test_emitter_matches_json_dumps_for_every_subcommand(tmp_path, monkeypatch, capsys):
     # the printed text, so that the spliced triples block is compared too
-    monkeypatch.setattr(decide, "MAX_MULTISETS", 50)  # so that fuzz skips trials
     nu = AtomicMeasure.from_pairs([(F(1, 3), 1), (1, 2), (F(5, 2), 1)])
     path = tmp_path / "mu.json"
     path.write_text(json.dumps(dump_measure(kappa_power_measure(nu, 3))))
+    wide = kappa_power_measure(AtomicMeasure.from_pairs([(F(1, 3), 1), (1, 2), (2, 1), (3, 3), (6, 1)]), 4)
+    assert len(wide.atoms) == 35
+    wide_path = tmp_path / "wide.json"
+    wide_path.write_text(json.dumps(dump_measure(wide)))
     runs = [
         ["analyze", "--measure", str(path), "--kappa", "3", "--holes", "--theorems", "--json"],
         ["analyze", "--measure", str(path), "--kappa", "2", "--holes", "--theorems", "--json"],
+        ["analyze", "--measure", str(wide_path), "--kappa", "4", "--holes", "--theorems", "--json"],
         ["decide", "--measure", str(path), "--kappa", "3"],
         ["decide", "--measure", str(path), "--kappa", "2"],
         ["params", "--theta1", "1/3", "--theta2", "2", "--theta3", "5", "--kappa", "3"],
@@ -430,9 +478,12 @@ def test_emitter_matches_json_dumps_for_every_subcommand(tmp_path, monkeypatch, 
     ]
     outs = []
     for argv in runs:
+        if argv[0] == "fuzz":
+            monkeypatch.setattr(decide, "MAX_MULTISETS", 50)  # so that fuzz skips trials
         main(argv)
         outs.append(capsys.readouterr().out)
     assert json.loads(outs[0])["triples"] and json.loads(outs[-1])["skipped"]  # a fuzz summary with skipped trials
+    assert len(json.loads(outs[2])["theorems"]) > 2 * 35  # the wide root is certified: every hole is walked
     for out in outs:
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
 

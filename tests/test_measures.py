@@ -1,3 +1,5 @@
+import itertools
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -320,3 +322,26 @@ def test_load_measure_sorts_and_validates(tmp_path):
 def test_load_measure_rejects(doc):
     with pytest.raises(UsageError):
         load_measure(doc)
+
+
+def test_from_pairs_sorts_only_atoms_out_of_order(monkeypatch):
+    def sorted_first(pairs):
+        """AtomicMeasure of the pairs sorted by Fraction comparisons."""
+        return AtomicMeasure(tuple(sorted(((F(p), F(w)) for p, w in pairs), key=lambda a: a[0])))
+
+    for order in itertools.permutations([(F(1, 6), 2), (1, 1), (F(7, 2), 1), (4, 3)]):
+        assert AtomicMeasure.from_pairs(order) == sorted_first(order)
+    # a duplicate, non-positive or misplaced atom gets the error line it gets once sorted
+    for bad in ([(1, 1), (1, 2), (2, 1)], [(2, -1), (-1, 1), (3, 1)], [(F(1, 2), 1), (0, 1), (F(1, 2), 3)]):
+        for order in itertools.permutations(bad):
+            with pytest.raises(UsageError) as want:
+                sorted_first(order)
+            with pytest.raises(UsageError, match=f"^{re.escape(str(want.value))}$"):
+                AtomicMeasure.from_pairs(order)
+    # a file that lists its atoms in order is read without a Fraction comparison
+    compared = []
+    less = F.__lt__
+    monkeypatch.setattr(F, "__lt__", lambda a, b: compared.append((a, b)) or less(a, b))
+    atoms = [{"point": p, "weight": "1"} for p in ("1/6", "1", "7/2", "4")]
+    assert load_measure({"atoms": atoms}).support == (F(1, 6), 1, F(7, 2), 4) and not compared
+    assert load_measure({"atoms": atoms[::-1]}).support == (F(1, 6), 1, F(7, 2), 4) and compared
