@@ -105,7 +105,7 @@ def _cmd_analyze(args) -> int:
     reports, refused = [], []
     if args.theorems and decision.is_yes:
         pair = RootPair(mu, decision.nu, args.kappa)
-        scans, refused = _order_scans(table, max(args.kappa, 4))
+        scans, refused = _order_scans(table, max(args.kappa, 4), {args.kappa: decision})
         reports = _walk_holes(pair, scans, table)
     violations = [r.violations for r in reports]  # the one pass over the claims
     note = "no certified root; hole checkers skipped" if args.theorems and not decision.is_yes else None

@@ -60,25 +60,38 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(q: Fraction) -> str:
     """Inverse of parse_rational: "p" when integral, else "p/q"."""
+    return _ratio_text(q.numerator, q.denominator)
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """format_rational of num/den, for coprime integers num and den > 0."""
     try:
-        if q.denominator == 1:
-            return str(q.numerator)
-        return f"{q.numerator}/{q.denominator}"
+        if den == 1:
+            return str(num)
+        return f"{num}/{den}"
     except ValueError:  # CPython's limit on str() of long integers
-        bits = max(q.numerator.bit_length(), q.denominator.bit_length())
+        bits = max(num.bit_length(), den.bit_length())
         raise UsageError(f"rational too long to print (a {bits}-bit integer)") from None
 
 
 def int_nth_root(n: int, k: int) -> int:
-    """floor(n ** (1/k)) for integers n >= 0, k >= 1, computed exactly."""
+    """floor(n ** (1/k)) for integers n >= 0, k >= 1, computed exactly.
+
+    Newton's step x -> ((k-1)*x + n // x**(k-1)) // k takes any x > 0 to
+    at least the floor (AM-GM), and from above the floor it falls strictly
+    until it stops there.  The iteration starts from a float estimate of
+    the root, after one step; n is shifted into float range by a multiple
+    of k, so the estimate is that of the shifted root, shifted back.
+    """
     if n < 0 or k < 1:
         raise UsageError("int_nth_root needs n >= 0 and k >= 1")
     if k == 1 or n in (0, 1):
         return n
     if k == 2:
         return math.isqrt(n)
-    x = 1 << -(-n.bit_length() // k)  # upper bound: 2**ceil(bits/k) >= root
-    # Newton from above falls strictly to the floor (AM-GM keeps it >= floor) and stops there
+    shift = -(-max(n.bit_length() - 1000, 0) // k)  # n >> (k * shift) < 2**1000
+    x = max(int((n >> (k * shift)) ** (1 / k)), 1) << shift
+    x = ((k - 1) * x + n // x ** (k - 1)) // k  # now x >= floor
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
@@ -229,21 +242,26 @@ def _floor_log(p: int, q: int, u: int, v: int) -> int:
 def _decimal_str(num: int, den: int, digits: int) -> str:
     """num/den > 0 to the given number of significant digits, rounded half
     up; integer arithmetic throughout, and num/den need not be in lowest
-    terms."""
+    terms.
 
-    def scaled(e: int) -> tuple[int, int]:  # num/den * 10**e
-        return num * 10 ** max(e, 0), den * 10 ** max(-e, 0)
-
-    # decimal exponent e10 with 10**e10 <= num/den < 10**(e10+1), starting
-    # from an estimate by bit lengths
+    One divmod loop finds the decimal exponent e10, 10**e10 <= num/den <
+    10**(e10+1), and the digits together: from an estimate by bit lengths,
+    n = floor(num/den * 10**(digits-1-e10)) has exactly digits digits
+    exactly when e10 is right, and otherwise tells which way to step.
+    """
+    low = 10 ** (digits - 1)
+    high = 10 * low
     e10 = (num.bit_length() - den.bit_length()) * 30103 // 100000
     while True:
-        a, b = scaled(-e10)
-        if b <= a < 10 * b:
+        e = digits - 1 - e10  # a/b = num/den * 10**e
+        a, b = (num * 10 ** e, den) if e >= 0 else (num, den * 10 ** -e)
+        n, r = divmod(a, b)
+        if n < low:
+            e10 -= 1
+        elif n >= high:
+            e10 += 1
+        else:
             break
-        e10 += 1 if a >= b else -1
-    a, b = scaled(digits - 1 - e10)
-    n, r = divmod(a, b)
     if 2 * r >= b:
         n += 1
     s = str(n)

@@ -18,13 +18,16 @@ radicals appear only as report data.
 The mu->nu checkers decide on integers.  The hole walk of analyze and of
 the fuzz theorems trial holds supp mu as numerators over one denominator
 (_IntSupport), computes each interior hole's iota_s_star and iota_s once,
-in the iota table that the triples block, the order scans and the walk
-share, and decides each hole's facts once (_hole_facts), which
-check_hole_backward and check_iota_hole_criteria both read.  A call from
-outside the walk checks its hole and decides the same facts over the least
-common denominator of its own values.  Both checkers build their claims
-through _claim, which builds each distinct Claim once per process: the
-walk's claims take a few dozen values over any number of holes.
+with at most one floor-log between them, in the iota table that the
+triples block, the order scans and the walk share, and decides each hole's
+facts once (_hole_facts), which check_hole_backward and
+check_iota_hole_criteria both read.  A call from outside the walk checks
+its hole and decides the same facts over the least common denominator of
+its own values.  Both checkers take their claims tuple from _interned,
+keyed by the facts they read as bools, which builds each tuple once per
+process with its violations and the head of its report's JSON text, from
+Claims that _claim builds once per process: the walk's reports take a few
+dozen claims tuples over any number of holes.
 Checkers return TheoremReports; a report whose hypotheses all hold but
 whose conclusion fails is a counterexample and is treated as a failure by
 the fuzz harness.
@@ -33,8 +36,9 @@ The JSON forms of a TripleParams and of a list of TheoremReports have one
 writer each, which writes text straight from the objects at the depth it
 is printed at: _triple_text (at depth 0 for the params command, and for
 each entry of analyze's triples block) and _reports_text (analyze's
-theorems block), which splices each Claim's text, built once per Claim.
-to_dict reads that text back with json.loads.
+theorems block), which splices an interned claims tuple's head, or each
+Claim's text, built once per Claim.  to_dict reads that text back with
+json.loads.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ from .exact import (
     _decimal_str,
     _floor_log,
     _perfect_root,
+    _ratio_text,
     _root_dyadic,
     bigfloat_root,
     format_rational,
@@ -145,6 +150,35 @@ def _claim(name: str, hypotheses: tuple[tuple[str, bool], ...], conclusion: str,
     return claim
 
 
+class _Claims(tuple):
+    """The claims of a report of check_hole_backward or
+    check_iota_hole_criteria, as _interned builds them: once per process
+    for each key, with the report's theorem, its violated claims and its
+    head, the JSON text _reports_text writes for the theorem, applicable,
+    claims and violations keys of an applicable report.  Only a _Claims
+    carries these, so claims built any other way are written afresh."""
+
+    theorem: str
+    violations: tuple[Claim, ...]
+    head: str
+
+
+_CLAIM_TUPLES: dict[tuple, _Claims] = {}  # each _Claims _interned has built, by its key
+
+
+def _interned(key: tuple, build) -> _Claims:
+    """The claims build(*key[1:]) of a report whose theorem is key[0], built
+    once per process and then shared.  Its callers pass a literal theorem
+    and bools only, so the table stays finite."""
+    claims = _CLAIM_TUPLES.get(key)
+    if claims is None:
+        claims = _CLAIM_TUPLES[key] = _Claims(build(*key[1:]))
+        claims.theorem = theorem = key[0]
+        claims.violations = violated = tuple(c for c in claims if c.violated)
+        claims.head = _report_head(theorem, True, claims, violated)
+    return claims
+
+
 @dataclass
 class TheoremReport:
     theorem: str
@@ -155,7 +189,10 @@ class TheoremReport:
 
     @property
     def violations(self) -> tuple[Claim, ...]:
-        return tuple(c for c in self.claims if c.violated)
+        claims = self.claims
+        if type(claims) is _Claims:
+            return claims.violations
+        return tuple(c for c in claims if c.violated)
 
     @property
     def ok(self) -> bool:
@@ -330,17 +367,29 @@ def ordering_report(p: TripleParams) -> TheoremReport:
     return TheoremReport("endpoint ordering", claims, data={"params": p})
 
 
-def _iota_s_of(c1: int, c2: int, c3: int) -> int:
-    """iota_s = 1 + floor(log(theta3/theta1) / log(theta3/theta2)) of a
-    triple 0 < theta1 < theta2 < theta3 given as numerators c1 < c2 < c3
-    over one denominator; no ratio is divided."""
-    return 1 + _floor_log(c3, c2, c3, c1)
-
-
 def _iota_s_star_of(c1: int, c2: int, c3: int) -> int:
-    """iota_s_star = 1 + floor(log(theta3/theta2) / log(theta2/theta1)), as
-    _iota_s_of takes its triple."""
+    """iota_s_star = 1 + floor(log(theta3/theta2) / log(theta2/theta1)) of
+    a triple 0 < theta1 < theta2 < theta3 given as numerators c1 < c2 < c3
+    over one denominator; no ratio is divided.
+
+    With a = log(theta2/theta1) and b = log(theta3/theta2), iota_s_star =
+    1 + floor(b/a) and iota_s = 1 + floor((a+b)/b) = 2 + floor(a/b).  a - b
+    has the sign of c2**2 - c1*c3, so at most one of the two floors is
+    nonzero, and a tie gives (iota_s, iota_s_star) = (3, 2): the pair costs
+    at most one _floor_log call.
+    """
+    d = c2 * c2 - c1 * c3
+    if d >= 0:  # a >= b
+        return 1 if d else 2
     return 1 + _floor_log(c2, c1, c3, c2)
+
+
+def _iota_s_of(c1: int, c2: int, c3: int, iota_s_star: int) -> int:
+    """iota_s = 1 + floor(log(theta3/theta1) / log(theta3/theta2)), as
+    _iota_s_star_of takes its triple, given its iota_s_star."""
+    if iota_s_star == 1:  # a > b
+        return 2 + _floor_log(c3, c2, c2, c1)
+    return 3 if iota_s_star == 2 and c2 * c2 == c1 * c3 else 2
 
 
 def _over_one_denominator(*values: Fraction) -> list[int]:
@@ -351,7 +400,8 @@ def _over_one_denominator(*values: Fraction) -> list[int]:
 def _iotas(theta1: Fraction, theta2: Fraction, theta3: Fraction) -> tuple[int, int]:
     """(iota_s, iota_s_star) for 0 < theta1 < theta2 < theta3."""
     c1, c2, c3 = _over_one_denominator(theta1, theta2, theta3)
-    return _iota_s_of(c1, c2, c3), _iota_s_star_of(c1, c2, c3)
+    star = _iota_s_star_of(c1, c2, c3)
+    return _iota_s_of(c1, c2, c3, star), star
 
 
 def iota_relations(theta1, theta2, theta3) -> TheoremReport:
@@ -613,7 +663,9 @@ class _IntSupport:
     hole, None on the others.  Each is computed once, when it is first
     read, and iota_stars alone first: the order scans read only
     iota_s_star, so a fuzz trial whose scan a guard refuses is skipped
-    before any iota_s is computed.
+    before any iota_s is computed.  The sign of c2**2 - c1*c3 tells which
+    column pays for a hole (_iota_s_star_of), so the two columns make at
+    most one _floor_log call per interior hole between them.
     """
 
     def __init__(self, mu: AtomicMeasure):
@@ -638,9 +690,16 @@ class _IntSupport:
         nums = self.nums
         top = nums[-1]
         return [
-            None if star is None else (_iota_s_of(c1, c2, top), star)
+            None if star is None else (_iota_s_of(c1, c2, top, star), star)
             for c1, c2, star in zip([0, *nums], nums, self.iota_stars)
         ]
+
+
+def _lowest_text(num: int, den: int) -> str:
+    """format_rational of num/den for integers num >= 0 and den > 0, with no
+    Fraction built."""
+    g = math.gcd(num, den)
+    return _ratio_text(num // g, den // g)
 
 
 def _triples(table: _IntSupport, kappa: int) -> JsonText:
@@ -654,7 +713,9 @@ def _triples(table: _IntSupport, kappa: int) -> JsonText:
     text, shared by the two holes it bounds.  Each x is tested once for a
     rational kappa-th root; the scaled radical is rational exactly when
     theta3's root is, and its kappa-th power is c**kappa / (c3**(kappa-1) *
-    den) for x = c/den and theta3 = c3/den.
+    den) for x = c/den and theta3 = c3/den.  The coefficient x/theta3 =
+    c/c3 and a rational scaled value are written from these integers, with
+    no Fraction per point.
     """
     points, texts, nums = table.points, table.texts, table.nums
     top = nums[-1]
@@ -665,17 +726,13 @@ def _triples(table: _IntSupport, kappa: int) -> JsonText:
         _radical_text("1", text, kappa, None if r is None else format_rational(r), (x.numerator, x.denominator), pad)
         for x, text, r in zip(points, texts, exact)
     ]
-    coeffs = [Fraction(c, top) for c in nums[:-1]]  # x/theta3, one gcd each
+    coeffs = [_lowest_text(c, top) for c in nums[:-1]]  # x/theta3
     if root3 is None:
         den = top ** (kappa - 1) * table.den
-        scaled = [
-            _radical_text(format_rational(q), text3, kappa, None, (c ** kappa, den), pad)
-            for q, c in zip(coeffs, nums)
-        ]
+        scaled = [_radical_text(q, text3, kappa, None, (c ** kappa, den), pad) for q, c in zip(coeffs, nums)]
     else:
-        scaled = [
-            _radical_text(format_rational(q), text3, kappa, format_rational(q * root3), pad=pad) for q in coeffs
-        ]
+        rn, rd = root3.numerator, root3.denominator
+        scaled = [_radical_text(q, text3, kappa, _lowest_text(c * rn, top * rd), pad=pad) for q, c in zip(coeffs, nums)]
     scaled.append(roots[-1])  # at x = theta3 the scaled radical is gamma's
     origin = _radical_text("0", "1", kappa, "0", pad=pad)
     gamma = roots[-1]
@@ -689,24 +746,37 @@ def _triples(table: _IntSupport, kappa: int) -> JsonText:
     return JsonText("[\n    " + ",\n    ".join(items) + "\n  ]")
 
 
+def _report_head(theorem: str, applicable: bool, claims, violated) -> str:
+    """The start of a report's JSON text as _reports_text writes it: its
+    theorem, applicable, claims and violations keys.  Each claim's text is
+    its _text, written once per Claim."""
+    quote = encode_basestring_ascii
+    claims = "[\n        " + ",\n        ".join([c._text for c in claims]) + "\n      ]" if claims else "[]"
+    names = "[\n        " + ",\n        ".join([quote(c.name) for c in violated]) + "\n      ]" if violated else "[]"
+    return (
+        f'{{\n      "theorem": {quote(theorem)},\n      "applicable": {_LITERAL[applicable]},'
+        f'\n      "claims": {claims},\n      "violations": {names}'
+    )
+
+
 def _reports_text(reports, violations) -> JsonText:
     """The JSON text of the list of reports, written at the depth analyze
     prints it, given each report's violated claims in violations: the one
-    writer of the report shape.  Each claim's text is its _text, written
-    once per Claim.  A data value that is a bool, int, Fraction, str or
-    None is written inline; any other goes through json.dumps(v, indent=2,
-    default=_lowered), indented to its depth.  Keys of data are strs, keys
-    of dicts inside it strs or ints.
+    writer of the report shape.  An applicable report whose claims are a
+    _Claims of its theorem splices the head built with them; any other has
+    its head written by _report_head.  A data value that is a bool, int,
+    Fraction, str or None is written inline; any other goes through
+    json.dumps(v, indent=2, default=_lowered), indented to its depth.  Keys
+    of data are strs, keys of dicts inside it strs or ints.
     """
     quote, literal = encode_basestring_ascii, _LITERAL
     items = []
     for r, violated in zip(reports, violations):
-        claims = "[\n        " + ",\n        ".join([c._text for c in r.claims]) + "\n      ]" if r.claims else "[]"
-        names = "[\n        " + ",\n        ".join([quote(c.name) for c in violated]) + "\n      ]" if violated else "[]"
-        text = (
-            f'{{\n      "theorem": {quote(r.theorem)},\n      "applicable": {literal[r.applicable]},'
-            f'\n      "claims": {claims},\n      "violations": {names}'
-        )
+        claims = r.claims
+        if type(claims) is _Claims and claims.theorem == r.theorem and r.applicable:
+            text = claims.head
+        else:
+            text = _report_head(r.theorem, r.applicable, claims, violated)
         if r.note:
             text += f',\n      "note": {quote(r.note)}'
         if r.data:
@@ -916,22 +986,12 @@ def _checked_facts(pair: RootPair, theta1, theta2, with_iotas: bool) -> _HoleFac
     return _hole_facts(keys, pair.kappa, c1, c2, c3, iotas)
 
 
-def check_hole_backward(pair: RootPair, theta1, theta2, *, _facts: Optional[_HoleFacts] = None) -> TheoremReport:
-    """Candidate holes of supp nu induced by a hole (theta1, theta2) of supp mu,
-    with theta3 = sup supp mu; theta2 > theta3 is allowed.  Only the hole
-    walk passes _facts, the facts of a hole of its _IntSupport.  Its claims
-    come from _claim, so holes with equal facts share them."""
-    f = _checked_facts(pair, theta1, theta2, False) if _facts is None else _facts
-    bd_vs_ad, beta_in_supp = f.bd_vs_ad, f.beta_in_supp
-    hyp_upper = ("theta2 <= sup supp mu", f.upper_ok)
-    cond_a = (
-        bd_vs_ad < 0
-        or (bd_vs_ad <= 0 and pair.kappa >= 3)
-        or (bd_vs_ad == 0 and beta_in_supp)
-    )
-    claims = (
-        _claim("(i)", (), "nu((beta_dag, beta)) == 0", f.concl_i),
-        _claim("(ii)", (hyp_upper,), "nu((alpha, alpha_dag)) == 0", f.concl_ii),
+def _backward_claims(concl_i, upper_ok, concl_ii, cond_a, concl_iii, gba_small, beta_in_supp, bd_le_ad):
+    """The claims of check_hole_backward, given its facts as bools."""
+    hyp_upper = ("theta2 <= sup supp mu", upper_ok)
+    return (
+        _claim("(i)", (), "nu((beta_dag, beta)) == 0", concl_i),
+        _claim("(ii)", (hyp_upper,), "nu((alpha, alpha_dag)) == 0", concl_ii),
         _claim(
             "(iii-a)",
             (
@@ -943,28 +1003,44 @@ def check_hole_backward(pair: RootPair, theta1, theta2, *, _facts: Optional[_Hol
                 ),
             ),
             "nu((alpha, beta)) == 0",
-            f.concl_iii,
+            concl_iii,
         ),
         _claim(
             "(iii-b)",
             (
                 hyp_upper,
-                ("(gamma/beta)*alpha < alpha_dag", f.gba_small),
+                ("(gamma/beta)*alpha < alpha_dag", gba_small),
                 ("beta in supp nu", beta_in_supp),
             ),
             "nu((alpha, beta)) == 0",
-            f.concl_iii,
+            concl_iii,
         ),
         _claim(
             "dagger remark",
-            (hyp_upper, ("beta_dag <= alpha_dag", bd_vs_ad <= 0)),
+            (hyp_upper, ("beta_dag <= alpha_dag", bd_le_ad)),
             "(gamma/beta)*alpha < alpha_dag",
-            f.gba_small,
+            gba_small,
         ),
     )
+
+
+def check_hole_backward(pair: RootPair, theta1, theta2, *, _facts: Optional[_HoleFacts] = None) -> TheoremReport:
+    """Candidate holes of supp nu induced by a hole (theta1, theta2) of supp mu,
+    with theta3 = sup supp mu; theta2 > theta3 is allowed.  Only the hole
+    walk passes _facts, the facts of a hole of its _IntSupport.  Its claims
+    come from _interned, so holes with equal facts share one tuple."""
+    f = _checked_facts(pair, theta1, theta2, False) if _facts is None else _facts
+    bd_vs_ad, beta_in_supp = f.bd_vs_ad, f.beta_in_supp
+    cond_a = (
+        bd_vs_ad < 0
+        or (bd_vs_ad <= 0 and pair.kappa >= 3)
+        or (bd_vs_ad == 0 and beta_in_supp)
+    )
+    key = ("hole transfer mu->nu", f.concl_i, f.upper_ok, f.concl_ii, cond_a, f.concl_iii, f.gba_small, beta_in_supp,
+           bd_vs_ad <= 0)
     return TheoremReport(
         "hole transfer mu->nu",
-        claims,
+        _interned(key, _backward_claims),
         data={
             "theta3": pair.mu.max_point,
             "beta_in_support": beta_in_supp,
@@ -979,28 +1055,33 @@ def _exterior(theorem: str) -> TheoremReport:
     return TheoremReport(theorem, applicable=False, note="requires 0 < theta1 < theta2 < sup supp mu")
 
 
+def _iota_claims(kappa_ge_star, beta_in_supp, s_ge_star, s_ge_3, s_ge_4, star_is_1, conclusion):
+    """The claims of check_iota_hole_criteria, given its facts as bools."""
+    in_supp = ("beta in supp nu", beta_in_supp)
+    conditions = (
+        ("(i)", (("kappa >= iota_s_star", kappa_ge_star), in_supp)),
+        ("(ii)", (("iota_s >= iota_s_star", s_ge_star), in_supp)),
+        ("(iii)", (("iota_s >= 3", s_ge_3), in_supp)),
+        ("(iv)", (("iota_s >= 4", s_ge_4),)),
+        ("(v)", (("iota_s_star == 1", star_is_1),)),
+    )
+    return tuple(_claim(name, hyps, "nu((alpha, beta)) == 0", conclusion) for name, hyps in conditions)
+
+
 def check_iota_hole_criteria(pair: RootPair, theta1, theta2, *, _facts: Optional[_HoleFacts] = None) -> TheoremReport:
     """iota-based sufficient conditions for (alpha, beta) being a nu-hole,
     for a hole (theta1, theta2) of supp mu with theta3 = sup supp mu.  Only
     the hole walk passes _facts, as check_hole_backward takes them; its
-    claims come from _claim too."""
+    claims come from _interned too."""
     f = _checked_facts(pair, theta1, theta2, True) if _facts is None else _facts
     if f.iotas is None:
         return _exterior("iota hole criteria")
     (iota_s, iota_s_star), beta_in_supp, conclusion = f.iotas, f.beta_in_supp, f.concl_iii
-    kappa = pair.kappa
-    in_supp = ("beta in supp nu", beta_in_supp)
-    conditions = (
-        ("(i)", (("kappa >= iota_s_star", kappa >= iota_s_star), in_supp)),
-        ("(ii)", (("iota_s >= iota_s_star", iota_s >= iota_s_star), in_supp)),
-        ("(iii)", (("iota_s >= 3", iota_s >= 3), in_supp)),
-        ("(iv)", (("iota_s >= 4", iota_s >= 4),)),
-        ("(v)", (("iota_s_star == 1", iota_s_star == 1),)),
-    )
-    claims = tuple(_claim(name, hyps, "nu((alpha, beta)) == 0", conclusion) for name, hyps in conditions)
+    key = ("iota hole criteria", pair.kappa >= iota_s_star, beta_in_supp, iota_s >= iota_s_star, iota_s >= 3,
+           iota_s >= 4, iota_s_star == 1, conclusion)
     return TheoremReport(
         "iota hole criteria",
-        claims,
+        _interned(key, _iota_claims),
         data={
             "iota_s": iota_s,
             "iota_s_star": iota_s_star,
@@ -1114,7 +1195,8 @@ def check_lower_support(pair: RootPair) -> TheoremReport:
 
 
 def check_root_order_membership(
-    mu: AtomicMeasure, theta1, theta2, kappa_max: int, *, _iota_s_star: Optional[int] = None
+    mu: AtomicMeasure, theta1, theta2, kappa_max: int, *, _iota_s_star: Optional[int] = None,
+    _decisions: Optional[dict] = None,
 ) -> TheoremReport:
     """Equivalence of theta2-membership across every working root order.
 
@@ -1122,7 +1204,9 @@ def check_root_order_membership(
     CertifiedYes.  Requires iota_s_star = 1; reported as not applicable
     otherwise (and when J is empty).  mu is decided at the orders
     2..kappa_max only when iota_s_star = 1.  Only the order scans pass
-    _iota_s_star, that of an interior hole of their _IntSupport.
+    _iota_s_star, that of an interior hole of their _IntSupport, and
+    _decisions, the decisions of mu by order that the call reads, and
+    extends by each order it decides.
     """
     iota_s_star = _iota_s_star
     if iota_s_star is None:
@@ -1139,8 +1223,11 @@ def check_root_order_membership(
             note=f"requires iota_s_star == 1, got {iota_s_star}",
             data={"iota_s_star": iota_s_star},
         )
-    decisions = {k: decide_root(mu, k) for k in range(2, kappa_max + 1)}
-    working = {k: d for k, d in decisions.items() if d.is_yes}
+    decisions = {} if _decisions is None else _decisions
+    for k in range(2, kappa_max + 1):
+        if k not in decisions:
+            decisions[k] = decide_root(mu, k)
+    working = {k: decisions[k] for k in range(2, kappa_max + 1) if decisions[k].is_yes}
     if not working:
         return TheoremReport(
             "membership across root orders",
@@ -1176,19 +1263,24 @@ def check_root_order_membership(
     )
 
 
-def _order_scans(table: _IntSupport, kappa_max: int):
+def _order_scans(table: _IntSupport, kappa_max: int, decisions: Optional[dict] = None):
     """check_root_order_membership on each interior hole of the table (None
     on the others), and (i, reason) per hole i whose scan a guard refused.
     The scans read the table's iota_s_star column alone, and only
     iota_s_star == 1 holes decide mu at the orders 2..kappa_max, so a
-    caller that skips a refused scan learns of it before any other check."""
+    caller that skips a refused scan learns of it before any other check.
+    decisions holds the decisions of mu by order that the caller has made;
+    the scans share it, so mu is decided at most once at each order."""
     mu, points = table.mu, table.points
+    decisions = {} if decisions is None else decisions
     scans, refused = [], []
     for i, star in enumerate(table.iota_stars):
         report = None
         if star is not None:  # 0 < i < n
             try:
-                report = check_root_order_membership(mu, points[i - 1], points[i], kappa_max, _iota_s_star=star)
+                report = check_root_order_membership(
+                    mu, points[i - 1], points[i], kappa_max, _iota_s_star=star, _decisions=decisions
+                )
             except GuardExceeded as exc:
                 refused.append((i, str(exc)))
         scans.append(report)

@@ -304,8 +304,11 @@ def test_walk_enters_each_checker_by_its_public_name(tmp_path, monkeypatch):
 
 # Every claim the walk's two checkers can build: check_hole_backward's five
 # take 2 + 4 + 8 + 16 + 8 values, check_iota_hole_criteria's five 8 + 8 +
-# 8 + 4 + 4, over their hypotheses' and conclusions' bools.
+# 8 + 4 + 4, over their hypotheses' and conclusions' bools.  Every claims
+# tuple they can intern: a theorem and check_hole_backward's 8 or
+# check_iota_hole_criteria's 7 bools.
 CLAIM_BOUND = 38 + 32
+TUPLE_BOUND = 2 ** 8 + 2 ** 7
 
 
 def test_walk_claims_are_built_once_per_process(tmp_path, capsys):
@@ -319,23 +322,80 @@ def test_walk_claims_are_built_once_per_process(tmp_path, capsys):
     assert main(["fuzz", "--suite", "theorems", "--trials", "20", "--seed", "0"]) == 0
     capsys.readouterr()
     assert 0 < len(holes._CLAIMS) <= CLAIM_BOUND
-    # holes with equal facts get the very same Claim objects
+    assert 0 < len(holes._CLAIM_TUPLES) <= TUPLE_BOUND
+    for key, claims in holes._CLAIM_TUPLES.items():
+        assert key[0] == claims.theorem in ("hole transfer mu->nu", "iota hole criteria")
+        assert all(type(fact) is bool for fact in key[1:]) and len(key) == (9 if key[0].startswith("hole") else 8)
+    # holes with equal facts get the very same claims tuple, whose head and
+    # violations their reports' text and violations read
     shared = 0
     for mu, kappa in wide:
         pair = RootPair(mu, decide_root(mu, kappa).nu, kappa)
         first = {}
         for h in find_holes(mu):
             facts = holes._checked_facts(pair, h.lower, h.upper, True)
-            claims = check_hole_backward(pair, h.lower, h.upper).claims
-            claims += check_iota_hole_criteria(pair, h.lower, h.upper).claims
-            seen = first.setdefault(facts, claims)
-            assert len(seen) == len(claims) and all(a is b for a, b in zip(seen, claims))
-            shared += seen is not claims
+            reports = [check_hole_backward(pair, h.lower, h.upper), check_iota_hole_criteria(pair, h.lower, h.upper)]
+            seen = first.setdefault(facts, reports)
+            assert all(a.claims is b.claims for a, b in zip(seen, reports))
+            shared += seen is not reports
+            for r in reports:
+                assert r.to_dict() == report_dict(r)
+                assert reports_text([r]) == spliced([report_dict(r)])
+                assert r.violations is r.claims.violations if r.claims else r.violations == ()
     assert shared > 0
     # a Claim with text built at run time, as the fuzz harness builds one, stays out of the table
     count = len(holes._CLAIMS)
     claim = fuzz._fail("roundtrip", f"certifies {count}", "decide_root must certify").claims[0]
     assert len(holes._CLAIMS) == count and all(c is not claim for c in holes._CLAIMS.values())
+
+
+def test_reports_with_claims_not_interned_write_their_own_head():
+    mu = kappa_power_measure(AtomicMeasure.from_pairs([(1, 1), (5, 1), (6, 1)]), 4)
+    pair = RootPair(mu, decide_root(mu, 4).nu, 4)
+    points = mu.support
+    interned = check_hole_backward(pair, points[0], points[1])
+    assert type(interned.claims) is holes._Claims
+    plain = tuple(interned.claims)
+    scan = next(
+        r for r in (check_root_order_membership(mu, a, b, 4) for a, b in zip(points, points[1:])) if r.claims
+    )
+    reports = [
+        scan,  # the order scan's equivalence claim
+        fuzz._fail("roundtrip", "certifies", "decide_root over a kappa-power measure must certify", index=3),
+        TheoremReport(interned.theorem, plain, data=interned.data),  # equal claims, in a plain tuple
+        TheoremReport("another theorem", interned.claims),  # interned claims, another theorem
+        TheoremReport(interned.theorem, interned.claims, applicable=False),
+        TheoremReport(interned.theorem, interned.claims, note="a note"),
+    ]
+    for r in reports:
+        assert reports_text([r]) == spliced([report_dict(r)]), r.theorem
+        assert r.to_dict() == report_dict(r)
+    assert reports_text(reports) == spliced([report_dict(r) for r in reports])
+
+
+def test_order_scans_decide_mu_once_per_order(tmp_path, monkeypatch):
+    calls = Counter()
+
+    def counted(mu, kappa, _decide=decide_root):
+        calls[kappa] += 1
+        return _decide(mu, kappa)
+
+    monkeypatch.setattr(cli, "decide_root", counted)
+    monkeypatch.setattr(holes, "decide_root", counted)
+    # kappa = 4 with an iota_s_star = 1 hole: the scan reuses analyze's
+    # decision at 4; kappa = 2 with two such holes: they share theirs
+    cases = [
+        (kappa_power_measure(AtomicMeasure.from_pairs([(1, 1), (5, 1), (6, 1)]), 4), 4, 1),
+        (kappa_power_measure(AtomicMeasure.from_pairs([(F(4, 15), 1), (F(21, 20), 1), (F(20, 13), 1),
+                                                       (F(59, 37), 1)]), 2), 2, 2),
+    ]
+    for mu, kappa, scanned in cases:
+        assert holes._IntSupport(mu).iota_stars.count(1) == scanned
+        calls.clear()
+        code, text = analyze(tmp_path, mu, kappa, "--holes", "--theorems", "--json")
+        assert code == 0 and calls == {2: 1, 3: 1, 4: 1}
+        theorems = json.loads(text)["theorems"]
+        assert sum(r["theorem"] == "membership across root orders" and r["applicable"] for r in theorems) == scanned
 
 
 def refuse_holes(monkeypatch):

@@ -50,11 +50,35 @@ def test_format_parse_roundtrip(q):
 # ---------------------------------------------------------------------------
 
 
-@given(st.integers(min_value=0, max_value=10 ** 24), st.integers(min_value=1, max_value=9))
-def test_int_nth_root_is_floor(n, k):
+@st.composite
+def root_cases(draw):
+    """(n, k): n up to 10**24 or 2**5000, or r**k - 1, r**k or r**k + 1,
+    where the float seed of int_nth_root is at its least exact."""
+    k = draw(st.integers(min_value=1, max_value=200))
+    near_power = st.builds(lambda r, step: r ** k + step, st.integers(min_value=1, max_value=2 ** 64),
+                           st.sampled_from([-1, 0, 1]))
+    n = draw(st.one_of(st.integers(min_value=0, max_value=10 ** 24), st.integers(min_value=0, max_value=2 ** 5000),
+                       near_power))
+    return n, k
+
+
+@given(root_cases())
+@settings(max_examples=500)
+def test_int_nth_root_is_floor(case):
+    n, k = case
     r = int_nth_root(n, k)
     assert r ** k <= n
     assert (r + 1) ** k > n
+
+
+@pytest.mark.parametrize("bits", [999, 1000, 1001, 1023, 1024, 1025, 1100, 5001])
+def test_int_nth_root_shifts_wide_n_into_float_range(bits):
+    # the seed shifts n by a multiple of k into float range; a shift that
+    # is not one left a float overflow for k > 24 at 1,000 bits
+    for n in (2 ** bits - 1, 2 ** (bits - 1), 2 ** (bits - 1) + 3 ** (bits // 2)):
+        for k in range(2, 201):
+            r = int_nth_root(n, k)
+            assert r ** k <= n < (r + 1) ** k, (bits, k)
 
 
 @pytest.mark.parametrize(
@@ -347,6 +371,22 @@ def test_decimal_at_powers_of_ten_matches_reference(bits):
 @settings(max_examples=300)
 def test_decimal_of_roots_matches_reference(q, k, bits, digits):
     _decimal_matches_reference(bigfloat_root(q, k, bits), digits)
+
+
+@pytest.mark.parametrize("digits", [1, 2, 3, 7, 19, 20])
+def test_decimal_carries_powers_of_ten_and_unreduced_pairs(digits):
+    # at 10**e itself, at the half-unit below it that rounds up and carries
+    # into a new digit, and just below that half-unit, which does not
+    half = F(1, 2 * 10 ** digits)
+    for e in range(-25, 26):
+        power = F(10) ** e
+        carried, below = power * (1 - half), power * (1 - half - F(1, 10 ** 40))
+        assert ref_decimal(carried, digits) == ref_decimal(power, digits) != ref_decimal(below, digits)
+        for value in (power, carried, below):
+            want = ref_decimal(value, digits)
+            for scale in (1, 3, 10 ** 5, 2 ** 70):
+                got = _decimal_str(value.numerator * scale, value.denominator * scale, digits)
+                assert got == want, (value, digits, scale)
 
 
 @given(

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from momentroot import holes as holes_module
 from momentroot.decide import NuRepresentation, decide_root
 from momentroot.exact import GuardExceeded, Radical, UsageError, floor_log_ratio
 from momentroot.generate import GenParams, pick_kappa, random_atomic_measure, stream
@@ -899,6 +900,65 @@ def test_iota_table_matches_fraction_iotas():
     iotas = _IntSupport(geometric(2, 2)).iotas
     assert iotas[7] == ref_iotas(64, 128, 256) == (3, 2)
     assert iotas[1] == ref_iotas(1, 2, 256) == (2, 8)
+
+
+# integer triples c1 < c2 < c3 with c2**2 - c1*c3 = 0, +1 and -1: a
+# geometric tie m*p**2, m*p*q, m*q**2, the run k - 1, k, k + 1, and 1, k,
+# k**2 + 1
+ident_ints = st.integers(min_value=1, max_value=10 ** 6)
+tie_triples = st.builds(
+    lambda m, p, dq: (m * p * p, m * p * (p + dq), m * (p + dq) ** 2), ident_ints, ident_ints, ident_ints
+)
+plus_one_triples = st.integers(min_value=2, max_value=10 ** 12).map(lambda k: (k - 1, k, k + 1))
+minus_one_triples = st.integers(min_value=2, max_value=10 ** 12).map(lambda k: (1, k, k * k + 1))
+int_triples = st.lists(st.integers(min_value=1, max_value=10 ** 9), min_size=3, max_size=3, unique=True).map(sorted)
+
+
+@given(
+    st.one_of(int_triples, tie_triples, plus_one_triples, minus_one_triples),
+    st.sampled_from([1, 7, 10 ** 6]),
+)
+@settings(max_examples=300)
+def test_iota_pair_from_one_floor_log_matches_reference(triple, den):
+    c1, c2, c3 = triple
+    thetas = [F(c, den) for c in triple]
+    want = ref_iotas(*thetas)
+    assert _iotas(*thetas) == want
+    sign = c2 * c2 - c1 * c3
+    if sign == 0:
+        assert want == (3, 2)
+    elif sign > 0:
+        assert want[1] == 1 and want[0] >= 3
+    else:
+        assert want[0] == 2 and want[1] >= 2
+
+
+def test_iota_table_makes_one_floor_log_call_per_interior_hole(monkeypatch):
+    calls = []
+
+    def counted(*args, _floor_log=holes_module._floor_log):
+        calls.append(args)
+        return _floor_log(*args)
+
+    monkeypatch.setattr(holes_module, "_floor_log", counted)
+    interior_total = ties = 0
+    for mu, _, _ in reference_instances():
+        table = _IntSupport(mu)
+        nums = table.nums
+        interior = [(a, b, nums[-1]) for a, b in zip(nums, nums[1:-1])]
+        calls.clear()
+        stars = table.iota_stars
+        # the iota_s_star column is computed first, and alone; it pays on
+        # the holes with c2**2 < c1*c3
+        assert "iotas" not in vars(table)
+        assert len(calls) == sum(c1 * c3 > c2 * c2 for c1, c2, c3 in interior)
+        iotas = table.iotas
+        assert iotas[1:-1] == [ref_iotas(*t) for t in interior] and stars[1:-1] == [i[1] for i in iotas[1:-1]]
+        # one call per interior hole between the two columns, none on a tie
+        tied = sum(c1 * c3 == c2 * c2 for c1, c2, c3 in interior)
+        assert len(calls) == len(interior) - tied
+        interior_total, ties = interior_total + len(interior), ties + tied
+    assert interior_total > 800 and ties > 0
 
 
 def test_walk_matches_fraction_reference():

@@ -30,9 +30,11 @@ process with stdout captured.  The calls:
   nested arrays), whose error lines may be worded differently but must
   exit alike;
 - params on generator triples at kappa 2..8, on triples with theta1 = 0
-  or theta2 = theta3 (zero radicals, null iotas) and on triples out of
-  order (theta1 = theta2, theta2 > theta3, theta1 < 0), table --json up to
-  --max-m 100000, and fixtures;
+  or theta2 = theta3 (zero radicals, null iotas), on triples out of order
+  (theta1 = theta2, theta2 > theta3, theta1 < 0), and on TIES: triples
+  with theta2**2 = theta1*theta3 exactly and off by one unit over their
+  common denominator either way, the three branches of the iota pair;
+  table --json up to --max-m 100000, and fixtures;
 - feasible --witness on every pair with N <= 12 at most one level deep
   (N <= 3 or M <= 4N - 6), whose witnesses the greedy exponent rule builds
   as the x_2**2/(2*x_N) rule did, and on one infeasible pair;
@@ -71,6 +73,10 @@ BENCH_SEEDS = (0, 1)
 FUZZ_TRIALS = 200  # trials of the theorems suite
 GAPS = (2, 3, 4)  # at e = 5 one call takes seconds
 RATIOS = (2, Fraction(3, 2))
+# (c1, c2, c3, D): theta_i = c_i/D with c2**2 - c1*c3 = 0, then +1, then -1
+TIES = ((1, 2, 4, 1), (4, 6, 9, 7), (3, 300, 30000, 10 ** 6),
+        (2, 3, 4, 1), (999, 1000, 1001, 13), (10 ** 9 - 1, 10 ** 9, 10 ** 9 + 1, 10 ** 9),
+        (1, 3, 10, 1), (5, 7, 10, 3), (1, 1000, 1000001, 1000))
 ELAPSED = re.compile(r'"elapsed_seconds": [-+.\deE]+')
 
 
@@ -115,6 +121,9 @@ def generator_calls(workdir: Path) -> list[list[str]]:
         # theta1 = 0 or theta2 = theta3, then triples the reader refuses (exit 1)
         for t1, t2, t3 in (("0", "1/2", "3"), ("0", "4", "9"), ("1/3", "2", "2"), ("0", "2", "2"),
                            ("2", "2", "3"), ("1", "3", "2"), ("-1", "2", "3")):
+            calls.append(["params", "--theta1", t1, "--theta2", t2, "--theta3", t3, "--kappa", str(kappa)])
+        for *cs, den in TIES:
+            t1, t2, t3 = (format_rational(Fraction(c, den)) for c in cs)
             calls.append(["params", "--theta1", t1, "--theta2", t2, "--theta3", t3, "--kappa", str(kappa)])
     for seed in SEEDS:
         for suite, trials in (("theorems", FUZZ_TRIALS), ("roundtrip", 100), ("iota", 40), ("feasibility", 40)):
