@@ -107,16 +107,15 @@ def _cmd_analyze(args) -> int:
         pair = RootPair(mu, decision.nu, args.kappa)
         scans, refused = _order_scans(table, max(args.kappa, 4), {args.kappa: decision})
         reports = _walk_holes(pair, scans, table)
-    violations = [r.violations for r in reports]  # the one pass over the claims
     note = "no certified root; hole checkers skipped" if args.theorems and not decision.is_yes else None
-    exit_code = 2 if any(violations) else 0
+    exit_code = 2 if any(r.violations for r in reports) else 0
     if not args.json:
-        _print_analysis(args.kappa, table, decision, holes, reports, violations, refused, note)
+        _print_analysis(args.kappa, table, decision, holes, reports, refused, note)
         return exit_code
     if args.theorems:
         if note:
             doc["theorems_note"] = note
-        doc["theorems"] = _reports_text(reports, violations)
+        doc["theorems"] = _reports_text(reports)
         if refused:  # interior holes: i > 0
             doc["theorems_skipped"] = [
                 {"lower": table.texts[i - 1], "upper": table.texts[i], "reason": reason} for i, reason in refused
@@ -125,9 +124,9 @@ def _cmd_analyze(args) -> int:
     return exit_code
 
 
-def _print_analysis(kappa, table, decision, holes, reports, violations, refused, note):
+def _print_analysis(kappa, table, decision, holes, reports, refused, note):
     """The text report, printed once it is whole; the hole lines when holes
-    is true, and violations holds each report's violated claims."""
+    is true."""
     texts = table.texts
     lines = [f"kappa = {kappa}", "support: " + " ".join(texts), f"decision: {decision.verdict.value}"]
     if decision.certificate is not None:
@@ -140,8 +139,8 @@ def _print_analysis(kappa, table, decision, holes, reports, violations, refused,
     if holes:
         lines.append(f"hole (0, {texts[0]}) (leading)")
         lines += [f"hole ({lower}, {upper})" for lower, upper in zip(texts, texts[1:])]
-    for rep, violated in zip(reports, violations):
-        status = "VIOLATED" if violated else "ok"
+    for rep in reports:
+        status = "VIOLATED" if rep.violations else "ok"
         extra = "" if rep.applicable else " [not applicable]"
         lines.append(f"theorem check: {rep.theorem}: {status}{extra}")
     for i, reason in refused:
@@ -273,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kappa-max", type=int, default=4)
     p.add_argument("--max-atoms", type=int, default=5)
-    p.add_argument("--bound", type=int, default=64)
+    p.add_argument("--bound", type=int, default=64, help="bound on drawn numerators/denominators; iota uses <= 64")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=_cmd_fuzz)
 

@@ -25,9 +25,9 @@ check_iota_hole_criteria both read.  A call from outside the walk checks
 its hole and decides the same facts over the least common denominator of
 its own values.  Both checkers take their claims tuple from _interned,
 keyed by the facts they read as bools, which builds each tuple once per
-process with its violations and the head of its report's JSON text, from
-Claims that _claim builds once per process: the walk's reports take a few
-dozen claims tuples over any number of holes.
+process with its violations and the head of its report's JSON text:
+_CLAIM_TUPLES is the one table of claims, and the walk's reports take a
+few dozen tuples from it over any number of holes.
 Checkers return TheoremReports; a report whose hypotheses all hold but
 whose conclusion fails is a counterexample and is treated as a failure by
 the fuzz harness.
@@ -36,9 +36,9 @@ The JSON forms of a TripleParams and of a list of TheoremReports have one
 writer each, which writes text straight from the objects at the depth it
 is printed at: _triple_text (at depth 0 for the params command, and for
 each entry of analyze's triples block) and _reports_text (analyze's
-theorems block), which splices an interned claims tuple's head, or each
-Claim's text, built once per Claim.  to_dict reads that text back with
-json.loads.
+theorems block), which splices an interned claims tuple's head and
+writes any other report's head from its claims.  to_dict reads that text
+back with json.loads.
 """
 
 from __future__ import annotations
@@ -115,40 +115,6 @@ class Claim:
     def violated(self) -> bool:
         return self.holds is False and self.hypotheses_hold
 
-    @cached_property
-    def _text(self) -> str:
-        """The JSON form of the claim as _reports_text writes it: an element
-        of a report's claims list, at the depth analyze prints it.  Its
-        holds values are bools or None, as the fields declare them."""
-        quote, literal = encode_basestring_ascii, _LITERAL
-        if self.hypotheses:
-            hyps = ",\n            ".join([
-                f'{{\n              "name": {quote(name)},\n              "holds": {literal[ok]}\n            }}'
-                for name, ok in self.hypotheses
-            ])
-            hyps = f"[\n            {hyps}\n          ]"
-        else:
-            hyps = "[]"
-        return (
-            f'{{\n          "name": {quote(self.name)},\n          "hypotheses": {hyps},'
-            f'\n          "conclusion": {quote(self.conclusion)},'
-            f'\n          "holds": {literal[self.holds]},\n          "approximate": {literal[self.approximate]}\n        }}'
-        )
-
-
-_CLAIMS: dict[tuple, Claim] = {}  # each Claim _claim has built, by its fields
-
-
-def _claim(name: str, hypotheses: tuple[tuple[str, bool], ...], conclusion: str, holds: Optional[bool]) -> Claim:
-    """The Claim with these fields, built once per process and then shared,
-    with its violated flag and its JSON text.  Its callers pass literal
-    texts and bools only, so the table stays finite."""
-    key = (name, hypotheses, conclusion, holds)
-    claim = _CLAIMS.get(key)
-    if claim is None:
-        claim = _CLAIMS[key] = Claim(name, hypotheses, conclusion, holds)
-    return claim
-
 
 class _Claims(tuple):
     """The claims of a report of check_hole_backward or
@@ -156,7 +122,8 @@ class _Claims(tuple):
     for each key, with the report's theorem, its violated claims and its
     head, the JSON text _reports_text writes for the theorem, applicable,
     claims and violations keys of an applicable report.  Only a _Claims
-    carries these, so claims built any other way are written afresh."""
+    carries these, so claims built any other way have their violations
+    found and their head written afresh."""
 
     theorem: str
     violations: tuple[Claim, ...]
@@ -168,8 +135,9 @@ _CLAIM_TUPLES: dict[tuple, _Claims] = {}  # each _Claims _interned has built, by
 
 def _interned(key: tuple, build) -> _Claims:
     """The claims build(*key[1:]) of a report whose theorem is key[0], built
-    once per process and then shared.  Its callers pass a literal theorem
-    and bools only, so the table stays finite."""
+    once per process and then shared: _CLAIM_TUPLES is the one table of
+    claims.  Its callers pass a literal theorem and bools only, so the
+    table stays finite."""
     claims = _CLAIM_TUPLES.get(key)
     if claims is None:
         claims = _CLAIM_TUPLES[key] = _Claims(build(*key[1:]))
@@ -200,7 +168,7 @@ class TheoremReport:
 
     def to_dict(self) -> dict:
         """The JSON form, read back from the text _reports_text writes."""
-        return json.loads(_reports_text([self], [self.violations]))[0]
+        return json.loads(_reports_text([self]))[0]
 
 
 def _lowered(v):
@@ -748,35 +716,48 @@ def _triples(table: _IntSupport, kappa: int) -> JsonText:
 
 def _report_head(theorem: str, applicable: bool, claims, violated) -> str:
     """The start of a report's JSON text as _reports_text writes it: its
-    theorem, applicable, claims and violations keys.  Each claim's text is
-    its _text, written once per Claim."""
-    quote = encode_basestring_ascii
-    claims = "[\n        " + ",\n        ".join([c._text for c in claims]) + "\n      ]" if claims else "[]"
+    theorem, applicable, claims and violations keys.  A claim's holds
+    values are bools or None, as Claim's fields declare them."""
+    quote, literal = encode_basestring_ascii, _LITERAL
+    items = []
+    for c in claims:
+        hyps = "[]"
+        if c.hypotheses:
+            hyps = "[\n            " + ",\n            ".join([
+                f'{{\n              "name": {quote(name)},\n              "holds": {literal[ok]}\n            }}'
+                for name, ok in c.hypotheses
+            ]) + "\n          ]"
+        items.append(
+            f'{{\n          "name": {quote(c.name)},\n          "hypotheses": {hyps},'
+            f'\n          "conclusion": {quote(c.conclusion)},'
+            f'\n          "holds": {literal[c.holds]},\n          "approximate": {literal[c.approximate]}\n        }}'
+        )
+    claims = "[\n        " + ",\n        ".join(items) + "\n      ]" if items else "[]"
     names = "[\n        " + ",\n        ".join([quote(c.name) for c in violated]) + "\n      ]" if violated else "[]"
     return (
-        f'{{\n      "theorem": {quote(theorem)},\n      "applicable": {_LITERAL[applicable]},'
+        f'{{\n      "theorem": {quote(theorem)},\n      "applicable": {literal[applicable]},'
         f'\n      "claims": {claims},\n      "violations": {names}'
     )
 
 
-def _reports_text(reports, violations) -> JsonText:
+def _reports_text(reports) -> JsonText:
     """The JSON text of the list of reports, written at the depth analyze
-    prints it, given each report's violated claims in violations: the one
-    writer of the report shape.  An applicable report whose claims are a
-    _Claims of its theorem splices the head built with them; any other has
-    its head written by _report_head.  A data value that is a bool, int,
-    Fraction, str or None is written inline; any other goes through
-    json.dumps(v, indent=2, default=_lowered), indented to its depth.  Keys
-    of data are strs, keys of dicts inside it strs or ints.
+    prints it: the one writer of the report shape.  An applicable report
+    whose claims are a _Claims of its theorem splices the head built with
+    them; any other has its head written by _report_head from its claims
+    and its violations.  A data value that is a bool, int, Fraction, str
+    or None is written inline; any other goes through json.dumps(v,
+    indent=2, default=_lowered), indented to its depth.  Keys of data are
+    strs, keys of dicts inside it strs or ints.
     """
     quote, literal = encode_basestring_ascii, _LITERAL
     items = []
-    for r, violated in zip(reports, violations):
+    for r in reports:
         claims = r.claims
         if type(claims) is _Claims and claims.theorem == r.theorem and r.applicable:
             text = claims.head
         else:
-            text = _report_head(r.theorem, r.applicable, claims, violated)
+            text = _report_head(r.theorem, r.applicable, claims, r.violations)
         if r.note:
             text += f',\n      "note": {quote(r.note)}'
         if r.data:
@@ -990,9 +971,9 @@ def _backward_claims(concl_i, upper_ok, concl_ii, cond_a, concl_iii, gba_small, 
     """The claims of check_hole_backward, given its facts as bools."""
     hyp_upper = ("theta2 <= sup supp mu", upper_ok)
     return (
-        _claim("(i)", (), "nu((beta_dag, beta)) == 0", concl_i),
-        _claim("(ii)", (hyp_upper,), "nu((alpha, alpha_dag)) == 0", concl_ii),
-        _claim(
+        Claim("(i)", (), "nu((beta_dag, beta)) == 0", concl_i),
+        Claim("(ii)", (hyp_upper,), "nu((alpha, alpha_dag)) == 0", concl_ii),
+        Claim(
             "(iii-a)",
             (
                 hyp_upper,
@@ -1005,7 +986,7 @@ def _backward_claims(concl_i, upper_ok, concl_ii, cond_a, concl_iii, gba_small, 
             "nu((alpha, beta)) == 0",
             concl_iii,
         ),
-        _claim(
+        Claim(
             "(iii-b)",
             (
                 hyp_upper,
@@ -1015,7 +996,7 @@ def _backward_claims(concl_i, upper_ok, concl_ii, cond_a, concl_iii, gba_small, 
             "nu((alpha, beta)) == 0",
             concl_iii,
         ),
-        _claim(
+        Claim(
             "dagger remark",
             (hyp_upper, ("beta_dag <= alpha_dag", bd_le_ad)),
             "(gamma/beta)*alpha < alpha_dag",
@@ -1065,7 +1046,7 @@ def _iota_claims(kappa_ge_star, beta_in_supp, s_ge_star, s_ge_3, s_ge_4, star_is
         ("(iv)", (("iota_s >= 4", s_ge_4),)),
         ("(v)", (("iota_s_star == 1", star_is_1),)),
     )
-    return tuple(_claim(name, hyps, "nu((alpha, beta)) == 0", conclusion) for name, hyps in conditions)
+    return tuple(Claim(name, hyps, "nu((alpha, beta)) == 0", conclusion) for name, hyps in conditions)
 
 
 def check_iota_hole_criteria(pair: RootPair, theta1, theta2, *, _facts: Optional[_HoleFacts] = None) -> TheoremReport:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from momentroot import fixtures
 from momentroot.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -202,6 +203,24 @@ def test_fixtures_all_pass(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.count("PASS") >= 9
+
+
+def test_failed_fixture_prints_a_fail_row_and_exits_two(monkeypatch, capsys):
+    # raised by hand: pytest rewrites the assert statements of test files
+    def fails():
+        raise AssertionError("worked example differs")
+
+    def fails_bare():
+        raise AssertionError
+
+    monkeypatch.setattr(fixtures, "FIXTURES", [*fixtures.FIXTURES[:1], ("fails", fails), ("fails-bare", fails_bare)])
+    assert main(["fixtures"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        f"PASS {fixtures.FIXTURES[0][0]}",
+        "FAIL fails: worked example differs",
+        "FAIL fails-bare: assertion failed",
+    ]
 
 
 def test_fixtures_refuse_to_run_without_asserts():

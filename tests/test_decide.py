@@ -12,6 +12,7 @@ from momentroot.decide import (
     CertificateKind,
     NuEntry,
     NuRepresentation,
+    RootDecision,
     Verdict,
     approx_root_moments,
     decide_root,
@@ -105,6 +106,11 @@ def test_guard_kappa_range():
         decide_root(mu, 17)
     with pytest.raises(UsageError, match="kappa must be in"):  # not math's TypeError
         decide_root(mu, 2.0)
+    # a decision carries exactly the evidence its verdict names
+    with pytest.raises(UsageError, match="yes-decision"):
+        RootDecision(Verdict.CERTIFIED_YES, 2)
+    with pytest.raises(UsageError, match="no-decision"):
+        RootDecision(Verdict.CERTIFIED_NO, 2)
 
 
 def test_guard_multiset_budget(monkeypatch):
@@ -295,6 +301,10 @@ def test_rational_form_needs_every_atom_rational():
     # atom sqrt(2) has none
     d = decide_root(measure((2, 1)), 2)
     assert d.is_yes
+    assert d.nu.to_atomic_measure() is None
+    # delta_4 of mass 2: the atom 2 is rational, the base mass sqrt(2) is not
+    d = decide_root(measure((4, 2)), 2)
+    assert d.is_yes and d.nu.base_mass == 2
     assert d.nu.to_atomic_measure() is None
 
 

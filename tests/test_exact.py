@@ -121,6 +121,8 @@ def test_radical_compare_dagger_endpoints():
     a = Radical(F(1, 3), F(1), 2)
     b = Radical(F(1), F(1, 2), 2)
     assert radical_compare(a, b) == -1
+    assert (repr(a), repr(b)) == ("Radical(1/3*1^(1/2))", "Radical(1*1/2^(1/2))")
+    assert repr(Radical(0, 1, 2)) == "Radical(0)"
 
 
 def test_radical_compare_equal_values():

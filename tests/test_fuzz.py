@@ -1,11 +1,17 @@
+import json
+import os
 from concurrent.futures import Future
+from types import SimpleNamespace
 
 import pytest
 
 from momentroot import decide, fuzz
+from momentroot.cli import main
 from momentroot.exact import UsageError
 from momentroot.fuzz import _run_chunk, run_suite
 from momentroot.generate import GenParams
+from momentroot.holes import Claim, TheoremReport
+from momentroot.measures import AtomicMeasure
 
 
 @pytest.mark.parametrize(
@@ -61,12 +67,64 @@ def test_pool_has_no_more_workers_than_chunks(monkeypatch):
     assert len(started) == 1 and 1 <= started[0] <= 3
     del pooled["elapsed_seconds"], serial["elapsed_seconds"]
     assert pooled == serial
+    # a platform without the affinity call counts every CPU
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert fuzz._cpus() == (os.cpu_count() or 1)
 
 
-def test_violations_are_reported_not_raised():
+def test_violations_are_reported_not_raised(monkeypatch):
     # a seed/suite pair over a tiny kappa range still yields a clean result
-    summary = run_suite("iota", GenParams(seed=5, kappa_set=(2,)), 30)
-    assert summary.ok
+    params = GenParams(seed=5, kappa_set=(2,))
+    assert run_suite("iota", params, 30).ok
+    # a checker whose conclusion fails makes each trial report it, and the
+    # run still returns its summary
+    failed = TheoremReport("iota relations", (Claim("(i)", (), "never holds", False),))
+    monkeypatch.setattr(fuzz, "iota_relations", lambda *triple: failed)
+    summary = run_suite("iota", params, 30)
+    assert not summary.ok and summary.violations == [failed] * 30
+    assert summary.to_dict()["ok"] is False
+
+
+# Each violation site of the roundtrip and feasibility trials, and the one
+# library call, as fuzz imports it, made wrong so that the site fires.  A
+# doubled mu is still certified, but its base mass is not the generating
+# measure's.
+VIOLATION_SITES = [
+    ("roundtrip", "certifies", "decide_root",
+     lambda real: lambda mu, kappa: real(AtomicMeasure.from_pairs([(1, 1), (2, 1)]), 2)),
+    ("roundtrip", "exact recovery", "decide_root",
+     lambda real: lambda mu, kappa: real(AtomicMeasure.from_pairs([(p, 2 * w) for p, w in mu.atoms]), kappa)),
+    ("roundtrip", "support product formula", "product_support", lambda real: lambda points, k: real(points, k)[1:]),
+    ("roundtrip", "support lower bound", "kappa_power_measure",
+     lambda real: lambda nu, k: real(AtomicMeasure.from_pairs(nu.atoms[:1]), k)),
+    ("roundtrip", "extremes", "kappa_power_measure",
+     lambda real: lambda nu, k: real(AtomicMeasure.from_pairs([(2 * p, w) for p, w in nu.atoms]), k)),
+    ("feasibility", "witness", "witness", lambda real: lambda m, n: SimpleNamespace(xs=real(m, n).xs[:-1])),
+    ("feasibility", "bounds", "n_minus", lambda real: lambda m: m + 1),
+    ("feasibility", "probe", "product_count", lambda real: lambda xs: real(xs) + 1),
+]
+
+
+@pytest.mark.parametrize("suite,name,call,wrong", VIOLATION_SITES, ids=[s[1] for s in VIOLATION_SITES])
+def test_each_violation_site_is_reported(monkeypatch, capsys, suite, name, call, wrong):
+    monkeypatch.setattr(fuzz, call, wrong(getattr(fuzz, call)))
+    assert main(["fuzz", "--suite", suite, "--trials", "6", "--seed", "0"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is False and doc["skipped"] == []
+    assert all(v["theorem"] == suite for v in doc["violations"])
+    assert name in {claim for v in doc["violations"] for claim in v["violations"]}
+
+
+def test_iota_suite_clamps_its_bound_to_64(capsys):
+    # iota's exact powering is cheap only for small triples, so the trial
+    # draws at most at 64 whatever --bound says
+    docs = []
+    for bound in (64, 65536):
+        assert main(["fuzz", "--suite", "iota", "--trials", "50", "--seed", "3", "--bound", str(bound)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        del doc["elapsed_seconds"]
+        docs.append(doc)
+    assert docs[0] == docs[1] == {"suite": "iota", "trials": 50, "violations": [], "skipped": [], "ok": True}
 
 
 def test_theorems_with_wide_rational_bounds():

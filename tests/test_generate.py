@@ -78,6 +78,9 @@ def test_stream_state_transition():
     # splitmix64 test vector for state 0 -> state GOLDEN
     assert first == 0xE220A8397B1DCDAF
     assert SplitMix64(0).next_u64() == first
+    assert rng.below(1) == 0
+    with pytest.raises(UsageError, match="n >= 1"):
+        rng.below(0)
 
 
 def test_stream_split_disjoint_prefixes():

@@ -305,6 +305,15 @@ def test_kappa_scan_growth_branch_above_one():
     assert r.ok
 
 
+@pytest.mark.parametrize(
+    "values,trend",
+    [([1, 2, 3], "strictly_increasing"), ([3, 2, 1], "strictly_decreasing"), ([2, 2, 2], "constant"),
+     ([1, 2, 1], "mixed"), ([1, 1, 2], "mixed")],
+)
+def test_trend_names_each_shape(values, trend):
+    assert holes_module._trend([F(v) for v in values]) == trend
+
+
 def test_kappa_scan_range_validation():
     with pytest.raises(UsageError):
         kappa_dependence_scan(F(1, 2), 1, 9, 1)
