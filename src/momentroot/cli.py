@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa-max", type=int, default=4)
     p.add_argument("--max-atoms", type=int, default=5)
     p.add_argument("--bound", type=int, default=64, help="bound on drawn numerators/denominators; iota uses <= 64")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes; 1 runs the trials in this process")
     p.set_defaults(fn=_cmd_fuzz)
 
     p = sub.add_parser("fixtures", help="run the golden examples")

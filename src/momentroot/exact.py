@@ -38,16 +38,17 @@ class GuardExceeded(UsageError):
     """An enumeration guard would be exceeded."""
 
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse the "p" / "p/q" text encoding into a Fraction.
 
-    Base-10 integers only; no whitespace, decimals or exponents.  p may be
-    negative: AtomicMeasure checks the sign of a measure's values.
+    Base-10 integers in ASCII digits only; no whitespace (not even a final
+    newline), decimals or exponents.  p may be negative: AtomicMeasure
+    checks the sign of a measure's values.
     """
-    m = _RATIONAL_RE.match(text)
+    m = _RATIONAL_RE.fullmatch(text)
     if m is None:
         raise UsageError(f"not a rational literal: {text!r}")
     try:

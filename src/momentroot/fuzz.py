@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -234,10 +233,16 @@ def run_suite(
         raise UsageError(f"unknown suite {suite!r}; expected one of {SUITES}")
     if not 1 <= trials <= MAX_TRIALS:
         raise UsageError(f"trials must be in [1, {MAX_TRIALS}]")
+    if jobs < 1:
+        raise UsageError("jobs must be at least 1")
     start = time.monotonic()
-    if jobs <= 1:
+    if jobs == 1:
         chunks = [_run_chunk(suite, params, 0, trials)]
     else:
+        # imported here: the pool's stack (multiprocessing, logging, pickle,
+        # socket) costs every other run start-up time and memory
+        from concurrent.futures import ProcessPoolExecutor
+
         step = -(-trials // jobs)
         ranges = [(i, min(i + step, trials)) for i in range(0, trials, step)]
         # a pool may start all its workers at once: no more than there are

@@ -254,6 +254,7 @@ MALFORMED_INVOCATIONS = {
         ["params", "--theta1", "-1/2", "--theta2", "2", "--theta3", "3", "--kappa", "2"],
         "error: argument --theta1: expected one argument",
     ),
+    "fuzz --jobs 0": (["fuzz", "--suite", "roundtrip", "--trials", "4", "--jobs", "0"], "error: jobs must be at least 1"),
 }
 
 

@@ -34,7 +34,9 @@ def test_parse_rational():
     assert parse_rational("6/4") == F(3, 2)
 
 
-@pytest.mark.parametrize("bad", ["", "1.5", "1/0", "1e3", " 1", "1/ 2", "2/-3", "/3"])
+@pytest.mark.parametrize(
+    "bad", ["", "1.5", "1/0", "1e3", " 1", "1/ 2", "2/-3", "/3", "1\n", "1/2\n", "\u0661\u0662"]
+)
 def test_parse_rational_rejects(bad):
     with pytest.raises(UsageError):
         parse_rational(bad)

@@ -1,6 +1,10 @@
+import concurrent.futures
 import json
 import os
+import subprocess
+import sys
 from concurrent.futures import Future
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -30,6 +34,8 @@ def test_unknown_suite_rejected():
         run_suite("nope", GenParams(seed=1), 5)
     with pytest.raises(UsageError):
         run_suite("roundtrip", GenParams(seed=1), 0)
+    with pytest.raises(UsageError):
+        run_suite("roundtrip", GenParams(seed=1), 5, jobs=0)
 
 
 def test_parallel_matches_serial():
@@ -60,7 +66,7 @@ def test_pool_has_no_more_workers_than_chunks(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(fuzz, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     params = GenParams(seed=31)
     pooled = run_suite("roundtrip", params, 3, jobs=10 ** 6).to_dict()
     serial = run_suite("roundtrip", params, 3).to_dict()
@@ -70,6 +76,27 @@ def test_pool_has_no_more_workers_than_chunks(monkeypatch):
     # a platform without the affinity call counts every CPU
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     assert fuzz._cpus() == (os.cpu_count() or 1)
+
+
+def test_pool_is_imported_only_when_used():
+    # importing the package and a serial run load no pool module; checked in
+    # a fresh interpreter, since this one already has the pool loaded
+    script = """
+import sys
+import momentroot, momentroot.cli
+from momentroot.fuzz import run_suite
+from momentroot.generate import GenParams
+serial = run_suite("roundtrip", GenParams(seed=1), 4).to_dict()
+print(sorted(m for m in ("multiprocessing", "concurrent.futures", "logging") if m in sys.modules))
+pooled = run_suite("roundtrip", GenParams(seed=1), 4, jobs=2).to_dict()
+del pooled["elapsed_seconds"], serial["elapsed_seconds"]
+print("concurrent.futures.process" in sys.modules, pooled == serial)
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["[]", "True True"]
 
 
 def test_violations_are_reported_not_raised(monkeypatch):
